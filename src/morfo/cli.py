@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data-file load error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -15,14 +16,6 @@ from typing import List, Optional, Sequence, TextIO
 from morfo import resources
 from morfo.analyzer import Analyzer, load_default_table
 from morfo.clitics import CliticSplitter, load_pronoun_table
-from morfo.coes_import import import_rules, rows_to_tsv
-from morfo.conll_eval import (
-    MetricsReport,
-    evaluate_features,
-    evaluate_lemmas,
-    load_mapping,
-    parse_conll,
-)
 from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
 from morfo.errors import LoadError
 from morfo.features import Pos
@@ -72,17 +65,19 @@ def build_analyzer(args) -> Analyzer:
 
 def _input_tokens(stream: TextIO):
     """Yield (token, pos_hint) pairs from ``token`` or ``token<TAB>pos`` lines."""
-    for raw in stream:
+    for line_no, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
         if not line.strip():
             continue
         token, _, pos_text = line.partition("\t")
+        if not token.strip():
+            raise LoadError(f"empty token before pos tag {pos_text.strip()!r}", line_no)
         pos_hint = None
         if pos_text.strip():
             try:
                 pos_hint = Pos(pos_text.strip().lower())
             except ValueError:
-                raise LoadError(f"unknown pos tag {pos_text.strip()!r}")
+                raise LoadError(f"unknown pos tag {pos_text.strip()!r}", line_no)
         yield token.strip(), pos_hint
 
 
@@ -156,14 +151,16 @@ def cmd_split_clitics(args, stdin: TextIO, stdout: TextIO) -> int:
 
 
 def cmd_import_coes(args, stdin: TextIO, stdout: TextIO) -> int:
+    from morfo.coes_import import import_rules, rows_to_tsv
+
     if args.aff:
         try:
             source = open(args.aff, encoding="utf-8")
         except OSError as exc:
             raise DataFileError(args.aff, exc) from exc
     else:
-        source = stdin
-    with source if source is not stdin else _noop(source) as stream:
+        source = contextlib.nullcontext(stdin)
+    with source as stream:
         rows = import_rules(stream, skip_flags=args.skip_flags or "",
                             infer_person=args.infer_person)
     text = rows_to_tsv(rows)
@@ -174,18 +171,15 @@ def cmd_import_coes(args, stdin: TextIO, stdout: TextIO) -> int:
     return EXIT_OK
 
 
-class _noop:
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __enter__(self):
-        return self.obj
-
-    def __exit__(self, *exc):
-        return False
-
-
 def cmd_evaluate(args, stdin: TextIO, stdout: TextIO) -> int:
+    from morfo.conll_eval import (
+        MetricsReport,
+        evaluate_features,
+        evaluate_lemmas,
+        load_mapping,
+        parse_conll,
+    )
+
     analyzer = build_analyzer(args)
     lemmatizer = Lemmatizer(analyzer)
     mapping = _load(resources.CONLL_MAPPING, args.mapping, load_mapping)

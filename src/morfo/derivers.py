@@ -1,14 +1,12 @@
-"""Lemmatization and verb nominalization, each with its own lookup memo."""
+"""Lemmatization and verb nominalization on top of the analyzer."""
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Iterable, List, Optional, Set, TextIO, Tuple, Union
+from typing import Iterable, Optional, Set, TextIO, Union
 
 from morfo.analyzer import Analyzer
 from morfo.errors import LoadError
 from morfo.features import Pos
-from morfo.lexicon import normalize
 from morfo.rules import apply_rule
 
 
@@ -30,20 +28,10 @@ class Lemmatizer:
 
     def __init__(self, analyzer: Analyzer):
         self.analyzer = analyzer
-        self._memo: Dict[Tuple[str, Optional[Pos]], str] = {}
-        self._lock = threading.Lock()
 
     def lemmatize(self, word: str, pos_hint: Optional[Pos] = None) -> str:
         """The preferred analysis's lemma; the word itself when only the fallback applies."""
-        surface = normalize(word)
-        key = (surface, pos_hint)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        lemma = self.analyzer.preferred_analysis(surface, pos_hint).lemma
-        with self._lock:
-            self._memo[key] = lemma
-        return lemma
+        return self.analyzer.preferred_analysis(word, pos_hint).lemma
 
 
 class Nominalizer:
@@ -53,8 +41,6 @@ class Nominalizer:
         self.lemmatizer = lemmatizer
         self.analyzer = lemmatizer.analyzer
         self.nominal_flags = set(nominal_flags)
-        self._memo: Dict[str, Optional[str]] = {}
-        self._lock = threading.Lock()
         self._lint_single_flag()
 
     def _lint_single_flag(self) -> None:
@@ -69,16 +55,7 @@ class Nominalizer:
 
     def nominalize(self, verb: str) -> Optional[str]:
         """The rule-specified nominal form, or None when no such form is on record."""
-        infinitive = self.lemmatizer.lemmatize(normalize(verb), Pos.VERB)
-        hit = self._memo.get(infinitive, self)  # sentinel: self is never a value
-        if hit is not self:
-            return hit
-        nominal = self._convert(infinitive)
-        with self._lock:
-            self._memo[infinitive] = nominal
-        return nominal
-
-    def _convert(self, infinitive: str) -> Optional[str]:
+        infinitive = self.lemmatizer.lemmatize(verb, Pos.VERB)
         entry = self.analyzer.lexicon.lookup_exact(infinitive)
         if entry is None:
             return None

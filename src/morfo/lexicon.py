@@ -1,10 +1,10 @@
-"""Dictionary of root words with rule flags, sorted for nearby-root search.
+"""Dictionary of root words with rule flags, sorted for prefix search.
 
 The on-disk format is one entry per line, ``word`` or ``word/FLAGS``, where
 FLAGS is a run of single-letter rule codes. ``#`` lines are comments and blank
 lines are ignored. Entries are NFC-normalized, lowercased, and kept strictly
-sorted by code point so that lookup can binary-search and then walk outward to
-neighboring roots.
+sorted by code point so that the roots sharing a prefix can be found by
+binary search.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class Lexicon:
     def __init__(self, entries: List[LexEntry]):
         self.entries = sorted(entries, key=lambda e: e.root)
         self._roots = [e.root for e in self.entries]
-        self._index = {e.root: i for i, e in enumerate(self.entries)}
+        self._index = {e.root: e for e in self.entries}
         if len(self._index) != len(self.entries):
             raise ValueError("duplicate roots in lexicon")
 
@@ -52,51 +52,14 @@ class Lexicon:
         return isinstance(other, Lexicon) and self.entries == other.entries
 
     def lookup_exact(self, root: str) -> Optional[LexEntry]:
-        i = self._index.get(root)
-        return self.entries[i] if i is not None else None
+        return self._index.get(root)
 
-    def neighbor_roots(self, surface: str) -> Iterator[LexEntry]:
-        """Yield entries near the insertion point of ``surface``, nearest first.
-
-        Walks outward in both directions, at each step taking the side whose
-        next root shares the longer prefix with ``surface``. Restricted to
-        roots sharing the first character; exhausts both directions.
-        """
-        if not surface:
-            return
-        first = surface[0]
-        i = bisect_left(self._roots, surface)
-        hi = i
-        lo = i - 1
-        if hi < len(self._roots) and self._roots[hi] == surface:
-            yield self.entries[hi]
-            hi += 1
-        def shared(i: int) -> int:
-            root = self._roots[i]
-            n = 0
-            for a, b in zip(root, surface):
-                if a != b:
-                    break
-                n += 1
-            return n
-
-        hi_open = hi < len(self._roots) and self._roots[hi][0] == first
-        lo_open = lo >= 0 and self._roots[lo][0] == first
-        while hi_open or lo_open:
-            take_lo = lo_open and (not hi_open or shared(lo) >= shared(hi))
-            if take_lo:
-                yield self.entries[lo]
-                lo -= 1
-                lo_open = lo >= 0 and self._roots[lo][0] == first
-            else:
-                yield self.entries[hi]
-                hi += 1
-                hi_open = hi < len(self._roots) and self._roots[hi][0] == first
-
-    def entries_with_first_char(self, first: str) -> List[LexEntry]:
-        lo = bisect_left(self._roots, first)
-        hi = bisect_left(self._roots, chr(ord(first) + 1)) if first != chr(0x10FFFF) else len(self._roots)
-        return self.entries[lo:hi]
+    def with_prefix(self, prefix: str) -> Iterator[LexEntry]:
+        """Entries whose root starts with ``prefix``, in sorted order."""
+        i = bisect_left(self._roots, prefix)
+        while i < len(self._roots) and self._roots[i].startswith(prefix):
+            yield self.entries[i]
+            i += 1
 
     def to_lines(self) -> List[str]:
         return [e.to_line() for e in self.entries]
@@ -124,7 +87,6 @@ def _parse_line(line: str, line_no: int):
 def load_dictionary(source: Union[TextIO, Iterable[str]]) -> Lexicon:
     """Load a dictionary stream, merging duplicate roots by flag-set union."""
     merged: dict = {}
-    order: dict = {}
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -136,13 +98,5 @@ def load_dictionary(source: Union[TextIO, Iterable[str]]) -> Lexicon:
                     merged[root].append(ch)
         else:
             merged[root] = flags
-            order[root] = line_no
     return Lexicon([LexEntry(root, tuple(flags)) for root, flags in merged.items()])
 
-
-def lookup_exact(lexicon: Lexicon, root: str) -> Optional[LexEntry]:
-    return lexicon.lookup_exact(root)
-
-
-def neighbor_roots(lexicon: Lexicon, surface: str) -> Iterator[LexEntry]:
-    return lexicon.neighbor_roots(surface)

@@ -1,10 +1,10 @@
 import pytest
 
-from morfo.analyzer import Analyzer, load_default_table
+from morfo.analyzer import Analysis, Analyzer, Provenance, load_default_table
 from morfo.clitics import CliticSplitter, load_pronoun_table
 from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
-from morfo.lexicon import load_dictionary
-from morfo.rules import load_rules
+from morfo.lexicon import load_dictionary, normalize
+from morfo.rules import expand_entry, load_rules
 from morfo.resources import data_path
 
 
@@ -60,10 +60,54 @@ def splitter(analyzer, pronoun_table):
 @pytest.fixture(scope="session")
 def generation_set(lexicon, rule_table):
     """Brute-force expansion of every entry: list of (root, form, rule_id, features)."""
-    from morfo.rules import expand_entry
-
     out = []
     for entry in lexicon:
         for form, rule_id, features in expand_entry(entry, rule_table):
             out.append((entry.root, form, rule_id, features))
     return out
+
+
+class BruteForce:
+    """Reference analyzer: ``expand_entry`` over the whole lexicon, indexed by form.
+
+    ``analyze`` follows the documented contract independently of how the
+    analyzer finds its readings: readings whose lemma starts with a different
+    letter from the word are ``irregular_table`` and come first, by rule then
+    lemma; the others are ``dictionary``, by lemma then rule, and count only
+    for alphabetic words; with none left after the POS filter, the analyzer's
+    ending-default fallback applies.
+    """
+
+    def __init__(self, analyzer):
+        self.analyzer = analyzer
+        self.forms = {}
+        for entry in analyzer.lexicon:
+            for form, rule_id, features in expand_entry(entry, analyzer.rules):
+                self.forms.setdefault(form, []).append((entry.root, rule_id, features))
+
+    def analyze(self, word, pos_hint=None):
+        surface = normalize(word)
+        hits = self.forms.get(surface, [])
+        irregular = sorted(((rule_id, root, features) for root, rule_id, features in hits
+                            if root[0] != surface[0]), key=lambda h: h[:2])
+        dictionary = sorted((h for h in hits if h[0][0] == surface[0]),
+                            key=lambda h: h[:2]) if surface.isalpha() else []
+        results = [Analysis(surface, root, rule_id, features, Provenance.IRREGULAR_TABLE)
+                   for rule_id, root, features in irregular]
+        results += [Analysis(surface, root, rule_id, features, Provenance.DICTIONARY)
+                    for root, rule_id, features in dictionary]
+        results = [a for a in results if pos_hint is None or a.features.pos == pos_hint]
+        return results or [Analysis(surface, surface, None,
+                                    self.analyzer.default_features(surface, pos_hint),
+                                    Provenance.DEFAULT_FALLBACK)]
+
+
+@pytest.fixture(scope="session")
+def oracle(analyzer):
+    return BruteForce(analyzer)
+
+
+@pytest.fixture(scope="session")
+def brute_force():
+    """The reference analyzer class, for tests that build their own analyzer."""
+    return BruteForce

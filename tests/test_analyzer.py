@@ -1,13 +1,26 @@
 import io
+import logging
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morfo.analyzer import Analyzer, Provenance, load_default_table
 from morfo.errors import LoadError
 from morfo.features import Gender, Mood, Number, Person, Pos, Tense
-from morfo.lexicon import normalize
-from morfo.rules import apply_rule
+from morfo.lexicon import LexEntry, Lexicon, load_dictionary, normalize
+from morfo.resources import data_path
+from morfo.rules import apply_rule, load_rules
+
+ALPHABET = "abcdefghijklmnopqrstuvwxyzáéíóúñ"
+
+# Two rules whose replaced part holds a class, so lookups take the prefix-scan
+# path: X overlaps the seed's "ar"/"er" -> "o" rules, and Y can replace a
+# whole three-letter root ("ser" -> "fui"), a lookup that scans every root.
+CLASS_RULES = [
+    "X\t(?<=[^q])[ae]r\to\tverb\t\tsingular\tfirst\tindicative\tpresent\t",
+    "Y\t[sdi][aeo][rs]\tfui\tverb\t\tsingular\tfirst\tindicative\tpast\t",
+]
 
 
 def fresh_analyzer(lexicon, rule_table, default_table):
@@ -127,15 +140,84 @@ def test_memo_transparency(lexicon, rule_table, default_table, generation_set):
         assert cold.analyze(form) == warm.analyze(form)
 
 
-def test_provenance_audit(analyzer, generation_set):
+def test_provenance_audit(analyzer, oracle, generation_set):
     generated = {form for _r, form, _i, _f in generation_set}
-    irregular = set(analyzer._irregular)
+    irregular = {form for root, form, _i, _f in generation_set if root[0] != form[0]}
     for form in list(generated)[:500]:
-        for a in analyzer.analyze(form):
+        results = analyzer.analyze(form)
+        assert results == oracle.analyze(form)
+        for a in results:
             assert a.provenance is not Provenance.DEFAULT_FALLBACK
+    for form in irregular:
+        assert analyzer.analyze(form) == oracle.analyze(form)
+        assert analyzer.analyze(form)[0].provenance is Provenance.IRREGULAR_TABLE
     for token in ("xyzal", "zzlibertad"):
         assert token not in generated and token not in irregular
         assert analyzer.analyze(token)[0].provenance is Provenance.DEFAULT_FALLBACK
+
+
+def test_stripping_amo_matches_oracle(analyzer, oracle):
+    assert analyzer.analyze("amo") == oracle.analyze("amo")
+    assert [a.lemma for a in analyzer.analyze("amo")] == ["amar"]
+
+
+def test_stripping_unused_letter_matches_oracle(analyzer, oracle):
+    assert analyzer.analyze("zzz") == oracle.analyze("zzz")
+    assert analyzer.analyze("zzz")[0].provenance is Provenance.DEFAULT_FALLBACK
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=ALPHABET, min_size=1, max_size=10))
+def test_stripping_matches_oracle_on_random_strings(analyzer, oracle, surface):
+    assert analyzer.analyze(surface) == oracle.analyze(surface)
+
+
+def _check_order(results):
+    """Irregular readings first, by (rule, lemma); dictionary readings next, by (lemma, rule)."""
+    kinds = [a.provenance for a in results]
+    assert kinds == sorted(kinds, key=lambda p: p is not Provenance.IRREGULAR_TABLE)
+    irregular = [(a.rule_id, a.lemma) for a in results if a.provenance is Provenance.IRREGULAR_TABLE]
+    dictionary = [(a.lemma, a.rule_id) for a in results if a.provenance is Provenance.DICTIONARY]
+    assert irregular == sorted(irregular) and dictionary == sorted(dictionary)
+
+
+@pytest.fixture(scope="module")
+def class_rules():
+    return load_rules(data_path("rules.tsv").read_text(encoding="utf-8").splitlines()
+                      + CLASS_RULES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stripping_matches_oracle_on_random_sub_lexicons(lexicon, class_rules, default_table,
+                                                         brute_force, generation_set, data):
+    chosen = data.draw(st.lists(st.sampled_from(lexicon.entries), max_size=40,
+                                unique_by=lambda e: e.root))
+    entries = [LexEntry(e.root, e.flags + tuple(data.draw(st.sets(st.sampled_from("XY")))))
+               for e in chosen]
+    analyzer = Analyzer(Lexicon(entries), class_rules, default_table)
+    oracle = brute_force(analyzer)
+    queries = list(oracle.forms)
+    queries += data.draw(st.lists(st.sampled_from([f for _r, f, _i, _f in generation_set]),
+                                  max_size=20))
+    queries += data.draw(st.lists(st.text(alphabet=ALPHABET, min_size=1, max_size=10),
+                                  max_size=20))
+    for query in queries:
+        for pos_hint in (None, Pos.VERB):
+            results = analyzer.analyze(query, pos_hint)
+            assert results == oracle.analyze(query, pos_hint), query
+            _check_order(results)
+
+
+def test_unknown_flags_warned_once_at_construction(caplog, rule_table, default_table):
+    lexicon = load_dictionary(io.StringIO("ama/VQ\nvaca/SQW\ncasa/S\n"))
+    with caplog.at_level(logging.WARNING):
+        analyzer = Analyzer(lexicon, rule_table, default_table)
+        analyzer.analyze("ama")
+        analyzer.analyze("vacas")
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1
+    assert "2 dictionary entries" in warnings[0] and "(Q, W)" in warnings[0]
 
 
 def test_analyze_normalizes_input(analyzer):

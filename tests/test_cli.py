@@ -101,6 +101,14 @@ def test_unknown_pos_tag_exits_1(capsys):
     assert "unknown pos tag" in capsys.readouterr().err
 
 
+def test_empty_token_exits_1_naming_the_line(capsys):
+    code, out = invoke(["analyze"], "amo\n\tverb\n")
+    assert code == 1
+    assert out.count("\n") == 1
+    err = capsys.readouterr().err
+    assert "line 2" in err and "empty token" in err and "Traceback" not in err
+
+
 def test_import_coes_from_file():
     code, out = invoke(["import-coes", "--aff", str(FIXTURES / "fig1.aff")])
     assert code == 0

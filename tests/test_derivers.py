@@ -34,13 +34,12 @@ def test_agrees_with_preferred_analysis(lemmatizer, analyzer, generation_set):
         assert lemmatizer.lemmatize(form) == analyzer.preferred_analysis(form).lemma
 
 
-def test_generation_round_trip_for_unambiguous_verbs(lemmatizer, analyzer, generation_set):
+def test_generation_round_trip_for_unambiguous_verbs(lemmatizer, generation_set):
     by_form = {}
     for root, form, _i, features in generation_set:
-        if features.pos is Pos.VERB:
+        # irregular forms (first letter changed) count whatever their pos
+        if features.pos is Pos.VERB or root[0] != form[0]:
             by_form.setdefault(form, set()).add(root)
-    for form, analysis in analyzer._irregular.items():
-        by_form.setdefault(form, set()).update(lemma for lemma, _i, _f in analysis)
     checked = 0
     for form, roots in by_form.items():
         if len(roots) == 1:

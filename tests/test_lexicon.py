@@ -64,27 +64,14 @@ def test_sortedness(lexicon):
     assert all(a < b for a, b in zip(roots, roots[1:]))
 
 
-def test_neighbor_nearest_first(lexicon):
-    # amar must show up before any root alphabetically farther from "amo"
-    roots = [e.root for e in lexicon.neighbor_roots("amo")]
-    far = [r for r in roots if not r.startswith("am")]
-    assert roots.index("amar") < min(roots.index(r) for r in far)
-
-
-def test_neighbor_empty_for_unused_letter(lexicon):
-    assert list(lexicon.neighbor_roots("zzz")) == []
-
-
-def _scan_oracle(lexicon, surface):
-    return {e.root for e in lexicon if e.root[0] == surface[0]}
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet=ALPHABET, min_size=1, max_size=10))
-def test_neighbor_matches_linear_scan(lexicon, surface):
-    yielded = [e.root for e in lexicon.neighbor_roots(surface)]
-    assert len(yielded) == len(set(yielded))
-    assert set(yielded) == _scan_oracle(lexicon, surface)
+@given(st.data())
+def test_with_prefix_matches_linear_scan(lexicon, data):
+    root = data.draw(st.sampled_from([e.root for e in lexicon]))
+    prefix = (root[:data.draw(st.integers(0, len(root)))]
+              + data.draw(st.text(alphabet=ALPHABET, max_size=2)))
+    assert [e.root for e in lexicon.with_prefix(prefix)] == [
+        e.root for e in lexicon if e.root.startswith(prefix)]
 
 
 def test_load_serialize_reload_is_identity(lexicon):
