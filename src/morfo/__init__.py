@@ -20,7 +20,7 @@ from morfo.features import (
 )
 from morfo.errors import LoadError
 from morfo.lexicon import LexEntry, Lexicon, load_dictionary, normalize
-from morfo.rules import MorphRule, RuleTable, apply_rule, expand_entry, load_rules, reverse_candidates
+from morfo.rules import MorphRule, RuleTable, apply_rule, expand_entry, load_rules
 from morfo.analyzer import Analysis, Analyzer, Provenance, load_default_table
 from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
 from morfo.clitics import CliticSplit, CliticSplitter, load_pronoun_table
@@ -56,5 +56,4 @@ __all__ = [
     "load_pronoun_table",
     "load_rules",
     "normalize",
-    "reverse_candidates",
 ]

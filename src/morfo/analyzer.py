@@ -20,9 +20,9 @@ from enum import Enum
 from itertools import takewhile
 from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
 
-from morfo.errors import LoadError
 from morfo.features import FeatureSet, Mood, Pos
 from morfo.lexicon import Lexicon, normalize
+from morfo.resources import read_table
 from morfo.rules import MorphRule, RuleTable, apply_rule
 
 logger = logging.getLogger(__name__)
@@ -58,34 +58,16 @@ class DefaultRow:
 _DEFAULT_COLUMNS = ("ending", "pos", "gender", "number", "person", "mood", "tense", "animate")
 
 
+def _parse_default(row: Dict[str, str]) -> DefaultRow:
+    ending = normalize(row["ending"])
+    if not ending:
+        raise ValueError("empty ending cell (use '*' for the catch-all row)")
+    return DefaultRow(ending=ending, features=FeatureSet.from_cells(row))
+
+
 def load_default_table(source: Union[TextIO, Iterable[str]]) -> List[DefaultRow]:
     """Load the ending-default TSV; rows are kept longest-ending-first."""
-    header = None
-    rows: List[DefaultRow] = []
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        cells = [c.strip() for c in line.split("\t")]
-        if header is None:
-            header = [c.lower().replace(" ", "_") for c in cells]
-            unknown = [c for c in header if c not in _DEFAULT_COLUMNS]
-            if unknown:
-                raise LoadError(f"unknown column name(s): {', '.join(unknown)}", line_no)
-            continue
-        if len(cells) < len(header):
-            cells = cells + [""] * (len(header) - len(cells))
-        row = dict(zip(header, cells))
-        ending = normalize(row.get("ending", ""))
-        if not ending:
-            raise LoadError("empty ending cell (use '*' for the catch-all row)", line_no)
-        try:
-            features = FeatureSet.from_cells(row)
-        except ValueError as exc:
-            raise LoadError(str(exc), line_no) from None
-        rows.append(DefaultRow(ending=ending, features=features))
-    if header is None:
-        raise LoadError("default table has no header row")
+    rows = read_table(source, _DEFAULT_COLUMNS, ("ending",), _parse_default)
     rows.sort(key=lambda r: -len(r.ending) if r.ending != "*" else 1)
     return rows
 

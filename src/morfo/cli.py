@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 data-file load error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from pathlib import Path
@@ -39,21 +38,17 @@ class DataFileError(Exception):
         self.path = path
 
 
-def _open_data(name: str, override: Optional[str]):
-    path = resources.data_path(name, override)
+def _read(path, loader):
+    """``loader`` applied to the UTF-8 file at ``path``; every failure names the file."""
     try:
-        return path, open(path, encoding="utf-8")
-    except OSError as exc:
+        with open(path, encoding="utf-8") as stream:
+            return loader(stream)
+    except (OSError, UnicodeDecodeError, LoadError) as exc:
         raise DataFileError(path, exc) from exc
 
 
 def _load(name: str, override: Optional[str], loader):
-    path, stream = _open_data(name, override)
-    try:
-        with stream:
-            return loader(stream)
-    except LoadError as exc:
-        raise DataFileError(path, exc) from exc
+    return _read(resources.data_path(name, override), loader)
 
 
 def build_analyzer(args) -> Analyzer:
@@ -67,8 +62,14 @@ def _input_tokens(stream: TextIO):
     """Yield (token, pos_hint) pairs from ``token`` or ``token<TAB>pos`` lines."""
     for line_no, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
+        if line_no == 1:
+            line = line.removeprefix(resources.BOM)
         if not line.strip():
             continue
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:  # undecodable bytes arrive as lone surrogates
+            raise LoadError("invalid UTF-8", line_no) from None
         token, _, pos_text = line.partition("\t")
         if not token.strip():
             raise LoadError(f"empty token before pos tag {pos_text.strip()!r}", line_no)
@@ -153,16 +154,11 @@ def cmd_split_clitics(args, stdin: TextIO, stdout: TextIO) -> int:
 def cmd_import_coes(args, stdin: TextIO, stdout: TextIO) -> int:
     from morfo.coes_import import import_rules, rows_to_tsv
 
-    if args.aff:
-        try:
-            source = open(args.aff, encoding="utf-8")
-        except OSError as exc:
-            raise DataFileError(args.aff, exc) from exc
-    else:
-        source = contextlib.nullcontext(stdin)
-    with source as stream:
-        rows = import_rules(stream, skip_flags=args.skip_flags or "",
+    def parse(stream):
+        return import_rules(stream, skip_flags=args.skip_flags or "",
                             infer_person=args.infer_person)
+
+    rows = _read(args.aff, parse) if args.aff else parse(stdin)
     text = rows_to_tsv(rows)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -185,13 +181,7 @@ def cmd_evaluate(args, stdin: TextIO, stdout: TextIO) -> int:
     mapping = _load(resources.CONLL_MAPPING, args.mapping, load_mapping)
     records = []
     for path in args.conll:
-        try:
-            with open(path, encoding="utf-8") as stream:
-                records.extend(parse_conll(stream, mapping))
-        except OSError as exc:
-            raise DataFileError(path, exc) from exc
-        except LoadError as exc:
-            raise DataFileError(path, exc) from exc
+        records.extend(_read(path, lambda stream: parse_conll(stream, mapping)))
     report = MetricsReport(features=evaluate_features(records, analyzer))
     report.lemmas_all, report.lemmas_filtered = evaluate_lemmas(
         records, lemmatizer, filter_on_lemma=args.filter_on_lemma)

@@ -16,6 +16,7 @@ from morfo.analyzer import Analyzer, Provenance
 from morfo.errors import LoadError
 from morfo.features import FeatureSet, Mood, Pos
 from morfo.lexicon import normalize
+from morfo.resources import read_table
 
 HOST_MOODS = (Mood.IMPERATIVE, Mood.INFINITIVE, Mood.GERUND)
 
@@ -27,32 +28,19 @@ def strip_stress_accents(text: str) -> str:
     return text.translate(_DEACCENT)
 
 
+_PRONOUN_COLUMNS = ("pronoun", "person", "number", "gender")
+
+
+def _parse_pronoun(row: Dict[str, str]) -> Tuple[str, FeatureSet]:
+    pronoun = normalize(row["pronoun"])
+    if not pronoun:
+        raise ValueError("empty pronoun cell")
+    return pronoun, FeatureSet.from_cells({**row, "pos": "pronoun"})
+
+
 def load_pronoun_table(source: Union[TextIO, Iterable[str]]) -> Dict[str, FeatureSet]:
     """Load the clitic pronoun TSV: pronoun, person, number, gender."""
-    header = None
-    table: Dict[str, FeatureSet] = {}
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        cells = [c.strip() for c in line.split("\t")]
-        if header is None:
-            header = [c.lower() for c in cells]
-            expected = ["pronoun", "person", "number", "gender"]
-            if header != expected:
-                raise LoadError(f"expected columns {expected}, got {header}", line_no)
-            continue
-        if len(cells) < len(header):
-            cells = cells + [""] * (len(header) - len(cells))
-        row = dict(zip(header, cells))
-        pronoun = normalize(row["pronoun"])
-        if not pronoun:
-            raise LoadError("empty pronoun cell", line_no)
-        try:
-            features = FeatureSet.from_cells({"pos": "pronoun", **{k: row[k] for k in ("person", "number", "gender")}})
-        except ValueError as exc:
-            raise LoadError(str(exc), line_no) from None
-        table[pronoun] = features
+    table = dict(read_table(source, _PRONOUN_COLUMNS, _PRONOUN_COLUMNS, _parse_pronoun))
     if not table:
         raise LoadError("pronoun table is empty")
     return table

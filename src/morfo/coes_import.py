@@ -152,7 +152,10 @@ def import_rules(
     skip_flags: Sequence[str] = (),
     infer_person: bool = False,
 ) -> List[ImportedRule]:
-    """Parse an affix file into TSV-ready rows; unparseable lines warn and are skipped."""
+    """Parse an affix file into TSV-ready rows; unparseable lines warn and are skipped.
+
+    An example comment that its rule does not reproduce is logged as a warning.
+    """
     skip: Set[str] = set(skip_flags)
     rows: List[ImportedRule] = []
     flag: Optional[str] = None
@@ -216,23 +219,11 @@ def import_rules(
             line_no=line_no,
         ))
         block.append(len(rows) - 1)
-        if example:
-            _check_example(rows[-1])
     close_block()
-    return rows
-
-
-def _check_example(row: ImportedRule) -> None:
-    root, expected = row.example
-    rule = MorphRule(
-        rule_id=0, flag=row.flag, stem_ending=row.stem_ending,
-        morph_ending=row.morph_ending, features=row.features,
-        pattern=compile_stem_pattern(row.stem_ending),
-    )
-    got = apply_rule(root, rule)
-    if got != expected:
+    for row, got in check_examples(rows):
         logger.warning("line %d: example %s -> %s, rule produced %r",
-                       row.line_no, root, expected, got)
+                       row.line_no, *row.example, got)
+    return rows
 
 
 def check_examples(rows: Iterable[ImportedRule]) -> List[Tuple[ImportedRule, Optional[str]]]:

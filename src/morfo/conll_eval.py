@@ -19,6 +19,7 @@ from morfo.derivers import Lemmatizer
 from morfo.errors import LoadError
 from morfo.features import FeatureSet, Pos
 from morfo.lexicon import normalize
+from morfo.resources import data_lines
 
 logger = logging.getLogger(__name__)
 
@@ -47,10 +48,7 @@ class FeatureMapping:
 def load_mapping(source: Union[TextIO, Iterable[str]]) -> FeatureMapping:
     """Load the mapping TSV: rows are ``pos <tag> <posvalue>`` or ``feat <k=v> <field=value>``."""
     mapping = FeatureMapping()
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for line_no, line in data_lines(source):
         cells = [c.strip() for c in line.split("\t")]
         if len(cells) != 3:
             raise LoadError(f"expected 3 columns (kind, source, target), got {len(cells)}", line_no)
@@ -139,7 +137,10 @@ def parse_conll(source: Union[TextIO, Iterable[str]], mapping: FeatureMapping) -
                     key, _, value = pair.partition("=")
                     raw_features[key] = value
                     unmapped += 1
-        gold_features = FeatureSet.from_cells(feat_values)
+        try:
+            gold_features = FeatureSet.from_cells(feat_values)
+        except ValueError as exc:
+            raise LoadError(f"FEAT {feat_string!r}: {exc}", line_no) from None
         is_predicate = cols[_COL_FILLPRED] == "Y"
         sense = cols[_COL_PRED] if is_predicate and cols[_COL_PRED] != "_" else None
         gold_lemma = _strip_sense(sense) if sense else cols[_COL_LEMMA]

@@ -7,19 +7,18 @@ from typing import Iterable, Optional, Set, TextIO, Union
 from morfo.analyzer import Analyzer
 from morfo.errors import LoadError
 from morfo.features import Pos
+from morfo.resources import data_lines
 from morfo.rules import apply_rule
 
 
 def load_nominal_flags(source: Union[TextIO, Iterable[str]]) -> Set[str]:
     """Read the nominal-derivation flag manifest: one flag character per line."""
     flags: Set[str] = set()
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if len(line) != 1:
-            raise LoadError(f"expected a single flag character, got {line!r}", line_no)
-        flags.add(line)
+    for line_no, line in data_lines(source):
+        flag = line.strip()
+        if len(flag) != 1:
+            raise LoadError(f"expected a single flag character, got {flag!r}", line_no)
+        flags.add(flag)
     return flags
 
 

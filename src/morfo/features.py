@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -94,9 +94,6 @@ class FeatureSet:
         if self.gender is not None and self.pos is not None and self.pos not in _GENDERED_POS:
             raise ValueError(f"gender set on pos={self.pos.value}")
 
-    def merged_with(self, **values) -> "FeatureSet":
-        return replace(self, **values)
-
     def as_dict(self) -> dict:
         """Feature values as plain strings, None for unset."""
         return {f.name: (getattr(self, f.name).value if getattr(self, f.name) else None)
@@ -124,6 +121,3 @@ class FeatureSet:
         fs = cls(**values)
         fs.validate()
         return fs
-
-
-EMPTY_FEATURES = FeatureSet()

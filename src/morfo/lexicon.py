@@ -16,11 +16,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, TextIO, Union
 
 from morfo.errors import LoadError
+from morfo.resources import data_lines
 
 
 def normalize(word: str) -> str:
-    """NFC-normalize and lowercase, the canonical form for all lookups."""
-    return unicodedata.normalize("NFC", word).lower()
+    """Lowercase, then NFC-normalize: the canonical form for all lookups.
+
+    Lowercasing last could leave a decomposed pair that NFC would compose.
+    """
+    return unicodedata.normalize("NFC", word.lower())
 
 
 @dataclass(frozen=True)
@@ -61,9 +65,6 @@ class Lexicon:
             yield self.entries[i]
             i += 1
 
-    def to_lines(self) -> List[str]:
-        return [e.to_line() for e in self.entries]
-
 
 def _parse_line(line: str, line_no: int):
     word, sep, flag_part = line.partition("/")
@@ -87,11 +88,8 @@ def _parse_line(line: str, line_no: int):
 def load_dictionary(source: Union[TextIO, Iterable[str]]) -> Lexicon:
     """Load a dictionary stream, merging duplicate roots by flag-set union."""
     merged: dict = {}
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        root, flags = _parse_line(line, line_no)
+    for line_no, line in data_lines(source):
+        root, flags = _parse_line(line.strip(), line_no)
         if root in merged:
             for ch in flags:
                 if ch not in merged[root]:

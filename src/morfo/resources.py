@@ -1,11 +1,14 @@
-"""Resolution of bundled data files, overridable per file or via MORFO_DATA."""
+"""Data file resolution, overridable per file or via MORFO_DATA, and the readers all loaders share."""
 
 from __future__ import annotations
 
 import os
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple,
+                    TypeVar, Union)
+
+from morfo.errors import LoadError
 
 DATA_ENV = "MORFO_DATA"
 
@@ -15,6 +18,10 @@ DEFAULTS = "defaults.tsv"
 PRONOUNS = "pronouns.tsv"
 NOMINAL_FLAGS = "nominal_flags.txt"
 CONLL_MAPPING = "conll_mapping.tsv"
+
+BOM = "\ufeff"
+
+T = TypeVar("T")
 
 
 def data_path(name: str, override: Optional[str] = None) -> Path:
@@ -27,3 +34,54 @@ def data_path(name: str, override: Optional[str] = None) -> Path:
         if candidate.exists():
             return candidate
     return Path(resources.files("morfo").joinpath("data", name))
+
+
+def data_lines(source: Union[TextIO, Iterable[str]]) -> Iterator[Tuple[int, str]]:
+    """Yield ``(line_no, line)`` without the newline, skipping blank and ``#`` lines.
+
+    A byte-order mark at the start of the first line is dropped.
+    """
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.rstrip("\n")
+        if line_no == 1:
+            line = line.removeprefix(BOM)
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield line_no, line
+
+
+def read_table(
+    source: Union[TextIO, Iterable[str]],
+    columns: Sequence[str],
+    required: Sequence[str],
+    parse_row: Callable[[Dict[str, str]], T],
+) -> List[T]:
+    """Parse a tab-separated table with a header row, one ``parse_row`` call per row.
+
+    Header names are matched case-insensitively, with spaces read as ``_``,
+    in any order. A name outside ``columns`` or a missing ``required`` one is
+    an error at the header line. ``parse_row`` receives every column, stripped,
+    with ``""`` for cells the row or the header lacks; a ``ValueError`` it
+    raises becomes a ``LoadError`` naming the row's line.
+    """
+    header: Optional[List[str]] = None
+    out: List[T] = []
+    for line_no, line in data_lines(source):
+        cells = line.split("\t")
+        if header is None:
+            header = [c.strip().lower().replace(" ", "_") for c in cells]
+            unknown = [c for c in header if c not in columns]
+            if unknown:
+                raise LoadError(f"unknown column name(s): {', '.join(unknown)}", line_no)
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise LoadError(f"missing column(s): {', '.join(missing)}", line_no)
+            continue
+        row = dict.fromkeys(columns, "")
+        row.update((name, cell.strip()) for name, cell in zip(header, cells))
+        try:
+            out.append(parse_row(row))
+        except ValueError as exc:
+            raise LoadError(str(exc), line_no) from None
+    if header is None:
+        raise LoadError("table has no header row")
+    return out

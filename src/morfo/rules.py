@@ -9,15 +9,14 @@ every pattern has a fixed length and reverse application stays tractable.
 
 from __future__ import annotations
 
-import csv
 import logging
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, TextIO, Tuple, Union
 
-from morfo.errors import LoadError
 from morfo.features import FeatureSet
 from morfo.lexicon import LexEntry
+from morfo.resources import read_table
 
 logger = logging.getLogger(__name__)
 
@@ -64,14 +63,6 @@ class StemPattern:
     replaced: tuple
     regex: "re.Pattern" = field(compare=False, repr=False, default=None)
 
-    @property
-    def context_len(self) -> int:
-        return len(self.context)
-
-    @property
-    def replaced_len(self) -> int:
-        return len(self.replaced)
-
 
 def compile_stem_pattern(source: str) -> StemPattern:
     src = source.strip()
@@ -117,58 +108,23 @@ class RuleTable:
         return len(self.rules)
 
 
-def _normalize_header(name: str) -> str:
-    return name.strip().lower().replace(" ", "_")
+def _parse_rule(row: Dict[str, str]) -> Tuple[str, StemPattern, str, FeatureSet]:
+    flag = row["flag"]
+    if len(flag) != 1:
+        raise ValueError(f"flag must be a single character, got {flag!r}")
+    pattern = compile_stem_pattern("" if row["stem_ending"] == "-" else row["stem_ending"])
+    morph = "" if row["morph_ending"] == "-" else row["morph_ending"]
+    return flag, pattern, morph, FeatureSet.from_cells(row)
 
 
 def load_rules(source: Union[TextIO, Iterable[str]]) -> RuleTable:
     """Load the tab-separated rule table; raises LoadError naming the bad row."""
-    header: Optional[List[str]] = None
-    rules: List[MorphRule] = []
-    rule_id = 0
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        cells = line.split("\t")
-        if header is None:
-            header = [_normalize_header(c) for c in cells]
-            unknown = [c for c in header if c not in COLUMNS]
-            if unknown:
-                raise LoadError(f"unknown column name(s): {', '.join(unknown)}", line_no)
-            missing = [c for c in COLUMNS if c not in header]
-            if missing:
-                raise LoadError(f"missing column(s): {', '.join(missing)}", line_no)
-            continue
-        if len(cells) < len(header):
-            cells = cells + [""] * (len(header) - len(cells))
-        row = {name: cells[i].strip() for i, name in enumerate(header)}
-        flag = row["flag"]
-        if len(flag) != 1:
-            raise LoadError(f"flag must be a single character, got {flag!r}", line_no)
-        stem = row["stem_ending"]
-        if stem == "-":
-            stem = ""
-        morph = row["morph_ending"]
-        if morph == "-":
-            morph = ""
-        try:
-            pattern = compile_stem_pattern(stem)
-            features = FeatureSet.from_cells(row)
-        except ValueError as exc:
-            raise LoadError(str(exc), line_no) from None
-        rule_id += 1
-        rules.append(MorphRule(
-            rule_id=rule_id,
-            flag=flag,
-            stem_ending=pattern.source,
-            morph_ending=morph,
-            features=features,
-            pattern=pattern,
-        ))
-    if header is None:
-        raise LoadError("rule table has no header row")
-    return RuleTable(rules)
+    rows = read_table(source, COLUMNS, COLUMNS, _parse_rule)
+    return RuleTable([
+        MorphRule(rule_id=rule_id, flag=flag, stem_ending=pattern.source, morph_ending=morph,
+                  features=features, pattern=pattern)
+        for rule_id, (flag, pattern, morph, features) in enumerate(rows, start=1)
+    ])
 
 
 def apply_rule(root: str, rule: MorphRule) -> Optional[str]:
@@ -199,12 +155,3 @@ def expand_entry(entry: LexEntry, table: RuleTable) -> List[ExpandedForm]:
                 out.append(ExpandedForm(form, rule.rule_id, rule.features))
     return out
 
-
-def reverse_candidates(surface: str, entry: LexEntry, table: RuleTable) -> List[MorphRule]:
-    """Licensed rules of ``entry`` whose application to its root yields ``surface``."""
-    out = []
-    for flag in entry.flags:
-        for rule in table.by_flag.get(flag, ()):
-            if apply_rule(entry.root, rule) == surface:
-                out.append(rule)
-    return out

@@ -108,6 +108,8 @@ def test_default_features_rows(analyzer):
 def test_default_table_load_error():
     with pytest.raises(LoadError, match="line 2"):
         load_default_table(io.StringIO("ending\tpos\n\tnoun\n"))
+    with pytest.raises(LoadError, match="line 1: missing column"):
+        load_default_table(io.StringIO("pos\tgender\n"))
 
 
 def test_completeness_against_generation_oracle(analyzer, generation_set):

@@ -109,6 +109,30 @@ def test_empty_token_exits_1_naming_the_line(capsys):
     assert "line 2" in err and "empty token" in err and "Traceback" not in err
 
 
+def test_byte_order_mark_is_ignored(tmp_path):
+    code, out = invoke(["lemmatize"], "\ufeffamo\n")
+    assert (code, out) == (0, "amar\n")
+    dictionary = tmp_path / "dictionary.txt"
+    dictionary.write_text("\ufeffamar/V\n", encoding="utf-8")
+    code, out = invoke(["lemmatize", "--dict", str(dictionary)], "amo\n")
+    assert (code, out) == (0, "amar\n")
+
+
+def test_invalid_utf8_exits_1_naming_the_line(capsys):
+    code, out = invoke(["analyze"], b"amo\n\xffamo\n".decode("utf-8", "surrogateescape"))
+    assert code == 1
+    assert out.count("\n") == 1
+    assert "line 2: invalid UTF-8" in capsys.readouterr().err
+
+
+def test_data_file_not_utf8_exits_2(tmp_path, capsys):
+    dictionary = tmp_path / "dictionary.txt"
+    dictionary.write_bytes(b"amar/V\n\xff/V\n")
+    code, _out = invoke(["analyze", "--dict", str(dictionary)], "amo\n")
+    assert code == 2
+    assert f"failed to load {dictionary}" in capsys.readouterr().err
+
+
 def test_import_coes_from_file():
     code, out = invoke(["import-coes", "--aff", str(FIXTURES / "fig1.aff")])
     assert code == 0
@@ -146,6 +170,20 @@ def test_evaluate_kv_report():
 def test_evaluate_missing_file_exits_2():
     code, _out = invoke(["evaluate", "--conll", "/no/such.conll"])
     assert code == 2
+
+
+def test_evaluate_invalid_gold_features_exits_2_naming_the_line(tmp_path, capsys):
+    # postype=x maps to pos=noun, and a noun may not carry a mood
+    mapping = tmp_path / "mapping.tsv"
+    mapping.write_text("feat\tpostype=x\tpos=noun\nfeat\tmood=indicative\tmood=indicative\n",
+                       encoding="utf-8")
+    conll = tmp_path / "gold.conll"
+    conll.write_text("1\tamo\tamar\t_\tv\t_\tpostype=x|mood=indicative" + "\t_" * 7 + "\n",
+                     encoding="utf-8")
+    code, _out = invoke(["evaluate", "--conll", str(conll), "--mapping", str(mapping)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"failed to load {conll}: line 1:" in err and "Traceback" not in err
 
 
 def test_console_script_is_installed():

@@ -69,6 +69,8 @@ def test_inventory_closure_and_validation_gate(splitter, generation_set):
 def test_pronoun_table_loading():
     table = load_pronoun_table(io.StringIO("pronoun\tperson\tnumber\tgender\nme\tfirst\tsingular\t\n"))
     assert table["me"].person is Person.FIRST
+    reordered = io.StringIO("Gender\tnumber\tpronoun\tperson\n\tsingular\tme\tfirst\n")
+    assert load_pronoun_table(reordered) == table
     with pytest.raises(LoadError):
         load_pronoun_table(io.StringIO("pronoun\tperson\n"))
     with pytest.raises(LoadError, match="line 2"):

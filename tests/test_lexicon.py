@@ -1,7 +1,9 @@
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import unicodedata
+
+from hypothesis import example, given, settings, strategies as st
 
 from morfo.errors import LoadError
 from morfo.lexicon import LexEntry, load_dictionary, normalize
@@ -51,6 +53,15 @@ def test_malformed_lines_name_the_line():
         load_dictionary(io.StringIO("amar/V\nvaca/S\ncasa/é\n"))
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+@example("\u03aa\u0301")  # NFC before lowercasing would leave U+03CA U+0301
+def test_normalize_is_nfc_and_idempotent(text):
+    once = normalize(text)
+    assert unicodedata.is_normalized("NFC", once)
+    assert normalize(once) == once
+
+
 def test_lookup_exact_miss(lexicon):
     assert lexicon.lookup_exact("zzzz") is None
 
@@ -75,4 +86,4 @@ def test_with_prefix_matches_linear_scan(lexicon, data):
 
 
 def test_load_serialize_reload_is_identity(lexicon):
-    assert load_dictionary(iter(lexicon.to_lines())) == lexicon
+    assert load_dictionary(e.to_line() for e in lexicon) == lexicon

@@ -10,7 +10,6 @@ from morfo.rules import (
     compile_stem_pattern,
     expand_entry,
     load_rules,
-    reverse_candidates,
 )
 
 HEADER = "flag\tstem ending\tmorph ending\tpos\tgender\tnumber\tperson\tmood\ttense\tanimate"
@@ -37,7 +36,7 @@ def test_first_person_present_row():
 def test_context_only_plural_row():
     table = _table("S\t(?<=[a])\ts\tnoun\tfemale\tplural\t\t\t\t")
     rule = table.rules[0]
-    assert rule.pattern.replaced_len == 0
+    assert rule.pattern.replaced == ()
     assert apply_rule("vaca", rule) == "vacas"
 
 
@@ -110,26 +109,6 @@ def test_expand_entry_no_flags(rule_table):
     assert expand_entry(LexEntry("qqq", ()), rule_table) == []
 
 
-def test_reverse_candidates_amo(lexicon, rule_table):
-    amar = lexicon.lookup_exact("amar")
-    rules = reverse_candidates("amo", amar, rule_table)
-    assert len(rules) == 1
-    features = rules[0].features
-    assert (features.person, features.mood, features.tense) == (
-        Person.FIRST, Mood.INDICATIVE, Tense.PRESENT)
-
-
-def test_reverse_candidates_wrong_entry_is_empty(lexicon, rule_table):
-    assert reverse_candidates("amo", lexicon.lookup_exact("vaca"), rule_table) == []
-
-
-def test_generation_round_trip(lexicon, rule_table, generation_set):
-    for root, form, rule_id, _features in generation_set:
-        entry = lexicon.lookup_exact(root)
-        assert rule_id in {r.rule_id for r in reverse_candidates(form, entry, rule_table)}
-
-
 def test_expansion_is_deterministic(lexicon, rule_table):
     entry = lexicon.lookup_exact("amar")
     assert expand_entry(entry, rule_table) == expand_entry(entry, rule_table)
-    assert reverse_candidates("amo", entry, rule_table) == reverse_candidates("amo", entry, rule_table)
