@@ -18,7 +18,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from itertools import takewhile
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from morfo.features import FeatureSet, Mood, Pos
 from morfo.lexicon import Lexicon, normalize
@@ -65,7 +65,7 @@ def _parse_default(row: Dict[str, str]) -> DefaultRow:
     return DefaultRow(ending=ending, features=FeatureSet.from_cells(row))
 
 
-def load_default_table(source: Union[TextIO, Iterable[str]]) -> List[DefaultRow]:
+def load_default_table(source: Iterable[bytes | str]) -> List[DefaultRow]:
     """Load the ending-default TSV; rows are kept longest-ending-first."""
     rows = read_table(source, _DEFAULT_COLUMNS, ("ending",), _parse_default)
     rows.sort(key=lambda r: -len(r.ending) if r.ending != "*" else 1)

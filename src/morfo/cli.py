@@ -1,7 +1,7 @@
 """Command-line frontend: batch analysis, lemmatization, nominalization,
 clitic splitting, rule-file import, and CoNLL evaluation over stdin/stdout.
 
-Exit codes: 0 success, 1 usage error, 2 data-file load error.
+Exit codes: 0 success, 1 usage or input error, 2 data-file load error.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, TextIO
+from typing import BinaryIO, List, Optional, Sequence, TextIO
 
 from morfo import resources
 from morfo.analyzer import Analyzer, load_default_table
@@ -39,11 +39,11 @@ class DataFileError(Exception):
 
 
 def _read(path, loader):
-    """``loader`` applied to the UTF-8 file at ``path``; every failure names the file."""
+    """``loader`` applied to the file at ``path``, read as bytes; every failure names the file."""
     try:
-        with open(path, encoding="utf-8") as stream:
+        with open(path, "rb") as stream:
             return loader(stream)
-    except (OSError, UnicodeDecodeError, LoadError) as exc:
+    except (OSError, LoadError) as exc:
         raise DataFileError(path, exc) from exc
 
 
@@ -58,35 +58,29 @@ def build_analyzer(args) -> Analyzer:
     return Analyzer(lexicon, rules, defaults)
 
 
-def _input_tokens(stream: TextIO):
+def _input_tokens(stream: BinaryIO):
     """Yield (token, pos_hint) pairs from ``token`` or ``token<TAB>pos`` lines."""
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if line_no == 1:
-            line = line.removeprefix(resources.BOM)
-        if not line.strip():
-            continue
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:  # undecodable bytes arrive as lone surrogates
-            raise LoadError("invalid UTF-8", line_no) from None
+    for line_no, line in resources.lines(stream):
         token, _, pos_text = line.partition("\t")
-        if not token.strip():
-            raise LoadError(f"empty token before pos tag {pos_text.strip()!r}", line_no)
+        token, pos_text = token.strip(), pos_text.strip()
+        if not token:
+            if not pos_text:
+                continue
+            raise LoadError(f"empty token before pos tag {pos_text!r}", line_no)
         pos_hint = None
-        if pos_text.strip():
+        if pos_text:
             try:
-                pos_hint = Pos(pos_text.strip().lower())
+                pos_hint = Pos(pos_text.lower())
             except ValueError:
-                raise LoadError(f"unknown pos tag {pos_text.strip()!r}", line_no)
-        yield token.strip(), pos_hint
+                raise LoadError(f"unknown pos tag {pos_text!r}", line_no)
+        yield token, pos_hint
 
 
 def _cell(value) -> str:
     return value.value if value is not None else "-"
 
 
-def cmd_analyze(args, stdin: TextIO, stdout: TextIO) -> int:
+def cmd_analyze(args, stdin: BinaryIO, stdout: TextIO) -> int:
     analyzer = build_analyzer(args)
     for token, pos_hint in _input_tokens(stdin):
         a = analyzer.preferred_analysis(token, pos_hint)
@@ -104,7 +98,7 @@ def cmd_analyze(args, stdin: TextIO, stdout: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_lemmatize(args, stdin: TextIO, stdout: TextIO) -> int:
+def cmd_lemmatize(args, stdin: BinaryIO, stdout: TextIO) -> int:
     lemmatizer = Lemmatizer(build_analyzer(args))
     for token, pos_hint in _input_tokens(stdin):
         lemma = lemmatizer.lemmatize(token, pos_hint)
@@ -115,7 +109,7 @@ def cmd_lemmatize(args, stdin: TextIO, stdout: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_nominalize(args, stdin: TextIO, stdout: TextIO) -> int:
+def cmd_nominalize(args, stdin: BinaryIO, stdout: TextIO) -> int:
     analyzer = build_analyzer(args)
     nominal_flags = _load(resources.NOMINAL_FLAGS, args.nominal_flags, load_nominal_flags)
     nominalizer = Nominalizer(Lemmatizer(analyzer), nominal_flags)
@@ -128,7 +122,7 @@ def cmd_nominalize(args, stdin: TextIO, stdout: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_split_clitics(args, stdin: TextIO, stdout: TextIO) -> int:
+def cmd_split_clitics(args, stdin: BinaryIO, stdout: TextIO) -> int:
     analyzer = build_analyzer(args)
     pronouns = _load(resources.PRONOUNS, args.pronouns, load_pronoun_table)
     splitter = CliticSplitter(analyzer, pronouns)
@@ -151,7 +145,7 @@ def cmd_split_clitics(args, stdin: TextIO, stdout: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_import_coes(args, stdin: TextIO, stdout: TextIO) -> int:
+def cmd_import_coes(args, stdin: BinaryIO, stdout: TextIO) -> int:
     from morfo.coes_import import import_rules, rows_to_tsv
 
     def parse(stream):
@@ -167,7 +161,7 @@ def cmd_import_coes(args, stdin: TextIO, stdout: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args, stdin: TextIO, stdout: TextIO) -> int:
+def cmd_evaluate(args, stdin: BinaryIO, stdout: TextIO) -> int:
     from morfo.conll_eval import (
         MetricsReport,
         evaluate_features,
@@ -236,9 +230,12 @@ _COMMANDS = {
 }
 
 
-def run(argv: Sequence[str], stdin: TextIO = None, stdout: TextIO = None) -> int:
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
+def run(argv: Sequence[str], stdin: BinaryIO = None, stdout: TextIO = None) -> int:
+    stdin = stdin if stdin is not None else sys.stdin.buffer
+    if stdout is None:
+        stdout = sys.stdout
+        if hasattr(stdout, "reconfigure"):  # not when redirected to a StringIO
+            stdout.reconfigure(encoding="utf-8")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

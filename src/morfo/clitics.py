@@ -10,7 +10,7 @@ dictionary verb in one of the three hosting moods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
+from typing import Dict, Iterable, List, Tuple
 
 from morfo.analyzer import Analyzer, Provenance
 from morfo.errors import LoadError
@@ -38,7 +38,7 @@ def _parse_pronoun(row: Dict[str, str]) -> Tuple[str, FeatureSet]:
     return pronoun, FeatureSet.from_cells({**row, "pos": "pronoun"})
 
 
-def load_pronoun_table(source: Union[TextIO, Iterable[str]]) -> Dict[str, FeatureSet]:
+def load_pronoun_table(source: Iterable[bytes | str]) -> Dict[str, FeatureSet]:
     """Load the clitic pronoun TSV: pronoun, person, number, gender."""
     table = dict(read_table(source, _PRONOUN_COLUMNS, _PRONOUN_COLUMNS, _parse_pronoun))
     if not table:

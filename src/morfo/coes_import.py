@@ -12,9 +12,10 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Set, TextIO, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from morfo.features import FeatureSet, Mood, Number, Person, Tense
+from morfo.resources import lines
 from morfo.rules import COLUMNS, compile_stem_pattern, apply_rule, MorphRule
 
 logger = logging.getLogger(__name__)
@@ -148,7 +149,7 @@ def _stem_from(pattern: str, removed: str) -> str:
 
 
 def import_rules(
-    aff_source: Union[TextIO, Iterable[str]],
+    aff_source: Iterable[bytes | str],
     skip_flags: Sequence[str] = (),
     infer_person: bool = False,
 ) -> List[ImportedRule]:
@@ -169,7 +170,7 @@ def import_rules(
                 rows[idx].features = replace(rows[idx].features, person=person, number=number)
         block.clear()
 
-    for line_no, raw in enumerate(aff_source, start=1):
+    for line_no, raw in lines(aff_source):
         line = raw.strip()
         if not line or set(line) <= {".", " "}:
             continue

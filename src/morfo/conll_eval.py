@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from morfo.analyzer import Analyzer
 from morfo.derivers import Lemmatizer
 from morfo.errors import LoadError
 from morfo.features import FeatureSet, Pos
 from morfo.lexicon import normalize
-from morfo.resources import data_lines
+from morfo.resources import data_lines, lines
 
 logger = logging.getLogger(__name__)
 
@@ -45,7 +45,7 @@ class FeatureMapping:
     feat_map: Dict[str, Tuple[str, str]] = field(default_factory=dict)
 
 
-def load_mapping(source: Union[TextIO, Iterable[str]]) -> FeatureMapping:
+def load_mapping(source: Iterable[bytes | str]) -> FeatureMapping:
     """Load the mapping TSV: rows are ``pos <tag> <posvalue>`` or ``feat <k=v> <field=value>``."""
     mapping = FeatureMapping()
     for line_no, line in data_lines(source):
@@ -104,14 +104,13 @@ def _strip_sense(sense: str) -> str:
     return lemma if dot else sense
 
 
-def parse_conll(source: Union[TextIO, Iterable[str]], mapping: FeatureMapping) -> List[TokenRecord]:
+def parse_conll(source: Iterable[bytes | str], mapping: FeatureMapping) -> List[TokenRecord]:
     """Parse CoNLL-2009 rows into records; unmappable FEAT values are kept raw."""
     records: List[TokenRecord] = []
     sentence = 0
     in_sentence = False
     unmapped = 0
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
+    for line_no, line in lines(source):
         if not line.strip():
             if in_sentence:
                 sentence += 1

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, TextIO, Union
+from typing import Iterable, Optional, Set
 
 from morfo.analyzer import Analyzer
 from morfo.errors import LoadError
@@ -11,7 +11,7 @@ from morfo.resources import data_lines
 from morfo.rules import apply_rule
 
 
-def load_nominal_flags(source: Union[TextIO, Iterable[str]]) -> Set[str]:
+def load_nominal_flags(source: Iterable[bytes | str]) -> Set[str]:
     """Read the nominal-derivation flag manifest: one flag character per line."""
     flags: Set[str] = set()
     for line_no, line in data_lines(source):

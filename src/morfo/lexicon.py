@@ -13,7 +13,7 @@ import string
 import unicodedata
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, TextIO, Union
+from typing import Iterable, Iterator, List, Optional
 
 from morfo.errors import LoadError
 from morfo.resources import data_lines
@@ -85,7 +85,7 @@ def _parse_line(line: str, line_no: int):
     return root, flags
 
 
-def load_dictionary(source: Union[TextIO, Iterable[str]]) -> Lexicon:
+def load_dictionary(source: Iterable[bytes | str]) -> Lexicon:
     """Load a dictionary stream, merging duplicate roots by flag-set union."""
     merged: dict = {}
     for line_no, line in data_lines(source):

@@ -5,8 +5,7 @@ from __future__ import annotations
 import os
 from importlib import resources
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple,
-                    TypeVar, Union)
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from morfo.errors import LoadError
 
@@ -18,8 +17,6 @@ DEFAULTS = "defaults.tsv"
 PRONOUNS = "pronouns.tsv"
 NOMINAL_FLAGS = "nominal_flags.txt"
 CONLL_MAPPING = "conll_mapping.tsv"
-
-BOM = "\ufeff"
 
 T = TypeVar("T")
 
@@ -36,21 +33,30 @@ def data_path(name: str, override: Optional[str] = None) -> Path:
     return Path(resources.files("morfo").joinpath("data", name))
 
 
-def data_lines(source: Union[TextIO, Iterable[str]]) -> Iterator[Tuple[int, str]]:
-    """Yield ``(line_no, line)`` without the newline, skipping blank and ``#`` lines.
+def lines(source: Iterable[bytes | str]) -> Iterator[Tuple[int, str]]:
+    """Yield ``(line_no, line)`` for every line, without its LF or CRLF ending.
 
-    A byte-order mark at the start of the first line is dropped.
+    ``bytes`` lines are decoded as UTF-8, and one that does not decode raises
+    ``LoadError`` naming it; ``str`` lines are kept. A leading byte-order mark is dropped.
     """
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if line_no == 1:
-            line = line.removeprefix(BOM)
+    for line_no, line in enumerate(source, start=1):
+        try:
+            line = line.decode("utf-8") if isinstance(line, bytes) else line
+        except UnicodeDecodeError:
+            raise LoadError("invalid UTF-8", line_no) from None
+        line = line.rstrip("\r\n")
+        yield line_no, line.removeprefix("\ufeff") if line_no == 1 else line
+
+
+def data_lines(source: Iterable[bytes | str]) -> Iterator[Tuple[int, str]]:
+    """``lines(source)`` without blank and ``#`` lines."""
+    for line_no, line in lines(source):
         if line.strip() and not line.lstrip().startswith("#"):
             yield line_no, line
 
 
 def read_table(
-    source: Union[TextIO, Iterable[str]],
+    source: Iterable[bytes | str],
     columns: Sequence[str],
     required: Sequence[str],
     parse_row: Callable[[Dict[str, str]], T],

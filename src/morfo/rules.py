@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, TextIO, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from morfo.features import FeatureSet
 from morfo.lexicon import LexEntry
@@ -117,7 +117,7 @@ def _parse_rule(row: Dict[str, str]) -> Tuple[str, StemPattern, str, FeatureSet]
     return flag, pattern, morph, FeatureSet.from_cells(row)
 
 
-def load_rules(source: Union[TextIO, Iterable[str]]) -> RuleTable:
+def load_rules(source: Iterable[bytes | str]) -> RuleTable:
     """Load the tab-separated rule table; raises LoadError naming the bad row."""
     rows = read_table(source, COLUMNS, COLUMNS, _parse_rule)
     return RuleTable([

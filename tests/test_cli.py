@@ -1,5 +1,9 @@
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,8 +14,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def invoke(argv, stdin_text=""):
+    """Run the CLI on ``stdin_text`` as UTF-8 bytes; lone surrogates become the raw bytes."""
     out = io.StringIO()
-    code = run(argv, stdin=io.StringIO(stdin_text), stdout=out)
+    code = run(argv, stdin=io.BytesIO(stdin_text.encode("utf-8", "surrogateescape")), stdout=out)
     return code, out.getvalue()
 
 
@@ -96,9 +101,11 @@ def test_bad_usage_exits_1():
 
 
 def test_unknown_pos_tag_exits_1(capsys):
-    code, _out = invoke(["analyze"], "amo\tadverbio\n")
+    code, out = invoke(["analyze"], "amo\namo\tadverbio\n")
     assert code == 1
-    assert "unknown pos tag" in capsys.readouterr().err
+    assert out.count("\n") == 1
+    err = capsys.readouterr().err
+    assert "line 2: unknown pos tag" in err and "Traceback" not in err
 
 
 def test_empty_token_exits_1_naming_the_line(capsys):
@@ -130,7 +137,23 @@ def test_data_file_not_utf8_exits_2(tmp_path, capsys):
     dictionary.write_bytes(b"amar/V\n\xff/V\n")
     code, _out = invoke(["analyze", "--dict", str(dictionary)], "amo\n")
     assert code == 2
-    assert f"failed to load {dictionary}" in capsys.readouterr().err
+    assert f"failed to load {dictionary}: line 2:" in capsys.readouterr().err
+
+
+def test_latin1_data_file_names_the_line(tmp_path, capsys):
+    dictionary = tmp_path / "dictionary.txt"
+    dictionary.write_bytes("# 1\n# 2\namar/V\n\ncomer/V\ncanción/S\n".encode("latin-1"))
+    code, _out = invoke(["analyze", "--dict", str(dictionary)], "amo\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"failed to load {dictionary}: line 6: invalid UTF-8" in err and "Traceback" not in err
+
+
+def test_evaluate_ignores_byte_order_mark(tmp_path):
+    conll = tmp_path / "gold.conll"
+    conll.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "sample.conll").read_bytes())
+    assert (invoke(["evaluate", "--conll", str(conll)])
+            == invoke(["evaluate", "--conll", str(FIXTURES / "sample.conll")]))
 
 
 def test_import_coes_from_file():
@@ -186,9 +209,40 @@ def test_evaluate_invalid_gold_features_exits_2_naming_the_line(tmp_path, capsys
     assert f"failed to load {conll}: line 1:" in err and "Traceback" not in err
 
 
+def test_run_writes_to_a_redirected_stdout():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["lemmatize"], stdin=io.BytesIO(b"amo\n"))
+    assert (code, out.getvalue()) == (0, "amar\n")
+
+
+def _run_module(argv, stdin, **env):
+    """``python -m morfo.cli`` in a child process, on real stdin and stdout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), **env}
+    return subprocess.run([sys.executable, "-m", "morfo.cli", *argv], input=stdin,
+                          capture_output=True, env=env)
+
+
+def test_process_invalid_utf8_on_strict_stdin_exits_1():
+    proc = _run_module(["analyze"], b"\xffamo\n", PYTHONIOENCODING="utf-8:strict")
+    assert proc.returncode == 1
+    assert b"line 1: invalid UTF-8" in proc.stderr and b"Traceback" not in proc.stderr
+
+
+def test_process_import_coes_ignores_byte_order_mark():
+    proc = _run_module(["import-coes"], b"\xef\xbb\xbfflag *V:\n    A R > -AR, O\n")
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout.splitlines()[1:] == [b"V\tar\to" + b"\t" * 7]
+
+
+def test_process_output_is_utf8_whatever_the_locale():
+    proc = _run_module(["analyze"], "canción\n".encode("utf-8"), PYTHONIOENCODING="ascii")
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == "canción\tcanción\tnoun\tfemale\tsingular\t-\t-\t-\tdictionary\n".encode()
+
+
 def test_console_script_is_installed():
     import shutil
-    import subprocess
 
     exe = shutil.which("morfo")
     if exe is None:
