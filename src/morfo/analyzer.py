@@ -107,10 +107,10 @@ class Analyzer:
         known = set(self.rules.by_flag)
         entries = 0
         unknown = set()
-        for entry in self.lexicon:
-            if not known.issuperset(entry.flags):
+        for flags in self.lexicon.flags.values():
+            if not known.issuperset(flags):
                 entries += 1
-                unknown.update(entry.flags)
+                unknown.update(flags)
         if entries:
             logger.warning("%d dictionary entries carry flags with no rules (%s); "
                            "those flags are skipped", entries, ", ".join(sorted(unknown - known)))
@@ -126,16 +126,17 @@ class Analyzer:
                 break
             stem = surface[:cut]
             for head, has_class, by_flag in groups:
+                root = stem + head
                 if has_class:
-                    candidates = self.lexicon.with_prefix(stem + head)
+                    candidates = [(e.root, e.flags) for e in self.lexicon.with_prefix(root)]
                 else:
-                    entry = self.lexicon.lookup_exact(stem + head)
-                    candidates = () if entry is None else (entry,)
-                for entry in candidates:
-                    for flag in entry.flags:
+                    flags = self.lexicon.flags.get(root)
+                    candidates = () if flags is None else ((root, flags),)
+                for root, flags in candidates:
+                    for flag in flags:
                         for rule in by_flag.get(flag, ()):
-                            if apply_rule(entry.root, rule) == surface:
-                                out.append((entry.root, rule))
+                            if apply_rule(root, rule) == surface:
+                                out.append((root, rule))
         return out
 
     def _analyze(self, word: str, pos_hint: Optional[Pos]) -> Tuple[Analysis, ...]:

@@ -44,25 +44,23 @@ class Nominalizer:
 
     def _lint_single_flag(self) -> None:
         # Each verb may use only one nominal derivation; more is a data error.
-        for entry in self.analyzer.lexicon:
-            licensed = [f for f in entry.flags if f in self.nominal_flags]
+        for root, flags in self.analyzer.lexicon.flags.items():
+            licensed = [f for f in flags if f in self.nominal_flags]
             if len(licensed) > 1:
                 raise LoadError(
-                    f"entry {entry.root!r} carries multiple nominalization flags: "
+                    f"entry {root!r} carries multiple nominalization flags: "
                     f"{''.join(licensed)}"
                 )
 
     def nominalize(self, verb: str) -> Optional[str]:
         """The rule-specified nominal form, or None when no such form is on record."""
         infinitive = self.lemmatizer.lemmatize(verb, Pos.VERB)
-        entry = self.analyzer.lexicon.lookup_exact(infinitive)
-        if entry is None:
-            return None
-        flags = [f for f in entry.flags if f in self.nominal_flags]
+        flags = [f for f in self.analyzer.lexicon.flags.get(infinitive, ())
+                 if f in self.nominal_flags]
         if not flags:
             return None
         for rule in self.analyzer.rules.by_flag.get(flags[0], ()):
-            form = apply_rule(entry.root, rule)
+            form = apply_rule(infinitive, rule)
             if form is not None:
                 return form
         return None

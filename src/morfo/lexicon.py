@@ -9,11 +9,10 @@ binary search.
 
 from __future__ import annotations
 
-import string
 import unicodedata
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from morfo.errors import LoadError
 from morfo.resources import data_lines
@@ -37,64 +36,87 @@ class LexEntry:
 
 
 class Lexicon:
-    """Immutable sorted list of entries plus an exact-match index."""
+    """Immutable map of roots to flag tuples, with the roots sorted for prefix search.
 
-    def __init__(self, entries: List[LexEntry]):
-        self.entries = sorted(entries, key=lambda e: e.root)
-        self._roots = [e.root for e in self.entries]
-        self._index = {e.root: e for e in self.entries}
-        if len(self._index) != len(self.entries):
+    ``flags`` maps each root to its flags, in root order; roots with equal
+    flags may share one tuple. ``LexEntry`` objects are made only on request.
+    """
+
+    def __init__(self, entries: Iterable[LexEntry] = ()):
+        entries = list(entries)
+        self._index({e.root: e.flags for e in entries})
+        if len(self.flags) != len(entries):
             raise ValueError("duplicate roots in lexicon")
 
+    @classmethod
+    def _from_flags(cls, flags: Dict[str, tuple]) -> Lexicon:
+        lexicon = cls.__new__(cls)
+        lexicon._index(flags)
+        return lexicon
+
+    def _index(self, flags: Dict[str, tuple]) -> None:
+        self._roots = sorted(flags)
+        self.flags = {root: flags[root] for root in self._roots}
+
+    @property
+    def entries(self) -> List[LexEntry]:
+        return list(self)
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.flags)
 
     def __iter__(self) -> Iterator[LexEntry]:
-        return iter(self.entries)
+        return (LexEntry(root, flags) for root, flags in self.flags.items())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Lexicon) and self.entries == other.entries
+        return isinstance(other, Lexicon) and self.flags == other.flags
 
     def lookup_exact(self, root: str) -> Optional[LexEntry]:
-        return self._index.get(root)
+        flags = self.flags.get(root)
+        return None if flags is None else LexEntry(root, flags)
 
     def with_prefix(self, prefix: str) -> Iterator[LexEntry]:
         """Entries whose root starts with ``prefix``, in sorted order."""
-        i = bisect_left(self._roots, prefix)
-        while i < len(self._roots) and self._roots[i].startswith(prefix):
-            yield self.entries[i]
+        roots = self._roots
+        i = bisect_left(roots, prefix)
+        while i < len(roots) and roots[i].startswith(prefix):
+            yield LexEntry(roots[i], self.flags[roots[i]])
             i += 1
 
 
-def _parse_line(line: str, line_no: int):
+def _check_line(line: str, line_no: int) -> None:
+    """Raise the ``LoadError`` for a malformed stripped line; return if it is well formed."""
     word, sep, flag_part = line.partition("/")
     if not word:
         raise LoadError("empty root", line_no)
     if sep and not flag_part:
         raise LoadError(f"trailing '/' with no flags in {line!r}", line_no)
     for ch in flag_part:
-        if ch not in string.ascii_letters:
+        if not (ch.isascii() and ch.isalpha()):
             raise LoadError(f"invalid flag character {ch!r} in {line!r}", line_no)
-    root = normalize(word)
-    if "/" in root:
-        raise LoadError(f"'/' in root {root!r}", line_no)
-    flags = []
-    for ch in flag_part:
-        if ch not in flags:
-            flags.append(ch)
-    return root, flags
+    if any(ch.isspace() for ch in word):
+        raise LoadError(f"whitespace in root {word!r}", line_no)
 
 
 def load_dictionary(source: Iterable[bytes | str]) -> Lexicon:
     """Load a dictionary stream, merging duplicate roots by flag-set union."""
-    merged: dict = {}
+    merged: Dict[str, tuple] = {}
+    # Flag text -> its duplicate-free tuple, one object per distinct tuple.
+    shared: Dict[str, tuple] = {}
     for line_no, line in data_lines(source):
-        root, flags = _parse_line(line.strip(), line_no)
-        if root in merged:
-            for ch in flags:
-                if ch not in merged[root]:
-                    merged[root].append(ch)
-        else:
-            merged[root] = flags
-    return Lexicon([LexEntry(root, tuple(flags)) for root, flags in merged.items()])
-
+        line = line.strip()
+        word, sep, flag_part = line.partition("/")
+        # A root of letters with ASCII-letter flags, the common line, is well formed.
+        if not (word.isalpha() and (flag_part.isascii() and flag_part.isalpha() or not sep)):
+            _check_line(line, line_no)
+        flags = shared.get(flag_part)
+        if flags is None:
+            flags = tuple(dict.fromkeys(flag_part))
+            flags = shared[flag_part] = shared.setdefault("".join(flags), flags)
+        root = normalize(word)
+        known = merged.get(root)
+        if known is not None and known is not flags:
+            union = tuple(dict.fromkeys(known + flags))
+            flags = shared.setdefault("".join(union), union)
+        merged[root] = flags
+    return Lexicon._from_flags(merged)

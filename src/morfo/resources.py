@@ -51,7 +51,8 @@ def lines(source: Iterable[bytes | str]) -> Iterator[Tuple[int, str]]:
 def data_lines(source: Iterable[bytes | str]) -> Iterator[Tuple[int, str]]:
     """``lines(source)`` without blank and ``#`` lines."""
     for line_no, line in lines(source):
-        if line.strip() and not line.lstrip().startswith("#"):
+        stripped = line.lstrip()
+        if stripped and stripped[0] != "#":
             yield line_no, line
 
 
