@@ -1,24 +1,25 @@
 """Command-line frontend: batch analysis, lemmatization, nominalization,
 clitic splitting, rule-file import, and CoNLL evaluation over stdin/stdout.
 
-Exit codes: 0 success, 1 usage or input error, 2 data-file load error.
+Exit codes: 0 success, 1 usage, input or output error, 2 data-file load error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
-from typing import BinaryIO, List, Optional, Sequence, TextIO
+from typing import BinaryIO, Optional, Sequence, TextIO
 
 from morfo import resources
 from morfo.analyzer import Analyzer, load_default_table
-from morfo.clitics import CliticSplitter, load_pronoun_table
+from morfo.clitics import CliticSplit, CliticSplitter, load_pronoun_table
 from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
 from morfo.errors import LoadError
 from morfo.features import Pos
-from morfo.lexicon import load_dictionary
+from morfo.lexicon import load_dictionary, normalize
 from morfo.rules import load_rules
 
 EXIT_OK = 0
@@ -58,22 +59,33 @@ def build_analyzer(args) -> Analyzer:
     return Analyzer(lexicon, rules, defaults)
 
 
-def _input_tokens(stream: BinaryIO):
-    """Yield (token, pos_hint) pairs from ``token`` or ``token<TAB>pos`` lines."""
-    for line_no, line in resources.lines(stream):
+def _stream(args, stdin: BinaryIO, stdout: TextIO, result, **renderers) -> int:
+    """Write one rendered line per ``token`` or ``token<TAB>pos`` line of ``stdin``.
+
+    ``result(token, pos_hint)`` computes a token's value; ``renderers`` maps each
+    ``--format`` to a ``(token, value) -> line`` function.
+    """
+    render = renderers[args.format]
+    write = stdout.write
+    for line_no, line in resources.lines(stdin):
         token, _, pos_text = line.partition("\t")
         token, pos_text = token.strip(), pos_text.strip()
-        if not token:
-            if not pos_text:
-                continue
-            raise LoadError(f"empty token before pos tag {pos_text!r}", line_no)
         pos_hint = None
         if pos_text:
+            if not token:
+                raise LoadError(f"empty token before pos tag {pos_text!r}", line_no)
             try:
                 pos_hint = Pos(pos_text.lower())
             except ValueError:
-                raise LoadError(f"unknown pos tag {pos_text!r}", line_no)
-        yield token, pos_hint
+                raise LoadError(f"unknown pos tag {pos_text!r}", line_no) from None
+        elif not token:
+            continue
+        write(render(token, result(token, pos_hint)) + "\n")
+    return EXIT_OK
+
+
+def _json(record: dict) -> str:
+    return json.dumps(record, ensure_ascii=False)
 
 
 def _cell(value) -> str:
@@ -81,68 +93,50 @@ def _cell(value) -> str:
 
 
 def cmd_analyze(args, stdin: BinaryIO, stdout: TextIO) -> int:
-    analyzer = build_analyzer(args)
-    for token, pos_hint in _input_tokens(stdin):
-        a = analyzer.preferred_analysis(token, pos_hint)
+    def tsv(_token, a):
         f = a.features
-        if args.format == "jsonl":
-            record = {"surface": a.surface, "lemma": a.lemma, **f.as_dict(),
-                      "provenance": a.provenance.value}
-            record.pop("animate", None)
-            stdout.write(json.dumps(record, ensure_ascii=False) + "\n")
-        else:
-            stdout.write("\t".join([
-                a.surface, a.lemma, _cell(f.pos), _cell(f.gender), _cell(f.number),
-                _cell(f.person), _cell(f.mood), _cell(f.tense), a.provenance.value,
-            ]) + "\n")
-    return EXIT_OK
+        return "\t".join([a.surface, a.lemma, _cell(f.pos), _cell(f.gender), _cell(f.number),
+                          _cell(f.person), _cell(f.mood), _cell(f.tense), a.provenance.value])
+
+    def jsonl(_token, a):
+        record = {"surface": a.surface, "lemma": a.lemma, **a.features.as_dict(),
+                  "provenance": a.provenance.value}
+        del record["animate"]
+        return _json(record)
+
+    return _stream(args, stdin, stdout, build_analyzer(args).preferred_analysis,
+                   tsv=tsv, jsonl=jsonl)
 
 
 def cmd_lemmatize(args, stdin: BinaryIO, stdout: TextIO) -> int:
-    lemmatizer = Lemmatizer(build_analyzer(args))
-    for token, pos_hint in _input_tokens(stdin):
-        lemma = lemmatizer.lemmatize(token, pos_hint)
-        if args.format == "jsonl":
-            stdout.write(json.dumps({"surface": token, "lemma": lemma}, ensure_ascii=False) + "\n")
-        else:
-            stdout.write(lemma + "\n")
-    return EXIT_OK
+    return _stream(args, stdin, stdout, Lemmatizer(build_analyzer(args)).lemmatize,
+                   tsv=lambda _token, lemma: lemma,
+                   jsonl=lambda token, lemma: _json({"surface": token, "lemma": lemma}))
 
 
 def cmd_nominalize(args, stdin: BinaryIO, stdout: TextIO) -> int:
     analyzer = build_analyzer(args)
     nominal_flags = _load(resources.NOMINAL_FLAGS, args.nominal_flags, load_nominal_flags)
     nominalizer = Nominalizer(Lemmatizer(analyzer), nominal_flags)
-    for token, _pos in _input_tokens(stdin):
-        nominal = nominalizer.nominalize(token)
-        if args.format == "jsonl":
-            stdout.write(json.dumps({"surface": token, "nominal": nominal}, ensure_ascii=False) + "\n")
-        else:
-            stdout.write((nominal or "-") + "\n")
-    return EXIT_OK
+    return _stream(args, stdin, stdout, lambda token, _pos: nominalizer.nominalize(token),
+                   tsv=lambda _token, nominal: nominal or "-",
+                   jsonl=lambda token, nominal: _json({"surface": token, "nominal": nominal}))
 
 
 def cmd_split_clitics(args, stdin: BinaryIO, stdout: TextIO) -> int:
     analyzer = build_analyzer(args)
     pronouns = _load(resources.PRONOUNS, args.pronouns, load_pronoun_table)
     splitter = CliticSplitter(analyzer, pronouns)
-    for token, pos_hint in _input_tokens(stdin):
-        if args.verbs_only and pos_hint is not None and pos_hint is not Pos.VERB:
-            split = None
-        else:
-            split = splitter.split_clitics(token)
-        if args.format == "jsonl":
-            if split is None:
-                record = {"verb_part": token, "clitics": []}
-            else:
-                record = {"verb_part": split.verb_part, "clitics": list(split.clitics)}
-            stdout.write(json.dumps(record, ensure_ascii=False) + "\n")
-        else:
-            if split is None:
-                stdout.write(token + "\n")
-            else:
-                stdout.write("\t".join([split.verb_part, *split.clitics]) + "\n")
-    return EXIT_OK
+
+    def split(token, pos_hint) -> CliticSplit:
+        if args.verbs_only and pos_hint not in (None, Pos.VERB):
+            return CliticSplit(normalize(token), (), ())
+        return splitter.split_clitics(token)
+
+    return _stream(args, stdin, stdout, split,
+                   tsv=lambda _token, s: "\t".join([s.verb_part, *s.clitics]),
+                   jsonl=lambda _token, s: _json({"verb_part": s.verb_part,
+                                                  "clitics": list(s.clitics)}))
 
 
 def cmd_import_coes(args, stdin: BinaryIO, stdout: TextIO) -> int:
@@ -242,11 +236,21 @@ def run(argv: Sequence[str], stdin: BinaryIO = None, stdout: TextIO = None) -> i
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args, stdin, stdout)
+        code = _COMMANDS[args.command](args, stdin, stdout)
+        stdout.flush()
+        return code
     except DataFileError as exc:
         print(f"morfo: {exc}", file=sys.stderr)
         return EXIT_DATA
     except LoadError as exc:
+        print(f"morfo: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader has gone. Point stdout at devnull, so that the flush at
+        # exit has somewhere to write what is still buffered.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+        return EXIT_USAGE
+    except OSError as exc:  # an output that cannot be written, e.g. a bad --out path
         print(f"morfo: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

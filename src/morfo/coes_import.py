@@ -53,6 +53,7 @@ _PERSON_CYCLE = (
 )
 
 _FLAG_HEADER = re.compile(r"^flag\s+\*?(\S)\s*:\s*(.*)$", re.IGNORECASE)
+_SECTION = re.compile(r"^(prefixes|suffixes)\s*(#.*)?$", re.IGNORECASE)
 
 
 def convert_accents(text: str) -> str:
@@ -155,11 +156,15 @@ def import_rules(
 ) -> List[ImportedRule]:
     """Parse an affix file into TSV-ready rows; unparseable lines warn and are skipped.
 
+    Only suffix rules are imported: an Ispell ``prefixes`` section is skipped
+    up to the next ``suffixes`` line, with one warning naming its line.
+
     An example comment that its rule does not reproduce is logged as a warning.
     """
     skip: Set[str] = set(skip_flags)
     rows: List[ImportedRule] = []
     flag: Optional[str] = None
+    in_prefixes = False
     hints: dict = {}
     block: List[int] = []  # indices into rows for the current hint block
 
@@ -173,6 +178,15 @@ def import_rules(
     for line_no, raw in lines(aff_source):
         line = raw.strip()
         if not line or set(line) <= {".", " "}:
+            continue
+        section = _SECTION.match(line)
+        if section:
+            close_block()
+            flag, hints = None, {}
+            in_prefixes = section.group(1).lower() == "prefixes"
+            if in_prefixes:
+                logger.warning("line %d: prefixes section skipped; only suffix rules are imported",
+                               line_no)
             continue
         header = _FLAG_HEADER.match(line)
         if header:
@@ -196,6 +210,8 @@ def import_rules(
             if new_hints:
                 close_block()
                 hints = new_hints
+            continue
+        if in_prefixes:
             continue
         if flag is None:
             logger.warning("line %d: rule before any flag header skipped", line_no)

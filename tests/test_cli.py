@@ -42,6 +42,77 @@ def test_analyze_jsonl():
     assert record["person"] is None
 
 
+# A capitalised word, a noun and a verb hint, a clitic form, an OOV string,
+# a verb with no nominal and one with a nominal.
+STREAM_INPUT = "Vacas\nCasa\tnoun\ndámelo\tverb\nxyzal\namar\ncrear\n"
+UNSPLIT = ["vacas", "casa", "da\tme\tlo", "xyzal", "amar", "crear"]
+UNSPLIT_JSONL = [
+    '{"verb_part": "vacas", "clitics": []}',
+    '{"verb_part": "casa", "clitics": []}',
+    '{"verb_part": "da", "clitics": ["me", "lo"]}',
+    '{"verb_part": "xyzal", "clitics": []}',
+    '{"verb_part": "amar", "clitics": []}',
+    '{"verb_part": "crear", "clitics": []}',
+]
+
+
+def _analysis_json(surface, lemma, pos, gender, number, mood, provenance):
+    def value(text):
+        return "null" if text is None else f'"{text}"'
+    return (f'{{"surface": "{surface}", "lemma": "{lemma}", "pos": "{pos}", '
+            f'"gender": {value(gender)}, "number": {value(number)}, "person": null, '
+            f'"mood": {value(mood)}, "tense": null, "provenance": "{provenance}"}}')
+
+
+STREAM_CASES = [
+    (["analyze"], [
+        "vacas\tvaca\tnoun\tfemale\tplural\t-\t-\t-\tdictionary",
+        "casa\tcasa\tnoun\tfemale\tsingular\t-\t-\t-\tdictionary",
+        "dámelo\tdámelo\tnoun\tmale\tsingular\t-\t-\t-\tdefault_fallback",
+        "xyzal\txyzal\tnoun\tmale\tsingular\t-\t-\t-\tdefault_fallback",
+        "amar\tamar\tverb\t-\t-\t-\tinfinitive\t-\tdictionary",
+        "crear\tcrear\tverb\t-\t-\t-\tinfinitive\t-\tdictionary",
+    ]),
+    (["analyze", "--format", "jsonl"], [
+        _analysis_json("vacas", "vaca", "noun", "female", "plural", None, "dictionary"),
+        _analysis_json("casa", "casa", "noun", "female", "singular", None, "dictionary"),
+        _analysis_json("dámelo", "dámelo", "noun", "male", "singular", None, "default_fallback"),
+        _analysis_json("xyzal", "xyzal", "noun", "male", "singular", None, "default_fallback"),
+        _analysis_json("amar", "amar", "verb", None, None, "infinitive", "dictionary"),
+        _analysis_json("crear", "crear", "verb", None, None, "infinitive", "dictionary"),
+    ]),
+    (["lemmatize"], ["vaca", "casa", "dámelo", "xyzal", "amar", "crear"]),
+    (["lemmatize", "--format", "jsonl"], [
+        '{"surface": "Vacas", "lemma": "vaca"}',
+        '{"surface": "Casa", "lemma": "casa"}',
+        '{"surface": "dámelo", "lemma": "dámelo"}',
+        '{"surface": "xyzal", "lemma": "xyzal"}',
+        '{"surface": "amar", "lemma": "amar"}',
+        '{"surface": "crear", "lemma": "crear"}',
+    ]),
+    (["nominalize"], ["-", "-", "-", "-", "-", "creación"]),
+    (["nominalize", "--format", "jsonl"], [
+        '{"surface": "Vacas", "nominal": null}',
+        '{"surface": "Casa", "nominal": null}',
+        '{"surface": "dámelo", "nominal": null}',
+        '{"surface": "xyzal", "nominal": null}',
+        '{"surface": "amar", "nominal": null}',
+        '{"surface": "crear", "nominal": "creación"}',
+    ]),
+    (["split-clitics"], UNSPLIT),
+    (["split-clitics", "--format", "jsonl"], UNSPLIT_JSONL),
+    # a token skipped for its noun tag is normalised like every unsplit token
+    (["split-clitics", "--verbs-only"], UNSPLIT),
+    (["split-clitics", "--verbs-only", "--format", "jsonl"], UNSPLIT_JSONL),
+]
+
+
+@pytest.mark.parametrize("argv, expected", STREAM_CASES,
+                         ids=[" ".join(argv) for argv, _ in STREAM_CASES])
+def test_stream_command_output(argv, expected):
+    assert invoke(argv, STREAM_INPUT) == (0, "".join(line + "\n" for line in expected))
+
+
 def test_lemmatize():
     code, out = invoke(["lemmatize"], "llegó\ncomieron\n")
     assert code == 0
@@ -239,6 +310,32 @@ def test_process_output_is_utf8_whatever_the_locale():
     proc = _run_module(["analyze"], "canción\n".encode("utf-8"), PYTHONIOENCODING="ascii")
     assert proc.returncode == 0 and proc.stderr == b""
     assert proc.stdout == "canción\tcanción\tnoun\tfemale\tsingular\t-\t-\t-\tdictionary\n".encode()
+
+
+def test_process_closed_output_exits_1_without_traceback(tmp_path):
+    # about 5 MB of output, far more than a pipe buffer holds
+    stdin = tmp_path / "tokens.txt"
+    stdin.write_bytes(b"amo\n" * 100_000)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    with open(stdin, "rb") as tokens:
+        proc = subprocess.Popen([sys.executable, "-m", "morfo.cli", "analyze"], stdin=tokens,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"amo\tamar\t")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+    assert b"Traceback" not in err and err.count(b"morfo: ") <= 1
+
+
+def test_process_unwritable_out_file_exits_1_without_traceback(tmp_path):
+    out = tmp_path / "missing" / "rules.tsv"
+    proc = _run_module(["import-coes", "--aff", str(FIXTURES / "fig1.aff"), "--out", str(out)],
+                       b"")
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if line.startswith(b"morfo: ")] == [
+        f"morfo: [Errno 2] No such file or directory: '{out}'".encode()]
 
 
 def test_console_script_is_installed():

@@ -122,3 +122,13 @@ def test_infer_person_cycles_within_block():
     ]
     plain = import_rules(io.StringIO(source))
     assert all(r.features.person is None for r in plain)
+
+
+def test_prefix_section_is_skipped_with_one_warning(caplog):
+    source = ["prefixes", "flag *R:", "    H A C E R > DES  # hacer deshacer",
+              "suffixes", "flag *V:", "    A R > -AR, O  # amar amo"]
+    with caplog.at_level("WARNING"):
+        rows = import_rules(source)
+    assert [(r.flag, r.stem_ending, r.morph_ending) for r in rows] == [("V", "ar", "o")]
+    assert [r.getMessage() for r in caplog.records] == [
+        "line 1: prefixes section skipped; only suffix rules are imported"]
