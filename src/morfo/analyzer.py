@@ -88,7 +88,7 @@ class Analyzer:
         self.defaults = defaults
         groups: Dict[Tuple[str, tuple], Dict[str, List[MorphRule]]] = {}
         for rule in rules.rules:
-            key = (rule.morph_ending, rule.pattern.replaced)
+            key = (rule.morph_ending, rule.replaced)
             groups.setdefault(key, {}).setdefault(rule.flag, []).append(rule)
         # Every suffix of a morph ending -> the rule groups of that ending (none
         # for a suffix that is no ending itself), so stripping can stop at the

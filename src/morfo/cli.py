@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
 from morfo.errors import LoadError
 from morfo.features import Pos
 from morfo.lexicon import load_dictionary, normalize
-from morfo.rules import load_rules
+from morfo.rules import dump_rules, load_rules
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,13 +40,32 @@ class DataFileError(Exception):
         self.path = path
 
 
+class _Warnings(logging.Handler):
+    """Prints each warning to the current stderr as ``morfo: <message>``.
+
+    A warning raised while ``_read`` loads a file reads ``morfo: <path>: <message>``.
+    """
+
+    path = None
+
+    def emit(self, record):
+        where = f"{self.path}: " if self.path is not None else ""
+        print(f"morfo: {where}{record.getMessage()}", file=sys.stderr)
+
+
+_WARNINGS = _Warnings(logging.WARNING)
+
+
 def _read(path, loader):
     """``loader`` applied to the file at ``path``, read as bytes; every failure names the file."""
+    _WARNINGS.path = path
     try:
         with open(path, "rb") as stream:
             return loader(stream)
     except (OSError, LoadError) as exc:
         raise DataFileError(path, exc) from exc
+    finally:
+        _WARNINGS.path = None
 
 
 def _load(name: str, override: Optional[str], loader):
@@ -140,14 +160,14 @@ def cmd_split_clitics(args, stdin: BinaryIO, stdout: TextIO) -> int:
 
 
 def cmd_import_coes(args, stdin: BinaryIO, stdout: TextIO) -> int:
-    from morfo.coes_import import import_rules, rows_to_tsv
+    from morfo.coes_import import import_rules
 
     def parse(stream):
         return import_rules(stream, skip_flags=args.skip_flags or "",
                             infer_person=args.infer_person)
 
     rows = _read(args.aff, parse) if args.aff else parse(stdin)
-    text = rows_to_tsv(rows)
+    text = dump_rules(rows)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -235,6 +255,8 @@ def run(argv: Sequence[str], stdin: BinaryIO = None, stdout: TextIO = None) -> i
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    package_logger = logging.getLogger("morfo")
+    package_logger.addHandler(_WARNINGS)
     try:
         code = _COMMANDS[args.command](args, stdin, stdout)
         stdout.flush()
@@ -253,6 +275,8 @@ def run(argv: Sequence[str], stdin: BinaryIO = None, stdout: TextIO = None) -> i
     except OSError as exc:  # an output that cannot be written, e.g. a bad --out path
         print(f"morfo: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        package_logger.removeHandler(_WARNINGS)
 
 
 def main() -> None:

@@ -12,11 +12,12 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from morfo.features import FeatureSet, Mood, Number, Person, Tense
 from morfo.resources import lines
-from morfo.rules import COLUMNS, compile_stem_pattern, apply_rule, MorphRule
+from morfo.rules import MorphRule, apply_rule
 
 logger = logging.getLogger(__name__)
 
@@ -54,52 +55,44 @@ _PERSON_CYCLE = (
 
 _FLAG_HEADER = re.compile(r"^flag\s+\*?(\S)\s*:\s*(.*)$", re.IGNORECASE)
 _SECTION = re.compile(r"^(prefixes|suffixes)\s*(#.*)?$", re.IGNORECASE)
+# A quote or tilde that starts no escape matches the last alternative alone.
+_ESCAPE = re.compile(r"'([aeiouAEIOUnN])|~([nN])|['~]")
 
 
-def convert_accents(text: str) -> str:
-    """Convert COES quote/tilde accent notation to real accented characters."""
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        nxt = text[i + 1] if i + 1 < len(text) else ""
-        if ch in ("'", "~") and nxt in _ACCENTS and (ch == "'" or nxt.lower() == "n"):
-            out.append(_ACCENTS[nxt])
-            i += 2
-        else:
-            if ch in ("'", "~"):
-                logger.warning("dangling %r before %r left unchanged", ch, nxt)
-            out.append(ch)
-            i += 1
-    return "".join(out)
+def _unescape(text: str) -> str:
+    """``text`` with its accent escapes converted, and no warnings."""
+    return _ESCAPE.sub(lambda m: _ACCENTS.get(m.group(1) or m.group(2), m.group()), text)
 
 
-def _convert(text: str) -> str:
+def convert_accents(text: str, line_no: Optional[int] = None) -> str:
+    """Convert COES quote/tilde accent notation to real accented characters.
+
+    A quote or tilde that starts no escape is kept, with a warning that names
+    ``line_no`` when it is given.
+    """
+    where = f"line {line_no}: " if line_no else ""
+    for match in _ESCAPE.finditer(text):
+        if match.lastindex is None:
+            logger.warning("%sdangling %r before %r left unchanged",
+                           where, match.group(), text[match.end():match.end() + 1])
+    return _unescape(text)
+
+
+def _convert(text: str, line_no: int) -> str:
     """Accent-convert, lowercase, and drop whitespace between pattern characters."""
-    return re.sub(r"\s+", "", convert_accents(text)).lower()
+    return re.sub(r"\s+", "", convert_accents(text, line_no)).lower()
 
 
-@dataclass
-class ImportedRule:
-    """One TSV-ready rule row plus import provenance."""
-    flag: str
-    stem_ending: str
-    morph_ending: str
-    features: FeatureSet
-    example: Optional[Tuple[str, str]]  # (root, form) from a trailing comment
-    line_no: int
-
-    def to_cells(self) -> List[str]:
-        feats = self.features.as_dict()
-        return [self.flag, self.stem_ending, self.morph_ending] + [
-            feats[name] or "" for name in COLUMNS[3:]
-        ]
+@dataclass(frozen=True)
+class ImportedRule(MorphRule):
+    """A rule with the example comment and the line it was imported from."""
+    example: Optional[Tuple[str, str]] = None  # (root, form) from a trailing comment
+    line_no: int = 0
 
 
 def _hints_from_comment(comment: str) -> dict:
     hints = {}
-    words = re.findall(r"[\wáéíóúñ]+", convert_accents(comment).lower())
-    for word in words:
+    for word in re.findall(r"[\wáéíóúñ]+", _unescape(comment).lower()):
         hit = KEYWORD_HINTS.get(word)
         if hit:
             hints[hit[0]] = hit[1]
@@ -107,46 +100,31 @@ def _hints_from_comment(comment: str) -> dict:
 
 
 def _parse_example(comment: str) -> Optional[Tuple[str, str]]:
-    words = _convert_words(comment)
+    words = _unescape(comment).lower().split()
     if len(words) == 2 and all(w.isalpha() for w in words):
         return words[0], words[1]
     return None
 
 
-def _convert_words(comment: str) -> List[str]:
-    return [convert_accents(w).lower() for w in comment.split()]
+def _stem_and_ending(rule_text: str, line_no: int) -> Tuple[str, str]:
+    """The stem-ending pattern and morph ending of ``PATTERN > [-REMOVED,] ADDED``.
 
-
-def _split_rule_line(rule_text: str) -> Optional[Tuple[str, str, str]]:
-    """Return (pattern, removed, added) or None when the line is not a rule."""
-    if ">" not in rule_text:
-        return None
+    What the pattern matches before REMOVED becomes the kept context.
+    """
     lhs, rhs = rule_text.split(">", 1)
-    pattern = _convert(lhs)
-    rhs = rhs.strip()
+    pattern = _convert(lhs, line_no)
+    removed, rhs = "", rhs.strip()
     if rhs.startswith("-"):
         if "," not in rhs:
             raise ValueError(f"expected '-REMOVED, ADDED' after '>' in {rule_text!r}")
-        removed_part, added_part = rhs[1:].split(",", 1)
-        removed = _convert(removed_part)
-        added = _convert(added_part)
-    else:
-        removed = ""
-        added = _convert(rhs)
-    return pattern, removed, added
-
-
-def _stem_from(pattern: str, removed: str) -> str:
-    """Split the matched pattern into kept context + replaced part."""
-    if removed:
-        if not pattern.endswith(removed):
-            raise ValueError(
-                f"removed ending {removed!r} is not a literal suffix of pattern {pattern!r}")
-        context = pattern[:-len(removed)]
-    else:
-        context = pattern
-        removed = ""
-    return (f"(?<={context})" if context else "") + removed
+        removed, rhs = rhs[1:].split(",", 1)
+        removed = _convert(removed, line_no)
+    added = _convert(rhs, line_no)
+    if not pattern.endswith(removed):
+        raise ValueError(
+            f"removed ending {removed!r} is not a literal suffix of pattern {pattern!r}")
+    context = pattern[:len(pattern) - len(removed)]
+    return (f"(?<={context})" if context else "") + removed, added
 
 
 def import_rules(
@@ -172,7 +150,8 @@ def import_rules(
         if infer_person and block and hints and "number" not in hints:
             for slot, idx in enumerate(block):
                 person, number = _PERSON_CYCLE[slot % len(_PERSON_CYCLE)]
-                rows[idx].features = replace(rows[idx].features, person=person, number=number)
+                rows[idx] = replace(rows[idx], features=replace(
+                    rows[idx].features, person=person, number=number))
         block.clear()
 
     for line_no, raw in lines(aff_source):
@@ -195,18 +174,10 @@ def import_rules(
             hints = _hints_from_comment(header.group(2))
             continue
         rule_text, _, comment = line.partition("#")
-        rule_text = rule_text.strip()
-        comment = comment.strip()
-        if not rule_text:
-            # standalone comment: reset hints if it names any keyword
-            new_hints = _hints_from_comment(comment)
-            if new_hints:
-                close_block()
-                hints = new_hints
-            continue
+        rule_text, comment = rule_text.strip(), comment.strip()
         if ">" not in rule_text:
-            # section prose without a '#': treated as a comment line
-            new_hints = _hints_from_comment(rule_text)
+            # a standalone comment or section prose: new hints start a new block
+            new_hints = _hints_from_comment(rule_text or comment)
             if new_hints:
                 close_block()
                 hints = new_hints
@@ -219,23 +190,13 @@ def import_rules(
         if flag in skip:
             continue
         try:
-            pattern, removed, added = _split_rule_line(rule_text)
-            stem = _stem_from(pattern, removed)
-            compile_stem_pattern(stem)  # validate against the restricted dialect
+            stem, added = _stem_and_ending(rule_text, line_no)
+            rows.append(ImportedRule.build(
+                flag, stem, added, partial(FeatureSet, **hints),
+                example=_parse_example(comment), line_no=line_no))
+            block.append(len(rows) - 1)
         except ValueError as exc:
             logger.warning("line %d: %s; row skipped", line_no, exc)
-            continue
-        features = FeatureSet(**hints)
-        example = _parse_example(comment) if comment else None
-        rows.append(ImportedRule(
-            flag=flag,
-            stem_ending=stem,
-            morph_ending=added,
-            features=features,
-            example=example,
-            line_no=line_no,
-        ))
-        block.append(len(rows) - 1)
     close_block()
     for row, got in check_examples(rows):
         logger.warning("line %d: example %s -> %s, rule produced %r",
@@ -244,25 +205,6 @@ def import_rules(
 
 
 def check_examples(rows: Iterable[ImportedRule]) -> List[Tuple[ImportedRule, Optional[str]]]:
-    """Re-apply every rule carrying an example comment; return the failures."""
-    failures = []
-    for row in rows:
-        if not row.example:
-            continue
-        rule = MorphRule(
-            rule_id=0, flag=row.flag, stem_ending=row.stem_ending,
-            morph_ending=row.morph_ending, features=row.features,
-            pattern=compile_stem_pattern(row.stem_ending),
-        )
-        got = apply_rule(row.example[0], rule)
-        if got != row.example[1]:
-            failures.append((row, got))
-    return failures
-
-
-def rows_to_tsv(rows: Iterable[ImportedRule]) -> str:
-    """Render imported rows as the rule-table TSV, header included."""
-    lines = ["\t".join(COLUMNS)]
-    for row in rows:
-        lines.append("\t".join(row.to_cells()))
-    return "\n".join(lines) + "\n"
+    """Every rule whose example comment it does not reproduce, with what it produced."""
+    return [(row, got) for row in rows
+            if row.example and (got := apply_rule(row.example[0], row)) != row.example[1]]

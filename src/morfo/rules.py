@@ -1,5 +1,7 @@
 """The morphological rule table: suffix substitutions with feature columns.
 
+``load_rules`` reads the tab-separated table and ``dump_rules`` writes it.
+
 A rule's stem-ending pattern is a restricted regular expression over the end
 of a root word: literal letters, character classes ``[...]``, negated classes
 ``[^...]``, and an optional leading context marker ``(?<=...)`` whose match is
@@ -12,7 +14,9 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from functools import partial
+from itertools import count
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from morfo.features import FeatureSet
 from morfo.lexicon import LexEntry
@@ -54,17 +58,8 @@ def _token_regex(token: str) -> str:
     return token if token.startswith("[") else re.escape(token)
 
 
-@dataclass(frozen=True)
-class StemPattern:
-    """Compiled stem-ending pattern, split into kept context and replaced part."""
-
-    source: str
-    context: tuple
-    replaced: tuple
-    regex: "re.Pattern" = field(compare=False, repr=False, default=None)
-
-
-def compile_stem_pattern(source: str) -> StemPattern:
+def compile_stem_pattern(source: str) -> Tuple[tuple, "re.Pattern"]:
+    """Check ``source`` against the dialect; return its replaced tokens and its regex."""
     src = source.strip()
     context_src = ""
     if src.startswith(_CONTEXT_MARK):
@@ -75,23 +70,44 @@ def compile_stem_pattern(source: str) -> StemPattern:
         src = src[end + 1:]
         if _CONTEXT_MARK in src:
             raise ValueError(f"context marker must be leading and unique in {source!r}")
-    context = tuple(_tokenize(context_src, "context"))
+    context = _tokenize(context_src, "context")
     replaced = tuple(_tokenize(src, "pattern"))
     regex = re.compile(
         "".join(_token_regex(t) for t in context)
         + "(" + "".join(_token_regex(t) for t in replaced) + ")$"
     )
-    return StemPattern(source=source.strip(), context=context, replaced=replaced, regex=regex)
+    return replaced, regex
 
 
 @dataclass(frozen=True)
 class MorphRule:
+    """One rule: on a root licensed by ``flag``, ``stem_ending`` becomes ``morph_ending``.
+
+    ``replaced`` holds the pattern tokens the rule swaps out (its context
+    excluded) and ``regex`` matches them at the end of a root. Build rules with
+    ``MorphRule.build``, which fills both in.
+    """
+
     rule_id: int
     flag: str
     stem_ending: str
     morph_ending: str
     features: FeatureSet
-    pattern: StemPattern = field(compare=False, repr=False)
+    replaced: tuple = field(compare=False, repr=False)
+    regex: "re.Pattern" = field(compare=False, repr=False)
+
+    @classmethod
+    def build(cls, flag: str, stem_ending: str, morph_ending: str,
+              features: Callable[[], FeatureSet], rule_id: int = 0, **extra):
+        """A rule of this class, ``features()`` called last.
+
+        A bad flag, pattern or feature set raises ValueError, checked in that order.
+        """
+        if len(flag) != 1:
+            raise ValueError(f"flag must be a single character, got {flag!r}")
+        replaced, regex = compile_stem_pattern(stem_ending)
+        return cls(rule_id, flag, stem_ending.strip(), morph_ending, features(), replaced, regex,
+                   **extra)
 
 
 class RuleTable:
@@ -108,28 +124,34 @@ class RuleTable:
         return len(self.rules)
 
 
-def _parse_rule(row: Dict[str, str]) -> Tuple[str, StemPattern, str, FeatureSet]:
-    flag = row["flag"]
-    if len(flag) != 1:
-        raise ValueError(f"flag must be a single character, got {flag!r}")
-    pattern = compile_stem_pattern("" if row["stem_ending"] == "-" else row["stem_ending"])
-    morph = "" if row["morph_ending"] == "-" else row["morph_ending"]
-    return flag, pattern, morph, FeatureSet.from_cells(row)
+def _dash(cell: str) -> str:
+    return "" if cell == "-" else cell
 
 
 def load_rules(source: Iterable[bytes | str]) -> RuleTable:
     """Load the tab-separated rule table; raises LoadError naming the bad row."""
-    rows = read_table(source, COLUMNS, COLUMNS, _parse_rule)
-    return RuleTable([
-        MorphRule(rule_id=rule_id, flag=flag, stem_ending=pattern.source, morph_ending=morph,
-                  features=features, pattern=pattern)
-        for rule_id, (flag, pattern, morph, features) in enumerate(rows, start=1)
-    ])
+    rule_ids = count(1)
+
+    def parse(row: Dict[str, str]) -> MorphRule:
+        return MorphRule.build(row["flag"], _dash(row["stem_ending"]), _dash(row["morph_ending"]),
+                               partial(FeatureSet.from_cells, row), next(rule_ids))
+
+    return RuleTable(read_table(source, COLUMNS, COLUMNS, parse))
+
+
+def dump_rules(rules: Iterable[MorphRule]) -> str:
+    """The rule table ``load_rules`` reads, header included; unset cells are left empty."""
+    out = ["\t".join(COLUMNS)]
+    for rule in rules:
+        feats = rule.features.as_dict()
+        out.append("\t".join([rule.flag, rule.stem_ending, rule.morph_ending]
+                             + [feats[name] or "" for name in COLUMNS[3:]]))
+    return "\n".join(out) + "\n"
 
 
 def apply_rule(root: str, rule: MorphRule) -> Optional[str]:
     """Apply one rule forward; None when the root's ending does not match."""
-    m = rule.pattern.regex.search(root)
+    m = rule.regex.search(root)
     if m is None:
         return None
     return root[:m.start(1)] + rule.morph_ending

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from morfo.cli import run
+from morfo.rules import COLUMNS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -336,6 +337,38 @@ def test_process_unwritable_out_file_exits_1_without_traceback(tmp_path):
     assert b"Traceback" not in proc.stderr
     assert [line for line in proc.stderr.splitlines() if line.startswith(b"morfo: ")] == [
         f"morfo: [Errno 2] No such file or directory: '{out}'".encode()]
+
+
+def test_process_warnings_name_the_program_and_the_file(tmp_path):
+    aff = tmp_path / "bad.aff"
+    aff.write_text("flag *V:\n    A R > -ER, O\n", encoding="utf-8")
+    proc = _run_module(["import-coes", "--aff", str(aff)], b"")
+    assert proc.returncode == 0
+    assert proc.stderr.decode().splitlines() == [
+        f"morfo: {aff}: line 2: removed ending 'er' is not a literal suffix of pattern 'ar'; "
+        "row skipped"]
+
+
+def test_process_stdin_warnings_name_the_program():
+    proc = _run_module(["import-coes"], b"prefixes\nflag *R:\n    H A C E R > DES\n")
+    assert proc.returncode == 0
+    assert proc.stderr.decode().splitlines() == [
+        "morfo: line 1: prefixes section skipped; only suffix rules are imported"]
+
+
+def test_process_evaluate_warning_names_the_conll_file():
+    conll = FIXTURES / "sample.conll"
+    proc = _run_module(["evaluate", "--conll", str(conll)], b"")
+    assert proc.returncode == 0
+    assert proc.stderr.decode().splitlines() == [
+        f"morfo: {conll}: 4 FEAT values had no mapping and were kept raw"]
+
+
+def test_repeated_runs_print_each_warning_once_to_the_current_stderr(capsys):
+    for _ in range(3):
+        assert invoke(["import-coes"], "prefixes\n") == (0, "\t".join(COLUMNS) + "\n")
+        assert capsys.readouterr().err == (
+            "morfo: line 1: prefixes section skipped; only suffix rules are imported\n")
 
 
 def test_console_script_is_installed():

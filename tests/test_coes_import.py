@@ -1,14 +1,16 @@
 import io
+from itertools import takewhile
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from morfo.coes_import import (
     check_examples,
     convert_accents,
     import_rules,
-    rows_to_tsv,
 )
 from morfo.features import Number, Person, Tense
-from morfo.rules import load_rules
+from morfo.rules import apply_rule, dump_rules, load_rules
 
 FIXTURE = Path(__file__).parent / "fixtures" / "fig1.aff"
 
@@ -74,7 +76,7 @@ def test_flag_multiset_is_lossless():
 
 def test_output_loads_as_rule_table():
     rows = _import_fixture()
-    table = load_rules(io.StringIO(rows_to_tsv(rows)))
+    table = load_rules(io.StringIO(dump_rules(rows)))
     assert len(table) == len(rows)
     from morfo.rules import apply_rule
 
@@ -132,3 +134,90 @@ def test_prefix_section_is_skipped_with_one_warning(caplog):
     assert [(r.flag, r.stem_ending, r.morph_ending) for r in rows] == [("V", "ar", "o")]
     assert [r.getMessage() for r in caplog.records] == [
         "line 1: prefixes section skipped; only suffix rules are imported"]
+
+
+def test_only_rule_text_warns_of_dangling_escapes_naming_the_line(caplog):
+    # fig1.aff's prose "regulares ''amar'' PRESENTE" holds quotes, but no rule does
+    with caplog.at_level("WARNING"):
+        _import_fixture()
+        assert caplog.records == []
+        import_rules(["flag *X: # x'z", "    X'Z > S  # x'z ~z"])
+    assert [r.getMessage() for r in caplog.records] == [
+        "line 2: dangling \"'\" before 'Z' left unchanged",
+        "line 2: unsupported character \"'\" in context \"x'z\"; row skipped",
+    ]
+
+
+# Root letters, and how an affix file writes each of them.
+_WRITTEN = {"a": "A", "e": "E", "n": "N", "r": "R", "s": "S", "á": "'A", "é": "'E", "ñ": "~N"}
+_LETTER = st.sampled_from(sorted(_WRITTEN))
+# A condition token: one letter, or a class as (negated, letters).
+_TOKEN = _LETTER | st.tuples(st.booleans(), st.frozensets(_LETTER, min_size=1, max_size=3))
+
+
+@st.composite
+def _ispell_rule(draw):
+    """(condition, removed, added): a suffix rule of the restricted Ispell dialect."""
+    condition = draw(st.lists(_TOKEN, max_size=3))
+    literal_tail = len(list(takewhile(lambda t: isinstance(t, str), reversed(condition))))
+    removed = ""
+    if literal_tail and draw(st.booleans()):
+        removed = "".join(condition[len(condition) - draw(st.integers(1, literal_tail)):])
+    return condition, removed, draw(st.text(sorted(_WRITTEN), max_size=3))
+
+
+def _written(token) -> str:
+    if isinstance(token, str):
+        return "".join(_WRITTEN[c] for c in token)
+    negated, letters = token
+    return "[" + "^" * negated + "".join(_WRITTEN[c] for c in sorted(letters)) + "]"
+
+
+def _ispell_line(condition, removed, added) -> str:
+    rhs = f"-{_written(removed)}, {_written(added)}" if removed else _written(added)
+    return f"    {' '.join(_written(t) for t in condition)} > {rhs}"
+
+
+def _ispell_apply(root, condition, removed, added):
+    """What Ispell makes of ``root``: the condition tested on its tail, REMOVED
+    stripped, ADDED appended; None when the condition fails."""
+    if len(root) < len(condition):
+        return None
+    tail = root[len(root) - len(condition):]
+    for ch, token in zip(tail, condition):
+        negated, letters = (False, {token}) if isinstance(token, str) else token
+        if (ch in letters) == negated:
+            return None
+    return root[:len(root) - len(removed)] + added
+
+
+_SECTIONS = st.lists(st.tuples(
+    st.sampled_from("ABV"),
+    st.sampled_from(["", "# PRESENTE", "# plural", "# pret'erito subjuntivo"]),
+    st.lists(_ispell_rule(), min_size=1, max_size=4),
+), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sections=_SECTIONS, infer_person=st.booleans(), data=st.data())
+def test_import_round_trip_matches_a_reference_ispell_matcher(sections, infer_person, data):
+    source = ["suffixes"]
+    rules = []
+    for flag, comment, section_rules in sections:
+        source.append(f"flag *{flag}: {comment}")
+        source.extend(_ispell_line(*rule) for rule in section_rules)
+        rules.extend(section_rules)
+    rows = import_rules(source, infer_person=infer_person)
+    assert len(rows) == len(rules)
+
+    table = load_rules(io.StringIO(dump_rules(rows)))
+    assert ([(r.flag, r.stem_ending, r.morph_ending, r.features) for r in table.rules]
+            == [(r.flag, r.stem_ending, r.morph_ending, r.features) for r in rows])
+
+    roots = data.draw(st.lists(st.text(sorted(_WRITTEN), min_size=1, max_size=5), max_size=5))
+    for row, (condition, removed, added) in zip(rows, rules):
+        # and one root that meets the condition, so matches are not left to chance
+        fitting = "".join(t if isinstance(t, str) else data.draw(
+            st.sampled_from(sorted(_WRITTEN.keys() - t[1] if t[0] else t[1]))) for t in condition)
+        for root in [*roots, data.draw(st.text(sorted(_WRITTEN), max_size=2)) + fitting]:
+            assert apply_rule(root, row) == _ispell_apply(root, condition, removed, added), root

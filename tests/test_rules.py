@@ -36,7 +36,7 @@ def test_first_person_present_row():
 def test_context_only_plural_row():
     table = _table("S\t(?<=[a])\ts\tnoun\tfemale\tplural\t\t\t\t")
     rule = table.rules[0]
-    assert rule.pattern.replaced == ()
+    assert rule.replaced == ()
     assert apply_rule("vaca", rule) == "vacas"
 
 
