@@ -1,13 +1,17 @@
 """Command-line frontend: batch analysis, lemmatization, nominalization,
 clitic splitting, rule-file import, and CoNLL evaluation over stdin/stdout.
 
+The stream commands keep, for one run, the output of the last 2,048
+(``morfo.analyzer.CACHE_SIZE``) distinct input lines and write it again when
+a line repeats; this changes speed only.
+
 Exit codes: 0 success, 1 usage, input or output error, 2 data-file load error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import logging
 import os
 import sys
@@ -15,7 +19,7 @@ from pathlib import Path
 from typing import BinaryIO, Optional, Sequence, TextIO
 
 from morfo import resources
-from morfo.analyzer import Analyzer, load_default_table
+from morfo.analyzer import CACHE_SIZE, Analyzer, load_default_table
 from morfo.clitics import CliticSplit, CliticSplitter, load_pronoun_table
 from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
 from morfo.errors import LoadError
@@ -79,32 +83,53 @@ def build_analyzer(args) -> Analyzer:
     return Analyzer(lexicon, rules, defaults)
 
 
+class _BadLine(Exception):
+    """A stdin line that is not ``token[<TAB>pos]`` text; ``_stream`` adds its number."""
+
+
 def _stream(args, stdin: BinaryIO, stdout: TextIO, result, **renderers) -> int:
     """Write one rendered line per ``token`` or ``token<TAB>pos`` line of ``stdin``.
 
     ``result(token, pos_hint)`` computes a token's value; ``renderers`` maps each
-    ``--format`` to a ``(token, value) -> line`` function.
+    ``--format`` to a ``(token, value) -> line`` function. The text written for
+    each of the last ``CACHE_SIZE`` distinct raw lines is kept for the run and
+    written again when that line repeats.
     """
     render = renderers[args.format]
-    write = stdout.write
-    for line_no, line in resources.lines(stdin):
+
+    @functools.lru_cache(maxsize=CACHE_SIZE)
+    def output(raw: bytes) -> str:
+        try:
+            line = resources.decode(raw)
+        except UnicodeDecodeError:
+            raise _BadLine("invalid UTF-8") from None
         token, _, pos_text = line.partition("\t")
         token, pos_text = token.strip(), pos_text.strip()
         pos_hint = None
         if pos_text:
             if not token:
-                raise LoadError(f"empty token before pos tag {pos_text!r}", line_no)
+                raise _BadLine(f"empty token before pos tag {pos_text!r}")
             try:
                 pos_hint = Pos(pos_text.lower())
             except ValueError:
-                raise LoadError(f"unknown pos tag {pos_text!r}", line_no) from None
+                raise _BadLine(f"unknown pos tag {pos_text!r}") from None
         elif not token:
-            continue
-        write(render(token, result(token, pos_hint)) + "\n")
+            return ""
+        return render(token, result(token, pos_hint)) + "\n"
+
+    write = stdout.write
+    for line_no, raw in resources.numbered(stdin):
+        try:
+            text = output(raw)
+        except _BadLine as exc:
+            raise LoadError(str(exc), line_no) from None
+        write(text)
     return EXIT_OK
 
 
 def _json(record: dict) -> str:
+    import json  # only --format jsonl needs it
+
     return json.dumps(record, ensure_ascii=False)
 
 
@@ -113,10 +138,16 @@ def _cell(value) -> str:
 
 
 def cmd_analyze(args, stdin: BinaryIO, stdout: TextIO) -> int:
+    feature_cells = {}  # FeatureSet -> its six TSV cells, joined
+
     def tsv(_token, a):
         f = a.features
-        return "\t".join([a.surface, a.lemma, _cell(f.pos), _cell(f.gender), _cell(f.number),
-                          _cell(f.person), _cell(f.mood), _cell(f.tense), a.provenance.value])
+        cells = feature_cells.get(f)
+        if cells is None:
+            cells = feature_cells[f] = "\t".join([
+                _cell(f.pos), _cell(f.gender), _cell(f.number), _cell(f.person), _cell(f.mood),
+                _cell(f.tense)])
+        return "\t".join([a.surface, a.lemma, cells, a.provenance.value])
 
     def jsonl(_token, a):
         record = {"surface": a.surface, "lemma": a.lemma, **a.features.as_dict(),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import os
 from importlib import resources
 from pathlib import Path
@@ -33,19 +34,34 @@ def data_path(name: str, override: Optional[str] = None) -> Path:
     return Path(resources.files("morfo").joinpath("data", name))
 
 
-def lines(source: Iterable[bytes | str]) -> Iterator[Tuple[int, str]]:
-    """Yield ``(line_no, line)`` for every line, without its LF or CRLF ending.
+def numbered(source: Iterable[bytes | str]) -> Iterator[Tuple[int, bytes | str]]:
+    """Yield ``(line_no, line)`` for every line as read, less a leading byte-order mark."""
+    source = iter(source)
+    first = next(source, None)
+    if first is not None:
+        yield 1, first.removeprefix(codecs.BOM_UTF8 if isinstance(first, bytes) else "\ufeff")
+        yield from enumerate(source, start=2)
 
-    ``bytes`` lines are decoded as UTF-8, and one that does not decode raises
-    ``LoadError`` naming it; ``str`` lines are kept. A leading byte-order mark is dropped.
+
+def decode(line: bytes | str) -> str:
+    """``line`` without its LF or CRLF ending; ``bytes`` are decoded as UTF-8.
+
+    Raises ``UnicodeDecodeError`` for ``bytes`` that are not UTF-8.
     """
-    for line_no, line in enumerate(source, start=1):
+    return (line.decode("utf-8") if isinstance(line, bytes) else line).rstrip("\r\n")
+
+
+def lines(source: Iterable[bytes | str]) -> Iterator[Tuple[int, str]]:
+    """Yield ``(line_no, decode(line))`` for every ``(line_no, line)`` of ``numbered(source)``.
+
+    A ``bytes`` line that does not decode raises ``LoadError`` naming it.
+    """
+    for line_no, line in numbered(source):
         try:
-            line = line.decode("utf-8") if isinstance(line, bytes) else line
+            text = decode(line)
         except UnicodeDecodeError:
             raise LoadError("invalid UTF-8", line_no) from None
-        line = line.rstrip("\r\n")
-        yield line_no, line.removeprefix("\ufeff") if line_no == 1 else line
+        yield line_no, text
 
 
 def data_lines(source: Iterable[bytes | str]) -> Iterator[Tuple[int, str]]:

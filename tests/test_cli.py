@@ -4,10 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from morfo import cli
+from morfo.analyzer import Analyzer
 from morfo.cli import run
 from morfo.rules import COLUMNS
 
@@ -191,6 +195,8 @@ def test_empty_token_exits_1_naming_the_line(capsys):
 def test_byte_order_mark_is_ignored(tmp_path):
     code, out = invoke(["lemmatize"], "\ufeffamo\n")
     assert (code, out) == (0, "amar\n")
+    code, out = invoke(["lemmatize"], "\ufeffamo\r\namo\namo\r\n")
+    assert (code, out) == (0, "amar\n" * 3)
     dictionary = tmp_path / "dictionary.txt"
     dictionary.write_text("\ufeffamar/V\n", encoding="utf-8")
     code, out = invoke(["lemmatize", "--dict", str(dictionary)], "amo\n")
@@ -202,6 +208,57 @@ def test_invalid_utf8_exits_1_naming_the_line(capsys):
     assert code == 1
     assert out.count("\n") == 1
     assert "line 2: invalid UTF-8" in capsys.readouterr().err
+
+
+# Stream lines for the output cache: forms, OOV strings, pos hints in either
+# case, capitalised tokens and blank lines, each ending in LF or CRLF.
+CACHE_VOCABULARY = ["amo", "Amo", "vacas", "Vacas", "mercado", "mercado\tnoun", "mercado\tverb",
+                    "Casa\tNoun", "dámelo", "dámelo\tverb", "dame\tnoun", "crear", "xyzal",
+                    "qqq\tverb", "", "  "]
+CACHE_COMMANDS = [(command, "--format", fmt)
+                  for command in ("analyze", "lemmatize", "nominalize", "split-clitics")
+                  for fmt in ("tsv", "jsonl")]
+
+
+@cache
+def _alone(argv, line):
+    """The output of ``argv`` on the one input line ``line``."""
+    code, out = invoke(list(argv), line)
+    assert code == 0
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(lines=st.lists(st.tuples(st.sampled_from(CACHE_VOCABULARY), st.sampled_from(["\n", "\r\n"]))
+                      .map("".join), max_size=40),
+       cache_size=st.integers(1, 4))
+def test_repeated_lines_are_written_as_when_alone(lines, cache_size):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "CACHE_SIZE", cache_size)  # small enough to evict
+        for argv in CACHE_COMMANDS:
+            assert invoke(list(argv), "".join(lines)) == (
+                0, "".join(_alone(argv, line) for line in lines))
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("\tverb\n", "empty token before pos tag 'verb'"),
+    ("amo\tadverbio\n", "unknown pos tag 'adverbio'"),
+    ("\udcffamo\n", "invalid UTF-8"),
+])
+def test_bad_line_after_repeated_lines_is_named(bad_line, message, capsys):
+    code, out = invoke(["analyze"], "amo\n" * 3000 + bad_line + "amo\n")
+    assert code == 1
+    assert out == "amo\tamar\tverb\t-\tsingular\tfirst\tindicative\tpresent\tdictionary\n" * 3000
+    assert capsys.readouterr().err == f"morfo: line 3001: {message}\n"
+
+
+def test_analyzer_value_errors_are_not_reported_as_bad_lines(monkeypatch):
+    def fail(self, token, pos_hint=None):
+        raise ValueError("analyzer fault")
+
+    monkeypatch.setattr(Analyzer, "preferred_analysis", fail)
+    with pytest.raises(ValueError, match="analyzer fault"):
+        invoke(["analyze"], "amo\n")
 
 
 def test_data_file_not_utf8_exits_2(tmp_path, capsys):
