@@ -1,4 +1,4 @@
-"""Surface-form analysis by affix stripping, with a bounded cache of results.
+"""Surface-form analysis by affix stripping.
 
 A word is recognised the way Ispell and Hunspell recognise one: for every
 suffix of the word that some rule produces (its morph ending), the rest of
@@ -13,7 +13,6 @@ from an ordered table of word-ending defaults.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -26,12 +25,6 @@ from morfo.resources import read_table
 from morfo.rules import MorphRule, RuleTable, apply_rule
 
 logger = logging.getLogger(__name__)
-
-#: Results kept per analyzer. Token streams repeat common words, so a small
-#: cache serves most lookups. Sized on a Zipf stream over the seed data: 2,048
-#: entries beat the throughput of the per-letter form memo this replaced at
-#: lower peak memory; 4,096 adds over 1 MB, and 1,024 loses throughput.
-CACHE_SIZE = 2048
 
 
 class Provenance(str, Enum):
@@ -76,10 +69,8 @@ class Analyzer:
     """Feature extraction over a lexicon and rule table.
 
     Construction indexes the rules by morph ending; it does not expand the
-    lexicon. Each analyzer keeps the results of its last ``CACHE_SIZE``
-    distinct lookups. A result depends only on the word and the POS hint, so
-    the cache is invisible apart from speed, and an analyzer may be shared
-    between threads.
+    lexicon. A lookup changes no state, so an analyzer may be shared between
+    threads.
     """
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable, defaults: List[DefaultRow]):
@@ -101,7 +92,6 @@ class Analyzer:
             head = "".join(takewhile(lambda t: not t.startswith("["), replaced))
             self._tails.setdefault(ending, []).append((head, len(head) < len(replaced), by_flag))
         self._warn_unknown_flags()
-        self._cached = functools.lru_cache(maxsize=CACHE_SIZE)(self._analyze)
 
     def _warn_unknown_flags(self) -> None:
         known = set(self.rules.by_flag)
@@ -139,27 +129,6 @@ class Analyzer:
                                 out.append((root, rule))
         return out
 
-    def _analyze(self, word: str, pos_hint: Optional[Pos]) -> Tuple[Analysis, ...]:
-        surface = normalize(word)
-        if not surface:
-            raise ValueError("empty word")
-        first = surface[0]
-        readings = self._readings(surface)
-        if not surface.isalpha():
-            readings = [r for r in readings if r[0][0] != first]
-        if pos_hint is not None:
-            readings = [r for r in readings if r[1].features.pos == pos_hint]
-        if not readings:
-            return (Analysis(surface, surface, None, self.default_features(surface, pos_hint),
-                             Provenance.DEFAULT_FALLBACK),)
-        if len(readings) > 1:
-            readings.sort(key=lambda r: (1, r[0], r[1].rule_id) if r[0][0] == first
-                          else (0, r[1].rule_id, r[0]))
-        return tuple([Analysis(surface, root, rule.rule_id, rule.features,
-                               Provenance.DICTIONARY if root[0] == first
-                               else Provenance.IRREGULAR_TABLE)
-                      for root, rule in readings])
-
     # -- fallback -------------------------------------------------------------
 
     def default_features(self, word: str, pos_hint: Optional[Pos] = None) -> FeatureSet:
@@ -186,11 +155,28 @@ class Analyzer:
         rule then lemma; the others follow, by lemma then rule, and only when
         the word is alphabetic.
         """
-        return list(self._cached(word, pos_hint))
+        surface = normalize(word)
+        if not surface:
+            raise ValueError("empty word")
+        first = surface[0]
+        readings = self._readings(surface)
+        if not surface.isalpha():
+            readings = [r for r in readings if r[0][0] != first]
+        if pos_hint is not None:
+            readings = [r for r in readings if r[1].features.pos == pos_hint]
+        if not readings:
+            return [Analysis(surface, surface, None, self.default_features(surface, pos_hint),
+                             Provenance.DEFAULT_FALLBACK)]
+        if len(readings) > 1:
+            readings.sort(key=lambda r: (1, r[0], r[1].rule_id) if r[0][0] == first
+                          else (0, r[1].rule_id, r[0]))
+        return [Analysis(surface, root, rule.rule_id, rule.features,
+                         Provenance.DICTIONARY if root[0] == first else Provenance.IRREGULAR_TABLE)
+                for root, rule in readings]
 
     def preferred_analysis(self, word: str, pos_hint: Optional[Pos] = None) -> Analysis:
         """One analysis under the documented preference order."""
-        results = self._cached(word, pos_hint)
+        results = self.analyze(word, pos_hint)
         if len(results) == 1:
             return results[0]
         surface = results[0].surface

@@ -2,8 +2,8 @@
 clitic splitting, rule-file import, and CoNLL evaluation over stdin/stdout.
 
 The stream commands keep, for one run, the output of the last 2,048
-(``morfo.analyzer.CACHE_SIZE``) distinct input lines and write it again when
-a line repeats; this changes speed only.
+(``CACHE_SIZE``) distinct input lines and write it again when a line repeats;
+this changes speed only. The analyzer itself keeps no results.
 
 Exit codes: 0 success, 1 usage, input or output error, 2 data-file load error.
 """
@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import BinaryIO, Optional, Sequence, TextIO
 
 from morfo import resources
-from morfo.analyzer import CACHE_SIZE, Analyzer, load_default_table
+from morfo.analyzer import Analyzer, load_default_table
 from morfo.clitics import CliticSplit, CliticSplitter, load_pronoun_table
 from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
 from morfo.errors import LoadError
@@ -30,6 +30,11 @@ from morfo.rules import dump_rules, load_rules
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+
+#: Distinct input lines whose output one stream run keeps. On the bench's
+#: seed-stream input, 4,096 entries raised peak RSS by 9% and 8,192 by 18%,
+#: too close to or over its 15% bound on peak memory.
+CACHE_SIZE = 2048
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,15 +92,24 @@ class _BadLine(Exception):
     """A stdin line that is not ``token[<TAB>pos]`` text; ``_stream`` adds its number."""
 
 
-def _stream(args, stdin: BinaryIO, stdout: TextIO, result, **renderers) -> int:
+def _stream(args, stdin: BinaryIO, stdout: TextIO, result, tsv, jsonl) -> int:
     """Write one rendered line per ``token`` or ``token<TAB>pos`` line of ``stdin``.
 
-    ``result(token, pos_hint)`` computes a token's value; ``renderers`` maps each
-    ``--format`` to a ``(token, value) -> line`` function. The text written for
-    each of the last ``CACHE_SIZE`` distinct raw lines is kept for the run and
-    written again when that line repeats.
+    ``result(token, pos_hint)`` computes a token's value; ``tsv(token, value)``
+    renders it as a line, and ``jsonl(token, value)`` as a record that is
+    written as one JSON line. The text written for each of the last
+    ``CACHE_SIZE`` distinct raw lines is kept for the run and written again
+    when that line repeats.
     """
-    render = renderers[args.format]
+    if args.format == "jsonl":
+        import json  # only --format jsonl needs it
+
+        encode = json.JSONEncoder(ensure_ascii=False).encode
+
+        def render(token, value):
+            return encode(jsonl(token, value))
+    else:
+        render = tsv
 
     @functools.lru_cache(maxsize=CACHE_SIZE)
     def output(raw: bytes) -> str:
@@ -127,12 +141,6 @@ def _stream(args, stdin: BinaryIO, stdout: TextIO, result, **renderers) -> int:
     return EXIT_OK
 
 
-def _json(record: dict) -> str:
-    import json  # only --format jsonl needs it
-
-    return json.dumps(record, ensure_ascii=False)
-
-
 def _cell(value) -> str:
     return value.value if value is not None else "-"
 
@@ -153,7 +161,7 @@ def cmd_analyze(args, stdin: BinaryIO, stdout: TextIO) -> int:
         record = {"surface": a.surface, "lemma": a.lemma, **a.features.as_dict(),
                   "provenance": a.provenance.value}
         del record["animate"]
-        return _json(record)
+        return record
 
     return _stream(args, stdin, stdout, build_analyzer(args).preferred_analysis,
                    tsv=tsv, jsonl=jsonl)
@@ -162,16 +170,19 @@ def cmd_analyze(args, stdin: BinaryIO, stdout: TextIO) -> int:
 def cmd_lemmatize(args, stdin: BinaryIO, stdout: TextIO) -> int:
     return _stream(args, stdin, stdout, Lemmatizer(build_analyzer(args)).lemmatize,
                    tsv=lambda _token, lemma: lemma,
-                   jsonl=lambda token, lemma: _json({"surface": token, "lemma": lemma}))
+                   jsonl=lambda token, lemma: {"surface": token, "lemma": lemma})
 
 
 def cmd_nominalize(args, stdin: BinaryIO, stdout: TextIO) -> int:
     analyzer = build_analyzer(args)
     nominal_flags = _load(resources.NOMINAL_FLAGS, args.nominal_flags, load_nominal_flags)
-    nominalizer = Nominalizer(Lemmatizer(analyzer), nominal_flags)
+    try:
+        nominalizer = Nominalizer(Lemmatizer(analyzer), nominal_flags)
+    except LoadError as exc:  # a dictionary entry with two nominal flags
+        raise DataFileError(resources.data_path(resources.DICTIONARY, args.dict), exc) from exc
     return _stream(args, stdin, stdout, lambda token, _pos: nominalizer.nominalize(token),
                    tsv=lambda _token, nominal: nominal or "-",
-                   jsonl=lambda token, nominal: _json({"surface": token, "nominal": nominal}))
+                   jsonl=lambda token, nominal: {"surface": token, "nominal": nominal})
 
 
 def cmd_split_clitics(args, stdin: BinaryIO, stdout: TextIO) -> int:
@@ -186,8 +197,7 @@ def cmd_split_clitics(args, stdin: BinaryIO, stdout: TextIO) -> int:
 
     return _stream(args, stdin, stdout, split,
                    tsv=lambda _token, s: "\t".join([s.verb_part, *s.clitics]),
-                   jsonl=lambda _token, s: _json({"verb_part": s.verb_part,
-                                                  "clitics": list(s.clitics)}))
+                   jsonl=lambda _token, s: {"verb_part": s.verb_part, "clitics": list(s.clitics)})
 
 
 def cmd_import_coes(args, stdin: BinaryIO, stdout: TextIO) -> int:

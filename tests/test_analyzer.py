@@ -37,6 +37,15 @@ def test_amo_single_verb_reading(analyzer):
         Pos.VERB, Number.SINGULAR, Person.FIRST, Mood.INDICATIVE, Tense.PRESENT)
 
 
+def test_results_are_not_shared_between_lookups(analyzer):
+    expected = list(analyzer.analyze("amo"))
+    preferred = analyzer.preferred_analysis("amo")
+    for returned in (analyzer.analyze("amo"), analyzer.analyze("amo", None)):
+        returned[:] = analyzer.analyze("mercado")
+    assert analyzer.analyze("amo") == expected
+    assert analyzer.preferred_analysis("amo") == preferred
+
+
 def test_mercado_pos_hint_disambiguation(analyzer):
     noun = analyzer.preferred_analysis("mercado", Pos.NOUN)
     assert (noun.lemma, noun.features.pos, noun.features.gender, noun.features.number) == (

@@ -269,6 +269,15 @@ def test_data_file_not_utf8_exits_2(tmp_path, capsys):
     assert f"failed to load {dictionary}: line 2:" in capsys.readouterr().err
 
 
+def test_entry_with_two_nominal_flags_exits_2_naming_the_dictionary(tmp_path, capsys):
+    dictionary = tmp_path / "d.txt"
+    dictionary.write_text("crear/VNC\n", encoding="utf-8")
+    code, out = invoke(["nominalize", "--dict", str(dictionary)], "crear\n")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (f"morfo: failed to load {dictionary}: entry 'crear' "
+                                       "carries multiple nominalization flags: NC\n")
+
+
 def test_latin1_data_file_names_the_line(tmp_path, capsys):
     dictionary = tmp_path / "dictionary.txt"
     dictionary.write_bytes("# 1\n# 2\namar/V\n\ncomer/V\ncanción/S\n".encode("latin-1"))
@@ -350,6 +359,13 @@ def _run_module(argv, stdin, **env):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), **env}
     return subprocess.run([sys.executable, "-m", "morfo.cli", *argv], input=stdin,
                           capture_output=True, env=env)
+
+
+def test_import_does_not_load_json():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    script = "import sys, morfo.cli; print('json' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
 
 
 def test_process_invalid_utf8_on_strict_stdin_exits_1():
