@@ -3,21 +3,21 @@
 A word is recognised the way Ispell and Hunspell recognise one: for every
 suffix of the word that some rule produces (its morph ending), the rest of
 the word plus the part that rule replaced is a candidate root. When the
-lexicon holds that root with the rule's flag, the rule is applied forward to
-confirm its context. Rules that replace a whole root (``ser`` -> ``fue``)
-need no special case. A reading whose lemma starts with a different letter
-from the word is labelled ``irregular_table``, every other one
-``dictionary``. When no reading exists, a single fallback analysis comes
-from an ordered table of word-ending defaults.
+lexicon holds that root with the rule's flag, a rule with a context or a
+character class is applied forward to confirm it; a rule with neither gives
+the word back from every such root, so it needs no check. Rules that replace
+a whole root (``ser`` -> ``fue``) need no special case. A reading whose lemma
+starts with a different letter from the word is labelled ``irregular_table``,
+every other one ``dictionary``. When no reading exists, a single fallback
+analysis comes from an ordered table of word-ending defaults.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from enum import Enum
 from itertools import takewhile
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from morfo.features import FeatureSet, Mood, Pos
 from morfo.lexicon import Lexicon, normalize
@@ -33,8 +33,7 @@ class Provenance(str, Enum):
     IRREGULAR_TABLE = "irregular_table"
 
 
-@dataclass(frozen=True, slots=True)
-class Analysis:
+class Analysis(NamedTuple):
     surface: str
     lemma: str
     rule_id: Optional[int]
@@ -42,13 +41,19 @@ class Analysis:
     provenance: Provenance
 
 
-@dataclass(frozen=True)
-class DefaultRow:
+class DefaultRow(NamedTuple):
     ending: str  # "*" matches any word
     features: FeatureSet
 
 
 _DEFAULT_COLUMNS = ("ending", "pos", "gender", "number", "person", "mood", "tense", "animate")
+
+#: The fallback features of a one-letter or non-alphabetic word, and of a word
+#: that no default row matches.
+_OTHER = FeatureSet(pos=Pos.OTHER)
+_UNSET = FeatureSet()
+
+_NOMINAL_ENDINGS = ("o", "a", "os", "as")
 
 
 def _parse_default(row: Dict[str, str]) -> DefaultRow:
@@ -65,12 +70,50 @@ def load_default_table(source: Iterable[bytes | str]) -> List[DefaultRow]:
     return rows
 
 
+def _default_pass(rows: Iterable[DefaultRow]) -> tuple:
+    """The fallback over ``rows``: (distinct ending lengths, longest first;
+    ending -> features of its first row; features of the first ``*`` row or None).
+    """
+    by_ending: Dict[str, FeatureSet] = {}
+    catch_all = None
+    for row in rows:
+        if row.ending != "*":
+            by_ending.setdefault(row.ending, row.features)
+        elif catch_all is None:
+            catch_all = row.features
+    return sorted({len(ending) for ending in by_ending}, reverse=True), by_ending, catch_all
+
+
+def _rank(reading: Tuple[str, MorphRule]):
+    """Preference key of a reading of a word with no nominal ending."""
+    root, rule = reading
+    return rule.rule_id, root
+
+
+def _rank_nominal(reading: Tuple[str, MorphRule]):
+    """Preference key of a reading of a word ending in -o, -a, -os or -as."""
+    root, rule = reading
+    features = rule.features
+    if features.pos == Pos.NOUN:
+        shape = 0
+    elif features.mood == Mood.PARTICIPLE:
+        shape = 2
+    else:
+        shape = 1
+    return shape, rule.rule_id, root
+
+
+def _analysis(surface: str, root: str, rule: MorphRule) -> Analysis:
+    return Analysis(surface, root, rule.rule_id, rule.features,
+                    Provenance.DICTIONARY if root[0] == surface[0] else Provenance.IRREGULAR_TABLE)
+
+
 class Analyzer:
     """Feature extraction over a lexicon and rule table.
 
-    Construction indexes the rules by morph ending; it does not expand the
-    lexicon. A lookup changes no state, so an analyzer may be shared between
-    threads.
+    Construction indexes the rules by morph ending and the default table by
+    ending; it does not expand the lexicon. A lookup changes no state, so an
+    analyzer may be shared between threads.
     """
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable, defaults: List[DefaultRow]):
@@ -84,13 +127,27 @@ class Analyzer:
         # Every suffix of a morph ending -> the rule groups of that ending (none
         # for a suffix that is no ending itself), so stripping can stop at the
         # first suffix of a word that no rule produces. A group is (replaced
-        # part up to its first class, whether a class follows, flag -> rules).
-        self._tails: Dict[str, List[Tuple[str, bool, Dict[str, List[MorphRule]]]]] = {}
+        # part up to its first class, whether a class follows, flag -> rules,
+        # each with whether it needs a forward check). A rule with neither a
+        # context nor a class gives stem + morph ending back from every root
+        # stem + replaced part, so it needs no check.
+        self._tails: Dict[str, List[Tuple[str, bool, Dict[str, list]]]] = {}
         for (ending, replaced), by_flag in groups.items():
             for cut in range(1, len(ending) + 1):
                 self._tails.setdefault(ending[cut:], [])
             head = "".join(takewhile(lambda t: not t.startswith("["), replaced))
-            self._tails.setdefault(ending, []).append((head, len(head) < len(replaced), by_flag))
+            has_class = len(head) < len(replaced)
+            checked = {flag: [(rule, has_class or rule.stem_ending.startswith("(?<="))
+                              for rule in bucket]
+                       for flag, bucket in by_flag.items()}
+            self._tails.setdefault(ending, []).append((head, has_class, checked))
+        # pos hint -> the fallback passes it takes: the rows of that pos, then
+        # every row; no hint, or a hint with no rows, takes only the second.
+        every_row = _default_pass(defaults)
+        self._fallback = {None: (every_row,)}
+        for pos in {r.features.pos for r in defaults} - {None}:
+            self._fallback[pos] = (_default_pass(r for r in defaults if r.features.pos == pos),
+                                   every_row)
         self._warn_unknown_flags()
 
     def _warn_unknown_flags(self) -> None:
@@ -124,27 +181,52 @@ class Analyzer:
                     candidates = () if flags is None else ((root, flags),)
                 for root, flags in candidates:
                     for flag in flags:
-                        for rule in by_flag.get(flag, ()):
-                            if apply_rule(root, rule) == surface:
+                        for rule, check in by_flag.get(flag, ()):
+                            if not check or apply_rule(root, rule) == surface:
                                 out.append((root, rule))
         return out
+
+    def _ranked(self, surface: str, pos_hint: Optional[Pos]) -> List[Tuple[str, MorphRule]]:
+        """The (root, rule) readings ``analyze`` reports for ``surface``, in its order."""
+        if not surface:
+            raise ValueError("empty word")
+        first = surface[0]
+        readings = self._readings(surface)
+        if not surface.isalpha():
+            readings = [r for r in readings if r[0][0] != first]
+        if pos_hint is not None:
+            readings = [r for r in readings if r[1].features.pos == pos_hint]
+        if len(readings) > 1:
+            readings.sort(key=lambda r: (1, r[0], r[1].rule_id) if r[0][0] == first
+                          else (0, r[1].rule_id, r[0]))
+        return readings
 
     # -- fallback -------------------------------------------------------------
 
     def default_features(self, word: str, pos_hint: Optional[Pos] = None) -> FeatureSet:
-        """Features from the ordered ending-default table (longest ending first)."""
-        word = normalize(word)
-        if len(word) <= 1 or not word.isalpha():
-            return FeatureSet(pos=Pos.OTHER)
-        passes: List[Iterable[DefaultRow]] = []
-        if pos_hint is not None:
-            passes.append([r for r in self.defaults if r.features.pos == pos_hint])
-        passes.append(self.defaults)
-        for rows in passes:
-            for row in rows:
-                if row.ending == "*" or word.endswith(row.ending):
-                    return row.features
-        return FeatureSet()
+        """Features from the ordered ending-default table (longest ending first).
+
+        With a hint, the rows of that pos are tried before every row.
+        """
+        return self._default_features(normalize(word), pos_hint)
+
+    def _default_features(self, surface: str, pos_hint: Optional[Pos]) -> FeatureSet:
+        size = len(surface)
+        if size <= 1 or not surface.isalpha():
+            return _OTHER
+        for lengths, by_ending, catch_all in self._fallback.get(pos_hint) or self._fallback[None]:
+            for length in lengths:
+                if length <= size:
+                    features = by_ending.get(surface[size - length:])
+                    if features is not None:
+                        return features
+            if catch_all is not None:
+                return catch_all
+        return _UNSET
+
+    def _fallback_analysis(self, surface: str, pos_hint: Optional[Pos]) -> Analysis:
+        return Analysis(surface, surface, None, self._default_features(surface, pos_hint),
+                        Provenance.DEFAULT_FALLBACK)
 
     # -- public API -----------------------------------------------------------
 
@@ -156,41 +238,25 @@ class Analyzer:
         the word is alphabetic.
         """
         surface = normalize(word)
-        if not surface:
-            raise ValueError("empty word")
-        first = surface[0]
-        readings = self._readings(surface)
-        if not surface.isalpha():
-            readings = [r for r in readings if r[0][0] != first]
-        if pos_hint is not None:
-            readings = [r for r in readings if r[1].features.pos == pos_hint]
+        readings = self._ranked(surface, pos_hint)
         if not readings:
-            return [Analysis(surface, surface, None, self.default_features(surface, pos_hint),
-                             Provenance.DEFAULT_FALLBACK)]
-        if len(readings) > 1:
-            readings.sort(key=lambda r: (1, r[0], r[1].rule_id) if r[0][0] == first
-                          else (0, r[1].rule_id, r[0]))
-        return [Analysis(surface, root, rule.rule_id, rule.features,
-                         Provenance.DICTIONARY if root[0] == first else Provenance.IRREGULAR_TABLE)
-                for root, rule in readings]
+            return [self._fallback_analysis(surface, pos_hint)]
+        return [_analysis(surface, root, rule) for root, rule in readings]
 
     def preferred_analysis(self, word: str, pos_hint: Optional[Pos] = None) -> Analysis:
-        """One analysis under the documented preference order."""
-        results = self.analyze(word, pos_hint)
-        if len(results) == 1:
-            return results[0]
-        surface = results[0].surface
-        nominal_ending = surface.endswith(("o", "a", "os", "as"))
+        """The first of ``analyze(word, pos_hint)`` under the preference order.
 
-        def rank(a: Analysis):
-            # pos_hint conformance is already enforced by analyze(); dictionary
-            # readings outrank fallback by construction (fallback never mixes).
-            if nominal_ending and a.features.pos == Pos.NOUN:
-                shape = 0
-            elif nominal_ending and a.features.mood == Mood.PARTICIPLE:
-                shape = 2
-            else:
-                shape = 1
-            return (shape, a.rule_id if a.rule_id is not None else 1 << 30, a.lemma)
-
-        return min(results, key=rank)
+        For a word ending in -o, -a, -os or -as, noun readings come first and
+        participle readings last. Then the lower rule id wins, then the lemma
+        that sorts first. A fallback analysis is always the only one.
+        """
+        surface = normalize(word)
+        readings = self._ranked(surface, pos_hint)
+        if not readings:
+            return self._fallback_analysis(surface, pos_hint)
+        if len(readings) == 1:
+            root, rule = readings[0]
+        else:
+            root, rule = min(readings, key=_rank_nominal if surface.endswith(_NOMINAL_ENDINGS)
+                             else _rank)
+        return _analysis(surface, root, rule)

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import BinaryIO, Optional, Sequence, TextIO
 
 from morfo import resources
-from morfo.analyzer import Analyzer, load_default_table
+from morfo.analyzer import Analyzer, Provenance, load_default_table
 from morfo.clitics import CliticSplit, CliticSplitter, load_pronoun_table
 from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
 from morfo.errors import LoadError
@@ -35,6 +35,10 @@ EXIT_DATA = 2
 #: seed-stream input, 4,096 entries raised peak RSS by 9% and 8,192 by 18%,
 #: too close to or over its 15% bound on peak memory.
 CACHE_SIZE = 2048
+
+#: Input pos tag -> its ``Pos``, and ``Provenance`` -> its output text.
+_POS_TAGS = {pos.value: pos for pos in Pos}
+_PROVENANCE_TEXT = {p: p.value for p in Provenance}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,10 +127,9 @@ def _stream(args, stdin: BinaryIO, stdout: TextIO, result, tsv, jsonl) -> int:
         if pos_text:
             if not token:
                 raise _BadLine(f"empty token before pos tag {pos_text!r}")
-            try:
-                pos_hint = Pos(pos_text.lower())
-            except ValueError:
-                raise _BadLine(f"unknown pos tag {pos_text!r}") from None
+            pos_hint = _POS_TAGS.get(pos_text.lower())
+            if pos_hint is None:
+                raise _BadLine(f"unknown pos tag {pos_text!r}")
         elif not token:
             return ""
         return render(token, result(token, pos_hint)) + "\n"
@@ -155,11 +158,11 @@ def cmd_analyze(args, stdin: BinaryIO, stdout: TextIO) -> int:
             cells = feature_cells[f] = "\t".join([
                 _cell(f.pos), _cell(f.gender), _cell(f.number), _cell(f.person), _cell(f.mood),
                 _cell(f.tense)])
-        return "\t".join([a.surface, a.lemma, cells, a.provenance.value])
+        return "\t".join([a.surface, a.lemma, cells, _PROVENANCE_TEXT[a.provenance]])
 
     def jsonl(_token, a):
         record = {"surface": a.surface, "lemma": a.lemma, **a.features.as_dict(),
-                  "provenance": a.provenance.value}
+                  "provenance": _PROVENANCE_TEXT[a.provenance]}
         del record["animate"]
         return record
 

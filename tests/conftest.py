@@ -3,6 +3,7 @@ import pytest
 from morfo.analyzer import Analysis, Analyzer, Provenance, load_default_table
 from morfo.clitics import CliticSplitter, load_pronoun_table
 from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
+from morfo.features import FeatureSet, Pos
 from morfo.lexicon import load_dictionary, normalize
 from morfo.rules import expand_entry, load_rules
 from morfo.resources import data_path
@@ -74,8 +75,8 @@ class BruteForce:
     analyzer finds its readings: readings whose lemma starts with a different
     letter from the word are ``irregular_table`` and come first, by rule then
     lemma; the others are ``dictionary``, by lemma then rule, and count only
-    for alphabetic words; with none left after the POS filter, the analyzer's
-    ending-default fallback applies.
+    for alphabetic words; with none left after the POS filter, the fallback
+    applies: a linear scan of the analyzer's default rows.
     """
 
     def __init__(self, analyzer):
@@ -98,8 +99,22 @@ class BruteForce:
                     for root, rule_id, features in dictionary]
         results = [a for a in results if pos_hint is None or a.features.pos == pos_hint]
         return results or [Analysis(surface, surface, None,
-                                    self.analyzer.default_features(surface, pos_hint),
+                                    self.default_features(surface, pos_hint),
                                     Provenance.DEFAULT_FALLBACK)]
+
+    def default_features(self, surface, pos_hint=None):
+        """The rows of the hinted pos, then all rows, each longest ending first, ``*`` last."""
+        if len(surface) <= 1 or not surface.isalpha():
+            return FeatureSet(pos=Pos.OTHER)
+        rows = sorted(self.analyzer.defaults, key=lambda r: (r.ending == "*", -len(r.ending)))
+        passes = [rows]
+        if pos_hint is not None:
+            passes.insert(0, [r for r in rows if r.features.pos == pos_hint])
+        for pass_rows in passes:
+            for row in pass_rows:
+                if row.ending == "*" or surface.endswith(row.ending):
+                    return row.features
+        return FeatureSet()
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ import logging
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from morfo.analyzer import Analyzer, Provenance, load_default_table
 from morfo.errors import LoadError
@@ -233,3 +233,79 @@ def test_unknown_flags_warned_once_at_construction(caplog, rule_table, default_t
 
 def test_analyze_normalizes_input(analyzer):
     assert analyzer.analyze("AMO") == analyzer.analyze(normalize("AMO"))
+
+
+def _preference(surface):
+    """``preferred_analysis``'s documented order, as a key over ``analyze`` results."""
+    nominal = surface.endswith(("o", "a", "os", "as"))
+
+    def rank(a):
+        if nominal and a.features.pos is Pos.NOUN:
+            shape = 0
+        elif nominal and a.features.mood is Mood.PARTICIPLE:
+            shape = 2
+        else:
+            shape = 1
+        return shape, a.rule_id, a.lemma
+
+    return rank
+
+
+def _check_preferred(analyzer, words, hints):
+    for word in words:
+        for pos_hint in hints:
+            expected = min(analyzer.analyze(word, pos_hint), key=_preference(normalize(word)))
+            assert analyzer.preferred_analysis(word, pos_hint) == expected, (word, pos_hint)
+
+
+def test_preferred_analysis_is_the_first_analysis_by_rank(analyzer, generation_set):
+    rng = random.Random(23)
+    words = sorted({form for _r, form, _i, _f in generation_set})
+    words += ["".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, 10)))
+              for _ in range(5_000)]
+    _check_preferred(analyzer, words, (None, *Pos))
+
+
+def test_preferred_analysis_breaks_rule_ties_as_analyze_orders(class_rules, default_table,
+                                                              brute_force):
+    # One rule gives one word from several roots: Y gives "fui" (irregular
+    # readings) and X gives "amo" (dictionary readings, nominal ending).
+    lexicon = load_dictionary(["dar/Y", "ser/Y", "sos/Y", "der/Y", "amar/X", "amer/X"])
+    analyzer = Analyzer(lexicon, class_rules, default_table)
+    ties = [form for form, hits in brute_force(analyzer).forms.items()
+            if len(hits) > len({rule_id for _root, rule_id, _f in hits})]
+    assert {"fui", "amo"} <= set(ties)
+    _check_preferred(analyzer, ties, (None, Pos.VERB))
+
+
+def test_plain_string_hint_is_a_pos_hint(analyzer):
+    for pos in Pos:
+        for word in ("mercado", "amo", "fue", "vacas", "zzcantar", "xyzal", ","):
+            for lookup in (analyzer.analyze, analyzer.preferred_analysis,
+                           analyzer.default_features):
+                assert lookup(word, pos.value) == lookup(word, pos), (lookup, word, pos)
+    assert analyzer.preferred_analysis("mercado", "verb").lemma == "mercar"
+    assert analyzer.default_features("zzcantar", "noun").pos is Pos.NOUN
+
+
+# A default row: its ending (or "*") and two feature cells. Only these three
+# pos values occur, so a pronoun or other hint has no rows of its own.
+_DEFAULT_ROWS = st.tuples(st.just("*") | st.text(alphabet="abó", min_size=1, max_size=3),
+                          st.sampled_from(["verb", "noun", "adjective"]),
+                          st.sampled_from(["", "singular", "plural"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(_DEFAULT_ROWS, max_size=8),
+       words=st.lists(st.text(alphabet="abóx-", max_size=5), max_size=12))
+@example(rows=[("abb", "verb", ""), ("ab", "noun", ""), ("b", "noun", "plural")], words=["ab"])
+def test_default_fallback_matches_linear_scan(rule_table, brute_force, rows, words):
+    table = load_default_table(["ending\tpos\tnumber"] + ["\t".join(row) for row in rows])
+    analyzer = Analyzer(Lexicon(), rule_table, table)
+    oracle = brute_force(analyzer)
+    for word in words:
+        for pos_hint in (None, *Pos):
+            assert (analyzer.default_features(word, pos_hint)
+                    == oracle.default_features(normalize(word), pos_hint)), (word, pos_hint)
+            if word:
+                assert analyzer.analyze(word, pos_hint) == oracle.analyze(word, pos_hint)
