@@ -2,21 +2,23 @@
 
 A word is recognised the way Ispell and Hunspell recognise one: for every
 suffix of the word that some rule produces (its morph ending), the rest of
-the word plus the part that rule replaced is a candidate root. When the
-lexicon holds that root with the rule's flag, a rule with a context or a
-character class is applied forward to confirm it; a rule with neither gives
-the word back from every such root, so it needs no check. Rules that replace
-a whole root (``ser`` -> ``fue``) need no special case. A reading whose lemma
-starts with a different letter from the word is labelled ``irregular_table``,
-every other one ``dictionary``. When no reading exists, a single fallback
-analysis comes from an ordered table of word-ending defaults.
+the word plus the part that rule replaced is a candidate root. A replaced
+part that holds a character class stands for every root tail of its length
+that it matches, so each candidate is one dictionary probe. When the lexicon
+holds that root with the rule's flag, a rule with a ``(?<=...)`` context is
+applied forward to confirm it; any other rule gives the word back from every
+such root, so it needs no check. Rules that replace a whole root (``ser`` ->
+``fue``) need no special case. A reading whose lemma starts with a different
+letter from the word is labelled ``irregular_table``, every other one
+``dictionary``. When no reading exists, a single fallback analysis comes from
+an ordered table of word-ending defaults.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 from enum import Enum
-from itertools import takewhile
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from morfo.features import FeatureSet, Mood, Pos
@@ -111,36 +113,40 @@ def _analysis(surface: str, root: str, rule: MorphRule) -> Analysis:
 class Analyzer:
     """Feature extraction over a lexicon and rule table.
 
-    Construction indexes the rules by morph ending and the default table by
-    ending; it does not expand the lexicon. A lookup changes no state, so an
-    analyzer may be shared between threads.
+    Construction indexes the rules by morph ending and replaced root tail, and
+    the default table by ending; it does not expand the lexicon. A lookup
+    changes no state, so an analyzer may be shared between threads.
     """
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable, defaults: List[DefaultRow]):
         self.lexicon = lexicon
         self.rules = rules
         self.defaults = defaults
-        groups: Dict[Tuple[str, tuple], Dict[str, List[MorphRule]]] = {}
+        # Every literal root tail a replaced part stands for: the part itself
+        # when it is all letters; else each n-letter tail of a lexicon root
+        # that it matches, n its length. The roots are read once per distinct
+        # n, and not at all when no replaced part holds a class.
+        patterns = {rule.replaced for rule in rules.rules}
+        classed = [p for p in patterns if any(t.startswith("[") for t in p)]
+        root_tails = {n: {root[-n:] for root in lexicon.flags} for n in {len(p) for p in classed}}
+        heads = {p: ["".join(p)] for p in patterns}
+        for p in classed:
+            heads[p] = sorted(filter(re.compile("".join(p)).fullmatch, root_tails[len(p)]))
+        # Every suffix of a morph ending -> the heads of that ending (none for
+        # a suffix that is no ending itself), so stripping can stop at the
+        # first suffix of a word that no rule produces. A head is a replaced
+        # tail, mapped to flag -> rules, each with whether it needs a forward
+        # check: a head matches its rules' replaced parts, so only a rule with
+        # a context can fail to give stem + morph ending back from stem + head.
+        self._tails: Dict[str, Dict[str, Dict[str, list]]] = {}
         for rule in rules.rules:
-            key = (rule.morph_ending, rule.replaced)
-            groups.setdefault(key, {}).setdefault(rule.flag, []).append(rule)
-        # Every suffix of a morph ending -> the rule groups of that ending (none
-        # for a suffix that is no ending itself), so stripping can stop at the
-        # first suffix of a word that no rule produces. A group is (replaced
-        # part up to its first class, whether a class follows, flag -> rules,
-        # each with whether it needs a forward check). A rule with neither a
-        # context nor a class gives stem + morph ending back from every root
-        # stem + replaced part, so it needs no check.
-        self._tails: Dict[str, List[Tuple[str, bool, Dict[str, list]]]] = {}
-        for (ending, replaced), by_flag in groups.items():
+            ending = rule.morph_ending
             for cut in range(1, len(ending) + 1):
-                self._tails.setdefault(ending[cut:], [])
-            head = "".join(takewhile(lambda t: not t.startswith("["), replaced))
-            has_class = len(head) < len(replaced)
-            checked = {flag: [(rule, has_class or rule.stem_ending.startswith("(?<="))
-                              for rule in bucket]
-                       for flag, bucket in by_flag.items()}
-            self._tails.setdefault(ending, []).append((head, has_class, checked))
+                self._tails.setdefault(ending[cut:], {})
+            by_head = self._tails.setdefault(ending, {})
+            check = rule.stem_ending.startswith("(?<=")
+            for head in heads[rule.replaced]:
+                by_head.setdefault(head, {}).setdefault(rule.flag, []).append((rule, check))
         # pos hint -> the fallback passes it takes: the rows of that pos, then
         # every row; no hint, or a hint with no rows, takes only the second.
         every_row = _default_pass(defaults)
@@ -167,23 +173,21 @@ class Analyzer:
     def _readings(self, surface: str) -> List[Tuple[str, MorphRule]]:
         """Every (root, rule) pair of the lexicon whose forward application gives ``surface``."""
         out = []
+        root_flags = self.lexicon.flags
         for cut in range(len(surface), -1, -1):
-            groups = self._tails.get(surface[cut:])
-            if groups is None:
+            by_head = self._tails.get(surface[cut:])
+            if by_head is None:
                 break
             stem = surface[:cut]
-            for head, has_class, by_flag in groups:
+            for head, by_flag in by_head.items():
                 root = stem + head
-                if has_class:
-                    candidates = [(e.root, e.flags) for e in self.lexicon.with_prefix(root)]
-                else:
-                    flags = self.lexicon.flags.get(root)
-                    candidates = () if flags is None else ((root, flags),)
-                for root, flags in candidates:
-                    for flag in flags:
-                        for rule, check in by_flag.get(flag, ()):
-                            if not check or apply_rule(root, rule) == surface:
-                                out.append((root, rule))
+                flags = root_flags.get(root)
+                if flags is None:
+                    continue
+                for flag in flags:
+                    for rule, check in by_flag.get(flag, ()):
+                        if not check or apply_rule(root, rule) == surface:
+                            out.append((root, rule))
         return out
 
     def _ranked(self, surface: str, pos_hint: Optional[Pos]) -> List[Tuple[str, MorphRule]]:

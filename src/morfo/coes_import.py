@@ -119,6 +119,8 @@ def _stem_and_ending(rule_text: str, line_no: int) -> Tuple[str, str]:
             raise ValueError(f"expected '-REMOVED, ADDED' after '>' in {rule_text!r}")
         removed, rhs = rhs[1:].split(",", 1)
         removed = _convert(removed, line_no)
+        if removed and not removed.isalpha():
+            raise ValueError(f"removed ending {removed!r} is not a string of letters")
     added = _convert(rhs, line_no)
     if not pattern.endswith(removed):
         raise ValueError(

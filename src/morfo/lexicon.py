@@ -1,16 +1,14 @@
-"""Dictionary of root words with rule flags, sorted for prefix search.
+"""Dictionary of root words with rule flags.
 
 The on-disk format is one entry per line, ``word`` or ``word/FLAGS``, where
 FLAGS is a run of single-letter rule codes. ``#`` lines are comments and blank
-lines are ignored. Entries are NFC-normalized, lowercased, and kept strictly
-sorted by code point so that the roots sharing a prefix can be found by
-binary search.
+lines are ignored. Entries are NFC-normalized and lowercased, and kept in the
+order of their first line; nothing is sorted.
 """
 
 from __future__ import annotations
 
 import unicodedata
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional
 
@@ -36,27 +34,25 @@ class LexEntry:
 
 
 class Lexicon:
-    """Immutable map of roots to flag tuples, with the roots sorted for prefix search.
+    """Immutable map of roots to flag tuples.
 
-    ``flags`` maps each root to its flags, in root order; roots with equal
-    flags may share one tuple. ``LexEntry`` objects are made only on request.
+    ``flags`` maps each root to its flags, in the order the entries were
+    given (for a loaded file, the order of each root's first line); roots with
+    equal flags may share one tuple. ``LexEntry`` objects are made only on
+    request.
     """
 
     def __init__(self, entries: Iterable[LexEntry] = ()):
         entries = list(entries)
-        self._index({e.root: e.flags for e in entries})
+        self.flags: Dict[str, tuple] = {e.root: e.flags for e in entries}
         if len(self.flags) != len(entries):
             raise ValueError("duplicate roots in lexicon")
 
     @classmethod
     def _from_flags(cls, flags: Dict[str, tuple]) -> Lexicon:
         lexicon = cls.__new__(cls)
-        lexicon._index(flags)
+        lexicon.flags = flags
         return lexicon
-
-    def _index(self, flags: Dict[str, tuple]) -> None:
-        self._roots = sorted(flags)
-        self.flags = {root: flags[root] for root in self._roots}
 
     @property
     def entries(self) -> List[LexEntry]:
@@ -74,14 +70,6 @@ class Lexicon:
     def lookup_exact(self, root: str) -> Optional[LexEntry]:
         flags = self.flags.get(root)
         return None if flags is None else LexEntry(root, flags)
-
-    def with_prefix(self, prefix: str) -> Iterator[LexEntry]:
-        """Entries whose root starts with ``prefix``, in sorted order."""
-        roots = self._roots
-        i = bisect_left(roots, prefix)
-        while i < len(roots) and roots[i].startswith(prefix):
-            yield LexEntry(roots[i], self.flags[roots[i]])
-            i += 1
 
 
 def _check_line(line: str, line_no: int) -> None:

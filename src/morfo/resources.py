@@ -81,10 +81,10 @@ def read_table(
     """Parse a tab-separated table with a header row, one ``parse_row`` call per row.
 
     Header names are matched case-insensitively, with spaces read as ``_``,
-    in any order. A name outside ``columns`` or a missing ``required`` one is
-    an error at the header line. ``parse_row`` receives every column, stripped,
-    with ``""`` for cells the row or the header lacks; a ``ValueError`` it
-    raises becomes a ``LoadError`` naming the row's line.
+    in any order. A name outside ``columns``, a repeated name, or a missing
+    ``required`` one is an error at the header line. ``parse_row`` receives
+    every column, stripped, with ``""`` for cells the row or the header lacks;
+    a ``ValueError`` it raises becomes a ``LoadError`` naming the row's line.
     """
     header: Optional[List[str]] = None
     out: List[T] = []
@@ -95,6 +95,9 @@ def read_table(
             unknown = [c for c in header if c not in columns]
             if unknown:
                 raise LoadError(f"unknown column name(s): {', '.join(unknown)}", line_no)
+            repeated = list(dict.fromkeys(c for i, c in enumerate(header) if c in header[:i]))
+            if repeated:
+                raise LoadError(f"duplicate column name(s): {', '.join(repeated)}", line_no)
             missing = [c for c in required if c not in header]
             if missing:
                 raise LoadError(f"missing column(s): {', '.join(missing)}", line_no)

@@ -10,16 +10,22 @@ from morfo.errors import LoadError
 from morfo.features import Gender, Mood, Number, Person, Pos, Tense
 from morfo.lexicon import LexEntry, Lexicon, load_dictionary, normalize
 from morfo.resources import data_path
-from morfo.rules import apply_rule, load_rules
+from morfo.rules import COLUMNS, apply_rule, load_rules
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyzáéíóúñ"
 
-# Two rules whose replaced part holds a class, so lookups take the prefix-scan
-# path: X overlaps the seed's "ar"/"er" -> "o" rules, and Y can replace a
-# whole three-letter root ("ser" -> "fui"), a lookup that scans every root.
+# Rules whose replaced part holds a class, so the analyzer expands each into
+# the literal root tails it matches. The first X rule overlaps the seed's
+# "ar"/"er" -> "o" rules and keeps a context to check; the second X rule has
+# only negated classes. Y can replace a whole three-letter root ("ser" ->
+# "fui"). The two Z rules, one with classes and one literal, share a flag and
+# a morph ending, so a root ending in "ar" is a head of both.
 CLASS_RULES = [
     "X\t(?<=[^q])[ae]r\to\tverb\t\tsingular\tfirst\tindicative\tpresent\t",
+    "X\t[^l][^m]\tamos\tverb\t\tplural\tfirst\tindicative\tpresent\t",
     "Y\t[sdi][aeo][rs]\tfui\tverb\t\tsingular\tfirst\tindicative\tpast\t",
+    "Z\t[^aeiou]a[rs]\tiendo\tverb\t\t\t\tgerund\t\t",
+    "Z\tar\tiendo\tverb\t\t\t\tgerund\t\t",
 ]
 
 
@@ -204,7 +210,8 @@ def test_stripping_matches_oracle_on_random_sub_lexicons(lexicon, class_rules, d
                                                          brute_force, generation_set, data):
     chosen = data.draw(st.lists(st.sampled_from(lexicon.entries), max_size=40,
                                 unique_by=lambda e: e.root))
-    entries = [LexEntry(e.root, e.flags + tuple(data.draw(st.sets(st.sampled_from("XY")))))
+    entries = [LexEntry(e.root, e.flags + tuple(data.draw(st.sets(st.sampled_from("XYZ")))
+                                                - set(e.flags)))
                for e in chosen]
     analyzer = Analyzer(Lexicon(entries), class_rules, default_table)
     oracle = brute_force(analyzer)
@@ -218,6 +225,24 @@ def test_stripping_matches_oracle_on_random_sub_lexicons(lexicon, class_rules, d
             results = analyzer.analyze(query, pos_hint)
             assert results == oracle.analyze(query, pos_hint), query
             _check_order(results)
+
+
+@pytest.mark.parametrize("entries, fui_lemmas", [
+    # No root ends in a tail that Y's "[sdi][aeo][rs]" matches, so Y has no
+    # head and "fui" no candidate root.
+    (["amar/XY", "tul/Y", "ir/Y"], []),
+    # A root as long as Y's replaced part is its own tail, so it is a head.
+    (["ser/Y", "dar/XY", "ir/Y"], ["dar", "ser"]),
+])
+def test_class_rule_heads_are_the_root_tails_it_matches(default_table, brute_force, entries,
+                                                        fui_lemmas):
+    rules = load_rules(["\t".join(COLUMNS)] + CLASS_RULES)
+    analyzer = Analyzer(load_dictionary(entries), rules, default_table)
+    assert sorted(analyzer._tails["fui"]) == sorted({lemma[-3:] for lemma in fui_lemmas})
+    oracle = brute_force(analyzer)
+    for word in ("fui", "amfui", "tfui", "amo", "amamos", "damos"):
+        assert analyzer.analyze(word) == oracle.analyze(word), word
+    assert [a.lemma for a in analyzer.analyze("fui") if a.rule_id] == fui_lemmas
 
 
 def test_unknown_flags_warned_once_at_construction(caplog, rule_table, default_table):

@@ -92,11 +92,13 @@ def test_whole_root_irregular_rule():
 
 
 def test_unparseable_rule_warns_and_continues(caplog):
-    source = "flag *V:\n    A R > -ER, O\n    A R > -AR, O\n"
+    source = "flag *V:\n    A R > -ER, O\n    A R > -AR, O\n    [AE] R > -[AE]R, O\n"
     with caplog.at_level("WARNING"):
         rows = import_rules(io.StringIO(source))
     assert len(rows) == 1
-    assert "row skipped" in caplog.text
+    assert "line 2: " in caplog.text and "row skipped" in caplog.text
+    # Ispell strips a literal string, so a class in REMOVED has no meaning.
+    assert "line 4: removed ending '[ae]r' is not a string of letters; row skipped" in caplog.text
 
 
 def test_no_keyword_section_leaves_features_blank():

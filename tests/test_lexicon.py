@@ -8,8 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from morfo.errors import LoadError
 from morfo.lexicon import LexEntry, Lexicon, load_dictionary, normalize
 
-ALPHABET = "abcdefghijklmnopqrstuvwxyzáéíóúñ"
-
 
 def test_load_single_entry():
     lex = load_dictionary(io.StringIO("amar/V\n"))
@@ -21,11 +19,11 @@ def test_load_empty_stream():
     assert len(load_dictionary(io.StringIO(""))) == 0
 
 
-def test_unsorted_input_is_sorted_on_load():
+def test_unsorted_input_keeps_file_order():
     lex = load_dictionary(io.StringIO("vaca/S\namar/V\n"))
     assert lex.lookup_exact("amar") is not None
     assert lex.lookup_exact("vaca") is not None
-    assert [e.root for e in lex] == ["amar", "vaca"]
+    assert [e.root for e in lex] == ["vaca", "amar"]
 
 
 def test_comments_and_blank_lines_ignored():
@@ -107,14 +105,10 @@ def test_load_matches_reference_parse(lines, newline):
 def test_lexicon_api():
     entries = [LexEntry("vaca", ("S",)), LexEntry("amar", ("V", "N")), LexEntry("amo", ())]
     lexicon = Lexicon(entries)
-    ordered = [entries[1], entries[2], entries[0]]
     assert len(lexicon) == 3 and len(Lexicon()) == 0
-    assert list(lexicon) == lexicon.entries == ordered
+    assert list(lexicon) == lexicon.entries == entries
     assert lexicon.lookup_exact("amar") == LexEntry("amar", ("V", "N"))
     assert lexicon.lookup_exact("am") is None
-    assert list(lexicon.with_prefix("am")) == ordered[:2]
-    assert list(lexicon.with_prefix("")) == ordered
-    assert list(lexicon.with_prefix("b")) == []
     assert lexicon == Lexicon(reversed(entries)) == load_dictionary(["vaca/S", "amar/VN", "amo"])
     assert lexicon != Lexicon(entries[:2])
     assert lexicon != Lexicon([LexEntry("amar", ("N", "V")), *entries[::2]])
@@ -146,18 +140,11 @@ def test_lookup_exact_seed(lexicon):
 
 
 def test_sortedness(lexicon):
+    # A lexicon keeps file order, so this checks that the packaged dictionary
+    # is strictly sorted: the benchmark builds its workloads from the seed
+    # lexicon in that order.
     roots = [e.root for e in lexicon]
     assert all(a < b for a, b in zip(roots, roots[1:]))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_with_prefix_matches_linear_scan(lexicon, data):
-    root = data.draw(st.sampled_from([e.root for e in lexicon]))
-    prefix = (root[:data.draw(st.integers(0, len(root)))]
-              + data.draw(st.text(alphabet=ALPHABET, max_size=2)))
-    assert [e.root for e in lexicon.with_prefix(prefix)] == [
-        e.root for e in lexicon if e.root.startswith(prefix)]
 
 
 def test_load_serialize_reload_is_identity(lexicon):

@@ -47,6 +47,8 @@ def test_header_only_table_is_empty():
 def test_load_errors_name_the_row():
     with pytest.raises(LoadError, match="line 1"):
         load_rules(io.StringIO("flag\tbogus column\n"))
+    with pytest.raises(LoadError, match=r"^line 1: duplicate column name\(s\): pos$"):
+        load_rules(io.StringIO(HEADER + "\tpos\n"))
     with pytest.raises(LoadError, match="line 2"):
         _table("V\ta+r\to\tverb\t\t\t\t\t\t")
     with pytest.raises(LoadError, match="line 2"):
