@@ -1,9 +1,10 @@
 """Command-line frontend: batch analysis, lemmatization, nominalization,
 clitic splitting, rule-file import, and CoNLL evaluation over stdin/stdout.
 
-The stream commands keep, for one run, the output of the last 2,048
-(``CACHE_SIZE``) distinct input lines and write it again when a line repeats;
-this changes speed only. The analyzer itself keeps no results.
+The stream commands read stdin in blocks of whole lines and write each
+block's output at once. For one run they keep the output of recently seen
+input lines, up to 8,192 (twice ``CACHE_SIZE``), and write it again when a
+line repeats; this changes speed only. The analyzer itself keeps no results.
 
 Exit codes: 0 success, 1 usage, input or output error, 2 data-file load error.
 """
@@ -11,7 +12,6 @@ Exit codes: 0 success, 1 usage, input or output error, 2 data-file load error.
 from __future__ import annotations
 
 import argparse
-import functools
 import logging
 import os
 import sys
@@ -31,10 +31,20 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-#: Distinct input lines whose output one stream run keeps. On the bench's
-#: seed-stream input, 4,096 entries raised peak RSS by 9% and 8,192 by 18%,
-#: too close to or over its 15% bound on peak memory.
-CACHE_SIZE = 2048
+#: Raw input lines in the young generation of a stream run's output cache;
+#: with the old generation, a run keeps up to twice as many. On the bench's
+#: seed-stream input (seed 1: 200,000 lines, 19,548 distinct), 4,096 misses
+#: 41,250 lines, where a 2,048-entry LRU cache missed 66,423. Peak RSS of
+#: `analyze` on it through a pipe (max of 4-6 runs, Python 3.11): 17.06 MB
+#: with that LRU cache, 17.93 MB (+5.1%) at 4,096, 18.11 MB (+6.2%) at
+#: 5,120, and 19.48 MB (+14%, near the bench's 15% bound) at 8,192.
+CACHE_SIZE = 4096
+
+#: Bytes read from stdin at a time; a line that a read cuts short is
+#: completed with ``readline``. On the seed-stream input, the first output
+#: reaches stdout after 205 lines, against 247 with one write per line into
+#: the 8 KiB output buffer and 794 with 8 KiB reads.
+READ_SIZE = 2048
 
 #: Input pos tag -> its ``Pos``, and ``Provenance`` -> its output text.
 _POS_TAGS = {pos.value: pos for pos in Pos}
@@ -101,9 +111,12 @@ def _stream(args, stdin: BinaryIO, stdout: TextIO, result, tsv, jsonl) -> int:
 
     ``result(token, pos_hint)`` computes a token's value; ``tsv(token, value)``
     renders it as a line, and ``jsonl(token, value)`` as a record that is
-    written as one JSON line. The text written for each of the last
-    ``CACHE_SIZE`` distinct raw lines is kept for the run and written again
-    when that line repeats.
+    written as one JSON line. Lines are read about ``READ_SIZE`` bytes at a
+    time, and each block's output is written at once. The text written for a
+    raw line is kept in a young dict of up to ``CACHE_SIZE`` lines; a full
+    young dict becomes the old one, and a line found only there moves back to
+    the young one. On a bad line, the output of every line before it is
+    written, and the error names it.
     """
     if args.format == "jsonl":
         import json  # only --format jsonl needs it
@@ -115,7 +128,6 @@ def _stream(args, stdin: BinaryIO, stdout: TextIO, result, tsv, jsonl) -> int:
     else:
         render = tsv
 
-    @functools.lru_cache(maxsize=CACHE_SIZE)
     def output(raw: bytes) -> str:
         try:
             line = resources.decode(raw)
@@ -134,13 +146,37 @@ def _stream(args, stdin: BinaryIO, stdout: TextIO, result, tsv, jsonl) -> int:
             return ""
         return render(token, result(token, pos_hint)) + "\n"
 
+    cache_size, read_size = CACHE_SIZE, READ_SIZE
+    young, old = {}, {}
     write = stdout.write
-    for line_no, raw in resources.numbered(stdin):
-        try:
-            text = output(raw)
-        except _BadLine as exc:
-            raise LoadError(str(exc), line_no) from None
-        write(text)
+    lines_done = 0
+    # read1 returns what one read gives, so a terminal's typed line is answered
+    # at once; readline then completes a line that the read cut short.
+    while data := stdin.read1(read_size):
+        if not data.endswith(b"\n"):
+            data += stdin.readline()
+        block = data.split(b"\n")
+        if not block[-1]:
+            block.pop()
+        if not lines_done:
+            block[0] = resources.without_bom(block[0])
+        texts = []
+        for raw in block:
+            text = young.get(raw)
+            if text is None:
+                text = old.get(raw)
+                if text is None:
+                    try:
+                        text = output(raw)
+                    except _BadLine as exc:
+                        write("".join(texts))
+                        raise LoadError(str(exc), lines_done + len(texts) + 1) from None
+                if len(young) >= cache_size:
+                    old, young = young, {}
+                young[raw] = text
+            texts.append(text)
+        write("".join(texts))
+        lines_done += len(block)
     return EXIT_OK
 
 

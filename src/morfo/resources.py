@@ -5,6 +5,7 @@ from __future__ import annotations
 import codecs
 import os
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
@@ -34,13 +35,9 @@ def data_path(name: str, override: Optional[str] = None) -> Path:
     return Path(resources.files("morfo").joinpath("data", name))
 
 
-def numbered(source: Iterable[bytes | str]) -> Iterator[Tuple[int, bytes | str]]:
-    """Yield ``(line_no, line)`` for every line as read, less a leading byte-order mark."""
-    source = iter(source)
-    first = next(source, None)
-    if first is not None:
-        yield 1, first.removeprefix(codecs.BOM_UTF8 if isinstance(first, bytes) else "\ufeff")
-        yield from enumerate(source, start=2)
+def without_bom(first_line: bytes | str) -> bytes | str:
+    """``first_line`` less a leading byte-order mark; a source's other lines keep theirs."""
+    return first_line.removeprefix(codecs.BOM_UTF8 if isinstance(first_line, bytes) else "\ufeff")
 
 
 def decode(line: bytes | str) -> str:
@@ -52,11 +49,15 @@ def decode(line: bytes | str) -> str:
 
 
 def lines(source: Iterable[bytes | str]) -> Iterator[Tuple[int, str]]:
-    """Yield ``(line_no, decode(line))`` for every ``(line_no, line)`` of ``numbered(source)``.
+    """Yield ``(line_no, decode(line))`` for every line, line 1 ``without_bom``.
 
     A ``bytes`` line that does not decode raises ``LoadError`` naming it.
     """
-    for line_no, line in numbered(source):
+    source = iter(source)
+    first = next(source, None)
+    if first is None:
+        return
+    for line_no, line in enumerate(chain((without_bom(first),), source), start=1):
         try:
             text = decode(line)
         except UnicodeDecodeError:

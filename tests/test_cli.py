@@ -2,13 +2,15 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from morfo import cli
 from morfo.analyzer import Analyzer
@@ -229,12 +231,15 @@ def _alone(argv, line):
 
 
 @settings(max_examples=30, deadline=None)
+# "Vacas" is looked up in the old generation, which holds "vacas"
+@example(lines=["vacas\n", "xyzal\n", "Vacas\n"], cache_size=1, read_size=64)
 @given(lines=st.lists(st.tuples(st.sampled_from(CACHE_VOCABULARY), st.sampled_from(["\n", "\r\n"]))
                       .map("".join), max_size=40),
-       cache_size=st.integers(1, 4))
-def test_repeated_lines_are_written_as_when_alone(lines, cache_size):
+       cache_size=st.integers(1, 4), read_size=st.integers(1, 64))
+def test_repeated_lines_are_written_as_when_alone(lines, cache_size, read_size):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "CACHE_SIZE", cache_size)  # small enough to evict
+        patch.setattr(cli, "READ_SIZE", read_size)  # small enough to split the input
         for argv in CACHE_COMMANDS:
             assert invoke(list(argv), "".join(lines)) == (
                 0, "".join(_alone(argv, line) for line in lines))
@@ -250,6 +255,47 @@ def test_bad_line_after_repeated_lines_is_named(bad_line, message, capsys):
     assert code == 1
     assert out == "amo\tamar\tverb\t-\tsingular\tfirst\tindicative\tpresent\tdictionary\n" * 3000
     assert capsys.readouterr().err == f"morfo: line 3001: {message}\n"
+
+
+# Six-byte lines, so that with a read size of 13 bytes each block holds three
+# lines: two read whole, and one that the read cuts short and ``readline``
+# completes.
+SIX_BYTE_BAD_LINES = [
+    ("\tverb\n", "empty token before pos tag 'verb'"),
+    ("a\tadv\n", "unknown pos tag 'adv'"),
+    ("\udcffamos\n", "invalid UTF-8"),
+]
+
+
+@pytest.mark.parametrize("bad_line, message", SIX_BYTE_BAD_LINES,
+                         ids=[message for _, message in SIX_BYTE_BAD_LINES])
+@pytest.mark.parametrize("line_no", [4, 6], ids=["first-of-block", "last-of-block"])
+def test_bad_line_at_a_block_edge_is_named(bad_line, message, line_no, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "READ_SIZE", 13)
+    vacas = _alone(("analyze",), "vacas\n")
+    code, out = invoke(["analyze"], "vacas\n" * (line_no - 1) + bad_line + "vacas\n" * 4)
+    assert code == 1
+    assert out == vacas * (line_no - 1)
+    assert capsys.readouterr().err == f"morfo: line {line_no}: {message}\n"
+
+
+@pytest.mark.parametrize("read_size", [1, 5, 13])
+@pytest.mark.parametrize("lines", [
+    ["amo\n", "dámelo\tverb\n", "mercado\tnoun\n", "amo\n"],  # lines longer than a block
+    ["amo\n", "vacas\n", "crear"],  # no final newline
+    ["amo\r\n", "\r\n", "vacas\tnoun\r\n", "amo\r\n"],  # CRLF endings
+], ids=["long-lines", "no-final-newline", "crlf"])
+def test_block_boundaries_do_not_change_output(read_size, lines, monkeypatch):
+    monkeypatch.setattr(cli, "READ_SIZE", read_size)
+    for argv in CACHE_COMMANDS:
+        assert invoke(list(argv), "".join(lines)) == (
+            0, "".join(_alone(argv, line) for line in lines))
+
+
+def test_byte_order_mark_is_dropped_from_line_1_only(monkeypatch):
+    monkeypatch.setattr(cli, "READ_SIZE", 1)  # the second line starts the second block
+    code, out = invoke(["lemmatize"], "\ufeffamo\n\ufeffamo\n")
+    assert (code, out) == (0, "amar\n\ufeffamo\n")
 
 
 def test_analyzer_value_errors_are_not_reported_as_bad_lines(monkeypatch):
@@ -359,6 +405,57 @@ def _run_module(argv, stdin, **env):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), **env}
     return subprocess.run([sys.executable, "-m", "morfo.cli", *argv], input=stdin,
                           capture_output=True, env=env)
+
+
+def test_process_output_equals_in_process_output(generation_set):
+    """A child on real pipes writes what ``run`` writes to a ``StringIO``.
+
+    The input holds more distinct lines than both cache generations keep,
+    so lines are evicted and computed again, and repeats, CRLF endings,
+    blank lines and pos hints are mixed in.
+    """
+    rng = random.Random(7)
+    forms = {form for _root, form, _rule, _features in generation_set}
+    noise = {"".join(rng.choices("abcdeilmnorstuzáéñ", k=rng.randint(1, 9))) for _ in range(4000)}
+    distinct = sorted(forms | noise)
+    assert len(distinct) > 2 * cli.CACHE_SIZE
+    tokens = distinct + rng.choices(distinct, k=len(distinct))
+    rng.shuffle(tokens)
+    text = "".join(
+        token + rng.choice(["", "", "", "\tnoun", "\tverb"]) + rng.choice(["\n", "\n", "\r\n"])
+        + rng.choice(["", "", "", "", "\n", "  \r\n"])
+        for token in tokens)
+    for argv in (["analyze"], ["lemmatize", "--format", "jsonl"]):
+        code, expected = invoke(argv, text)
+        proc = _run_module(argv, text.encode("utf-8"))
+        assert (proc.returncode, proc.stderr) == (code, b"") == (0, b"")
+        assert proc.stdout.decode("utf-8") == expected
+
+
+def test_process_answers_a_typed_line_before_end_of_input():
+    """On a terminal, a stream command writes a line's output before more input comes."""
+    pty = pytest.importorskip("pty")
+    import select
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    leader, follower = pty.openpty()
+    proc = subprocess.Popen([sys.executable, "-m", "morfo.cli", "lemmatize"], stdin=follower,
+                            stdout=follower, stderr=subprocess.DEVNULL, env=env)
+    os.close(follower)
+    try:
+        os.write(leader, b"amo\n")
+        seen = b""
+        deadline = time.monotonic() + 30
+        while b"amar" not in seen and time.monotonic() < deadline:
+            if select.select([leader], [], [], 0.1)[0]:
+                seen += os.read(leader, 1024)
+        assert b"amar" in seen
+        os.write(leader, b"\x04")  # end of input
+        assert proc.wait(timeout=30) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        os.close(leader)
 
 
 def test_import_does_not_load_json():
