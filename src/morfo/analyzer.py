@@ -16,17 +16,15 @@ an ordered table of word-ending defaults.
 
 from __future__ import annotations
 
-import logging
 import re
 from enum import Enum
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
+from morfo.errors import warn
 from morfo.features import FeatureSet, Mood, Pos
 from morfo.lexicon import Lexicon, normalize
 from morfo.resources import read_table
 from morfo.rules import MorphRule, RuleTable, apply_rule
-
-logger = logging.getLogger(__name__)
 
 
 class Provenance(str, Enum):
@@ -58,7 +56,7 @@ _UNSET = FeatureSet()
 _NOMINAL_ENDINGS = ("o", "a", "os", "as")
 
 
-def _parse_default(row: Dict[str, str]) -> DefaultRow:
+def _parse_default(row: Dict[str, str], _line_no: int) -> DefaultRow:
     ending = normalize(row["ending"])
     if not ending:
         raise ValueError("empty ending cell (use '*' for the catch-all row)")
@@ -165,8 +163,8 @@ class Analyzer:
                 entries += 1
                 unknown.update(flags)
         if entries:
-            logger.warning("%d dictionary entries carry flags with no rules (%s); "
-                           "those flags are skipped", entries, ", ".join(sorted(unknown - known)))
+            warn(__name__, "%d dictionary entries carry flags with no rules (%s); "
+                 "those flags are skipped", entries, ", ".join(sorted(unknown - known)))
 
     # -- affix stripping ------------------------------------------------------
 

@@ -1,10 +1,17 @@
 """Command-line frontend: batch analysis, lemmatization, nominalization,
 clitic splitting, rule-file import, and CoNLL evaluation over stdin/stdout.
 
-The stream commands read stdin in blocks of whole lines and write each
-block's output at once. For one run they keep the output of recently seen
-input lines, up to 8,192 (twice ``CACHE_SIZE``), and write it again when a
-line repeats; this changes speed only. The analyzer itself keeps no results.
+The stream commands read stdin in blocks of whole lines (``resources.blocks``,
+the reader the data-file loaders use too) and write each block's output at
+once. For one run they keep the output of recently seen input lines, up to
+8,192 (twice ``CACHE_SIZE``), and write it again when a line repeats; this
+changes speed only. The analyzer itself keeps no results.
+
+Warnings print to stderr as ``morfo: [<file>: ]<message>``. Start-up is kept
+short: importing this module loads neither ``dataclasses`` nor ``logging``,
+and a run loads ``logging`` only when it warns, ``json`` only for
+``--format jsonl``, and the COES importer and CoNLL evaluator only for their
+commands.
 
 Exit codes: 0 success, 1 usage, input or output error, 2 data-file load error.
 """
@@ -12,13 +19,12 @@ Exit codes: 0 success, 1 usage, input or output error, 2 data-file load error.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from pathlib import Path
 from typing import BinaryIO, Optional, Sequence, TextIO
 
-from morfo import resources
+from morfo import errors, resources
 from morfo.analyzer import Analyzer, Provenance, load_default_table
 from morfo.clitics import CliticSplit, CliticSplitter, load_pronoun_table
 from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
@@ -40,12 +46,6 @@ EXIT_DATA = 2
 #: 5,120, and 19.48 MB (+14%, near the bench's 15% bound) at 8,192.
 CACHE_SIZE = 4096
 
-#: Bytes read from stdin at a time; a line that a read cuts short is
-#: completed with ``readline``. On the seed-stream input, the first output
-#: reaches stdout after 205 lines, against 247 with one write per line into
-#: the 8 KiB output buffer and 794 with 8 KiB reads.
-READ_SIZE = 2048
-
 #: Input pos tag -> its ``Pos``, and ``Provenance`` -> its output text.
 _POS_TAGS = {pos.value: pos for pos in Pos}
 _PROVENANCE_TEXT = {p: p.value for p in Provenance}
@@ -63,7 +63,7 @@ class DataFileError(Exception):
         self.path = path
 
 
-class _Warnings(logging.Handler):
+class _Warnings:
     """Prints each warning to the current stderr as ``morfo: <message>``.
 
     A warning raised while ``_read`` loads a file reads ``morfo: <path>: <message>``.
@@ -71,12 +71,12 @@ class _Warnings(logging.Handler):
 
     path = None
 
-    def emit(self, record):
+    def __call__(self, message: str) -> None:
         where = f"{self.path}: " if self.path is not None else ""
-        print(f"morfo: {where}{record.getMessage()}", file=sys.stderr)
+        print(f"morfo: {where}{message}", file=sys.stderr)
 
 
-_WARNINGS = _Warnings(logging.WARNING)
+_WARNINGS = _Warnings()
 
 
 def _read(path, loader):
@@ -111,8 +111,8 @@ def _stream(args, stdin: BinaryIO, stdout: TextIO, result, tsv, jsonl) -> int:
 
     ``result(token, pos_hint)`` computes a token's value; ``tsv(token, value)``
     renders it as a line, and ``jsonl(token, value)`` as a record that is
-    written as one JSON line. Lines are read about ``READ_SIZE`` bytes at a
-    time, and each block's output is written at once. The text written for a
+    written as one JSON line. Lines are read in ``resources.blocks``, and
+    each block's output is written at once. The text written for a
     raw line is kept in a young dict of up to ``CACHE_SIZE`` lines; a full
     young dict becomes the old one, and a line found only there moves back to
     the young one. On a bad line, the output of every line before it is
@@ -146,20 +146,14 @@ def _stream(args, stdin: BinaryIO, stdout: TextIO, result, tsv, jsonl) -> int:
             return ""
         return render(token, result(token, pos_hint)) + "\n"
 
-    cache_size, read_size = CACHE_SIZE, READ_SIZE
+    cache_size = CACHE_SIZE
     young, old = {}, {}
     write = stdout.write
     lines_done = 0
-    # read1 returns what one read gives, so a terminal's typed line is answered
-    # at once; readline then completes a line that the read cut short.
-    while data := stdin.read1(read_size):
-        if not data.endswith(b"\n"):
-            data += stdin.readline()
+    for data in resources.blocks(stdin):
         block = data.split(b"\n")
         if not block[-1]:
             block.pop()
-        if not lines_done:
-            block[0] = resources.without_bom(block[0])
         texts = []
         for raw in block:
             text = young.get(raw)
@@ -335,8 +329,7 @@ def run(argv: Sequence[str], stdin: BinaryIO = None, stdout: TextIO = None) -> i
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    package_logger = logging.getLogger("morfo")
-    package_logger.addHandler(_WARNINGS)
+    errors.echo_warnings(_WARNINGS)
     try:
         code = _COMMANDS[args.command](args, stdin, stdout)
         stdout.flush()
@@ -356,7 +349,7 @@ def run(argv: Sequence[str], stdin: BinaryIO = None, stdout: TextIO = None) -> i
         print(f"morfo: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        package_logger.removeHandler(_WARNINGS)
+        errors.echo_warnings(None)
 
 
 def main() -> None:

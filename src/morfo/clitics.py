@@ -9,12 +9,12 @@ dictionary verb in one of the three hosting moods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 from morfo.analyzer import Analyzer, Provenance
 from morfo.errors import LoadError
 from morfo.features import FeatureSet, Mood, Pos
+from morfo.frozen import Frozen, set_field
 from morfo.lexicon import normalize
 from morfo.resources import read_table
 
@@ -31,7 +31,7 @@ def strip_stress_accents(text: str) -> str:
 _PRONOUN_COLUMNS = ("pronoun", "person", "number", "gender")
 
 
-def _parse_pronoun(row: Dict[str, str]) -> Tuple[str, FeatureSet]:
+def _parse_pronoun(row: Dict[str, str], _line_no: int) -> Tuple[str, FeatureSet]:
     pronoun = normalize(row["pronoun"])
     if not pronoun:
         raise ValueError("empty pronoun cell")
@@ -46,11 +46,17 @@ def load_pronoun_table(source: Iterable[bytes | str]) -> Dict[str, FeatureSet]:
     return table
 
 
-@dataclass(frozen=True)
-class CliticSplit:
-    verb_part: str
-    clitics: tuple  # 0, 1, or 2 pronoun strings, in surface order
-    pronoun_features: tuple  # FeatureSet per clitic
+class CliticSplit(Frozen):
+    """A token as ``verb_part`` plus 0, 1 or 2 ``clitics`` in surface order, with a
+    ``FeatureSet`` per clitic in ``pronoun_features``."""
+
+    __slots__ = ("verb_part", "clitics", "pronoun_features")
+    _compared = __slots__
+
+    def __init__(self, verb_part: str, clitics: tuple, pronoun_features: tuple):
+        set_field(self, "verb_part", verb_part)
+        set_field(self, "clitics", clitics)
+        set_field(self, "pronoun_features", pronoun_features)
 
     @property
     def is_split(self) -> bool:

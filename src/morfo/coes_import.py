@@ -9,17 +9,15 @@ comment; every other feature cell is left blank for hand completion.
 
 from __future__ import annotations
 
-import logging
 import re
-from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
+from morfo.errors import warn
 from morfo.features import FeatureSet, Mood, Number, Person, Tense
+from morfo.frozen import set_field
 from morfo.resources import lines
 from morfo.rules import MorphRule, apply_rule
-
-logger = logging.getLogger(__name__)
 
 _ACCENTS = {
     "a": "á", "e": "é", "i": "í", "o": "ó", "u": "ú",
@@ -73,8 +71,8 @@ def convert_accents(text: str, line_no: Optional[int] = None) -> str:
     where = f"line {line_no}: " if line_no else ""
     for match in _ESCAPE.finditer(text):
         if match.lastindex is None:
-            logger.warning("%sdangling %r before %r left unchanged",
-                           where, match.group(), text[match.end():match.end() + 1])
+            warn(__name__, "%sdangling %r before %r left unchanged",
+                 where, match.group(), text[match.end():match.end() + 1])
     return _unescape(text)
 
 
@@ -83,11 +81,15 @@ def _convert(text: str, line_no: int) -> str:
     return re.sub(r"\s+", "", convert_accents(text, line_no)).lower()
 
 
-@dataclass(frozen=True)
 class ImportedRule(MorphRule):
-    """A rule with the example comment and the line it was imported from."""
-    example: Optional[Tuple[str, str]] = None  # (root, form) from a trailing comment
-    line_no: int = 0
+    """A rule with the example comment it was imported with: (root, form), or None."""
+
+    __slots__ = ("example",)
+    _compared = MorphRule._compared + __slots__
+
+    def __init__(self, *args, example: Optional[Tuple[str, str]] = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        set_field(self, "example", example)
 
 
 def _hints_from_comment(comment: str) -> dict:
@@ -152,8 +154,12 @@ def import_rules(
         if infer_person and block and hints and "number" not in hints:
             for slot, idx in enumerate(block):
                 person, number = _PERSON_CYCLE[slot % len(_PERSON_CYCLE)]
-                rows[idx] = replace(rows[idx], features=replace(
-                    rows[idx].features, person=person, number=number))
+                # The block's rows were built from these hints; add person and number.
+                row = rows[idx]
+                rows[idx] = ImportedRule.build(
+                    row.flag, row.stem_ending, row.morph_ending,
+                    partial(FeatureSet, **hints, person=person, number=number),
+                    example=row.example, line_no=row.line_no)
         block.clear()
 
     for line_no, raw in lines(aff_source):
@@ -166,8 +172,8 @@ def import_rules(
             flag, hints = None, {}
             in_prefixes = section.group(1).lower() == "prefixes"
             if in_prefixes:
-                logger.warning("line %d: prefixes section skipped; only suffix rules are imported",
-                               line_no)
+                warn(__name__, "line %d: prefixes section skipped; only suffix rules are imported",
+                     line_no)
             continue
         header = _FLAG_HEADER.match(line)
         if header:
@@ -187,7 +193,7 @@ def import_rules(
         if in_prefixes:
             continue
         if flag is None:
-            logger.warning("line %d: rule before any flag header skipped", line_no)
+            warn(__name__, "line %d: rule before any flag header skipped", line_no)
             continue
         if flag in skip:
             continue
@@ -198,11 +204,11 @@ def import_rules(
                 example=_parse_example(comment), line_no=line_no))
             block.append(len(rows) - 1)
         except ValueError as exc:
-            logger.warning("line %d: %s; row skipped", line_no, exc)
+            warn(__name__, "line %d: %s; row skipped", line_no, exc)
     close_block()
     for row, got in check_examples(rows):
-        logger.warning("line %d: example %s -> %s, rule produced %r",
-                       row.line_no, *row.example, got)
+        warn(__name__, "line %d: example %s -> %s, rule produced %r",
+             row.line_no, *row.example, got)
     return rows
 
 

@@ -10,18 +10,15 @@ excludes surface forms ending in the common past-participle suffixes.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from morfo.analyzer import Analyzer
 from morfo.derivers import Lemmatizer
-from morfo.errors import LoadError
+from morfo.errors import LoadError, warn
 from morfo.features import FeatureSet, Pos
 from morfo.lexicon import normalize
 from morfo.resources import data_lines, lines
-
-logger = logging.getLogger(__name__)
 
 SCORED_FEATURES = ("person", "mood", "tense", "number", "gender")
 EVAL_POS = (Pos.VERB, Pos.NOUN, Pos.ADJECTIVE)
@@ -157,7 +154,7 @@ def parse_conll(source: Iterable[bytes | str], mapping: FeatureMapping) -> List[
             predicate_sense=sense,
         ))
     if unmapped:
-        logger.warning("%d FEAT values had no mapping and were kept raw", unmapped)
+        warn(__name__, "%d FEAT values had no mapping and were kept raw", unmapped)
     return records
 
 

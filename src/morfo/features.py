@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
+
+from morfo.frozen import Frozen, set_field
 
 
 class Pos(str, Enum):
@@ -71,17 +72,28 @@ _VERBAL_FIELDS = ("mood", "tense")
 _GENDERED_POS = (Pos.NOUN, Pos.ADJECTIVE, Pos.PRONOUN)
 
 
-@dataclass(frozen=True)
-class FeatureSet:
+class FeatureSet(Frozen):
     """A bundle of morphological feature values; every field may be unset (None)."""
 
-    pos: Optional[Pos] = None
-    gender: Optional[Gender] = None
-    number: Optional[Number] = None
-    person: Optional[Person] = None
-    mood: Optional[Mood] = None
-    tense: Optional[Tense] = None
-    animate: Optional[Animacy] = None
+    __slots__ = ("pos", "gender", "number", "person", "mood", "tense", "animate", "_hash")
+    _compared = __slots__[:-1]
+
+    def __init__(self, pos: Optional[Pos] = None, gender: Optional[Gender] = None,
+                 number: Optional[Number] = None, person: Optional[Person] = None,
+                 mood: Optional[Mood] = None, tense: Optional[Tense] = None,
+                 animate: Optional[Animacy] = None):
+        set_field(self, "pos", pos)
+        set_field(self, "gender", gender)
+        set_field(self, "number", number)
+        set_field(self, "person", person)
+        set_field(self, "mood", mood)
+        set_field(self, "tense", tense)
+        set_field(self, "animate", animate)
+        # Renderers look feature sets up in dicts, so the hash is computed once.
+        set_field(self, "_hash", hash((pos, gender, number, person, mood, tense, animate)))
+
+    def __hash__(self):
+        return self._hash
 
     def validate(self) -> None:
         """Enforce pos-conditional constraints; raises ValueError on violation."""
@@ -96,12 +108,12 @@ class FeatureSet:
 
     def as_dict(self) -> dict:
         """Feature values as plain strings, None for unset."""
-        return {f.name: (getattr(self, f.name).value if getattr(self, f.name) else None)
-                for f in fields(self)}
+        return {name: (getattr(self, name).value if getattr(self, name) else None)
+                for name in self._compared}
 
     @classmethod
     def field_names(cls) -> tuple:
-        return tuple(f.name for f in fields(cls))
+        return cls._compared
 
     @classmethod
     def from_cells(cls, cells: dict) -> "FeatureSet":

@@ -9,25 +9,32 @@ order of their first line; nothing is sorted.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from morfo.errors import LoadError
-from morfo.resources import data_lines
+from morfo.frozen import Frozen, set_field
+from morfo.resources import line_blocks
 
 
 def normalize(word: str) -> str:
     """Lowercase, then NFC-normalize: the canonical form for all lookups.
 
     Lowercasing last could leave a decomposed pair that NFC would compose.
+    Lowercase ASCII is already NFC, so it is returned as it is.
     """
-    return unicodedata.normalize("NFC", word.lower())
+    lower = word.lower()
+    return lower if lower.isascii() else unicodedata.normalize("NFC", lower)
 
 
-@dataclass(frozen=True)
-class LexEntry:
-    root: str
-    flags: tuple  # ordered, duplicate-free single-letter codes
+class LexEntry(Frozen):
+    """A root and its flags: ordered, duplicate-free single-letter codes."""
+
+    __slots__ = ("root", "flags")
+    _compared = __slots__
+
+    def __init__(self, root: str, flags: tuple):
+        set_field(self, "root", root)
+        set_field(self, "flags", flags)
 
     def to_line(self) -> str:
         return self.root + ("/" + "".join(self.flags) if self.flags else "")
@@ -91,20 +98,23 @@ def load_dictionary(source: Iterable[bytes | str]) -> Lexicon:
     merged: Dict[str, tuple] = {}
     # Flag text -> its duplicate-free tuple, one object per distinct tuple.
     shared: Dict[str, tuple] = {}
-    for line_no, line in data_lines(source):
-        line = line.strip()
-        word, sep, flag_part = line.partition("/")
-        # A root of letters with ASCII-letter flags, the common line, is well formed.
-        if not (word.isalpha() and (flag_part.isascii() and flag_part.isalpha() or not sep)):
-            _check_line(line, line_no)
-        flags = shared.get(flag_part)
-        if flags is None:
-            flags = tuple(dict.fromkeys(flag_part))
-            flags = shared[flag_part] = shared.setdefault("".join(flags), flags)
-        root = normalize(word)
-        known = merged.get(root)
-        if known is not None and known is not flags:
-            union = tuple(dict.fromkeys(known + flags))
-            flags = shared.setdefault("".join(union), union)
-        merged[root] = flags
+    for first_line_no, block in line_blocks(source):
+        for line_no, line in enumerate(block, first_line_no):
+            line = line.strip()
+            if not line or line[0] == "#":
+                continue
+            word, sep, flag_part = line.partition("/")
+            # A root of letters with ASCII-letter flags, the common line, is well formed.
+            if not (word.isalpha() and (flag_part.isascii() and flag_part.isalpha() or not sep)):
+                _check_line(line, line_no)
+            flags = shared.get(flag_part)
+            if flags is None:
+                flags = tuple(dict.fromkeys(flag_part))
+                flags = shared[flag_part] = shared.setdefault("".join(flags), flags)
+            root = normalize(word)
+            known = merged.get(root)
+            if known is not None and known is not flags:
+                union = tuple(dict.fromkeys(known + flags))
+                flags = shared.setdefault("".join(union), union)
+            merged[root] = flags
     return Lexicon._from_flags(merged)

@@ -1,11 +1,19 @@
-"""Data file resolution, overridable per file or via MORFO_DATA, and the readers all loaders share."""
+"""Data file resolution, overridable per file or via MORFO_DATA, and the readers all loaders share.
+
+``blocks`` is the one reader of input. From a binary or text stream it
+reads about ``READ_SIZE`` bytes (or characters) at a time, completes a line
+that the read cut short with ``readline``, and drops a byte-order mark from
+the first block only; the CLI's stream commands read stdin with it. Any
+other iterable is read an item at a time. ``line_blocks`` decodes each block
+once and splits it into lines; ``lines``, ``data_lines`` and ``read_table``
+build on it, and ``load_dictionary`` reads its blocks directly.
+"""
 
 from __future__ import annotations
 
 import codecs
 import os
 from importlib import resources
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
@@ -19,6 +27,12 @@ DEFAULTS = "defaults.tsv"
 PRONOUNS = "pronouns.tsv"
 NOMINAL_FLAGS = "nominal_flags.txt"
 CONLL_MAPPING = "conll_mapping.tsv"
+
+#: Bytes (or characters) that ``blocks`` reads from a stream at a time. On
+#: the bench's seed-stream input, the first output of ``morfo analyze``
+#: reaches stdout after 205 lines, against 247 with one write per line into
+#: the 8 KiB output buffer and 794 with 8 KiB reads.
+READ_SIZE = 2048
 
 T = TypeVar("T")
 
@@ -35,9 +49,9 @@ def data_path(name: str, override: Optional[str] = None) -> Path:
     return Path(resources.files("morfo").joinpath("data", name))
 
 
-def without_bom(first_line: bytes | str) -> bytes | str:
-    """``first_line`` less a leading byte-order mark; a source's other lines keep theirs."""
-    return first_line.removeprefix(codecs.BOM_UTF8 if isinstance(first_line, bytes) else "\ufeff")
+def without_bom(first_block: bytes | str) -> bytes | str:
+    """``first_block`` less a leading byte-order mark; a source's later blocks keep theirs."""
+    return first_block.removeprefix(codecs.BOM_UTF8 if isinstance(first_block, bytes) else "\ufeff")
 
 
 def decode(line: bytes | str) -> str:
@@ -48,21 +62,63 @@ def decode(line: bytes | str) -> str:
     return (line.decode("utf-8") if isinstance(line, bytes) else line).rstrip("\r\n")
 
 
-def lines(source: Iterable[bytes | str]) -> Iterator[Tuple[int, str]]:
-    """Yield ``(line_no, decode(line))`` for every line, line 1 ``without_bom``.
+def _reads(stream) -> Iterator[bytes | str]:
+    """Whole lines of ``stream``, about ``READ_SIZE`` at a time."""
+    # read1 returns what one read gives, so a line typed at a terminal is
+    # answered at once; readline then completes a line that the read cut short.
+    read, size = getattr(stream, "read1", stream.read), READ_SIZE
+    data = read(size)
+    newline = b"\n" if isinstance(data, bytes) else "\n"
+    while data:
+        if not data.endswith(newline):
+            data += stream.readline()
+        yield data
+        data = read(size)
 
-    A ``bytes`` line that does not decode raises ``LoadError`` naming it.
+
+def blocks(source: Iterable[bytes | str]) -> Iterator[bytes | str]:
+    """Blocks of whole lines, the first ``without_bom``: reads of a stream, else ``source``'s items.
+
+    A stream's block ends with an LF unless it ends the stream. Each item of
+    any other iterable is a block of its own, usually one line.
     """
-    source = iter(source)
-    first = next(source, None)
-    if first is None:
-        return
-    for line_no, line in enumerate(chain((without_bom(first),), source), start=1):
-        try:
-            text = decode(line)
-        except UnicodeDecodeError:
-            raise LoadError("invalid UTF-8", line_no) from None
-        yield line_no, text
+    chunks = _reads(source) if hasattr(source, "read") else iter(source)
+    first = next(chunks, None)
+    if first is not None:
+        yield without_bom(first)
+        yield from chunks
+
+
+def line_blocks(source: Iterable[bytes | str]) -> Iterator[Tuple[int, List[str]]]:
+    """``(number of its first line, its lines)`` for every one of ``blocks(source)``.
+
+    A ``bytes`` block is decoded as UTF-8 at once. Lines lose their LF or
+    CRLF ending. A line that does not decode raises ``LoadError`` naming it.
+    """
+    line_no = 1
+    for block in blocks(source):
+        if isinstance(block, bytes):
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # An LF never falls inside a UTF-8 sequence, so the bad one is on this line.
+                bad_line_no = line_no + block.count(b"\n", 0, exc.start)
+                raise LoadError("invalid UTF-8", bad_line_no) from None
+        else:
+            text = block
+        split = text.split("\n")
+        if len(split) > 1 and not split[-1]:  # the empty string after the last LF
+            split.pop()
+        if "\r" in text:
+            split = [line.rstrip("\r") for line in split]
+        yield line_no, split
+        line_no += len(split)
+
+
+def lines(source: Iterable[bytes | str]) -> Iterator[Tuple[int, str]]:
+    """Yield ``(line_no, line)`` for every line of ``line_blocks(source)``."""
+    for first_line_no, block in line_blocks(source):
+        yield from enumerate(block, first_line_no)
 
 
 def data_lines(source: Iterable[bytes | str]) -> Iterator[Tuple[int, str]]:
@@ -77,9 +133,9 @@ def read_table(
     source: Iterable[bytes | str],
     columns: Sequence[str],
     required: Sequence[str],
-    parse_row: Callable[[Dict[str, str]], T],
+    parse_row: Callable[[Dict[str, str], int], T],
 ) -> List[T]:
-    """Parse a tab-separated table with a header row, one ``parse_row`` call per row.
+    """Parse a tab-separated table with a header row, one ``parse_row(row, line_no)`` per row.
 
     Header names are matched case-insensitively, with spaces read as ``_``,
     in any order. A name outside ``columns``, a repeated name, or a missing
@@ -106,7 +162,7 @@ def read_table(
         row = dict.fromkeys(columns, "")
         row.update((name, cell.strip()) for name, cell in zip(header, cells))
         try:
-            out.append(parse_row(row))
+            out.append(parse_row(row, line_no))
         except ValueError as exc:
             raise LoadError(str(exc), line_no) from None
     if header is None:

@@ -11,21 +11,20 @@ every pattern has a fixed length and reverse application stays tractable.
 
 from __future__ import annotations
 
-import logging
 import re
-from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import count
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
+from morfo.errors import warn
 from morfo.features import FeatureSet
+from morfo.frozen import Frozen, set_field
 from morfo.lexicon import LexEntry
 from morfo.resources import read_table
 
-logger = logging.getLogger(__name__)
-
 COLUMNS = ("flag", "stem_ending", "morph_ending", "pos", "gender", "number",
            "person", "mood", "tense", "animate")
+_FEATURE_COLUMNS = COLUMNS[3:]
 
 _CONTEXT_MARK = "(?<="
 
@@ -58,6 +57,7 @@ def _token_regex(token: str) -> str:
     return token if token.startswith("[") else re.escape(token)
 
 
+@lru_cache(maxsize=1024)  # a rule table repeats few patterns many times
 def compile_stem_pattern(source: str) -> Tuple[tuple, "re.Pattern"]:
     """Check ``source`` against the dialect; return its replaced tokens and its regex."""
     src = source.strip()
@@ -79,22 +79,30 @@ def compile_stem_pattern(source: str) -> Tuple[tuple, "re.Pattern"]:
     return replaced, regex
 
 
-@dataclass(frozen=True)
-class MorphRule:
+class MorphRule(Frozen):
     """One rule: on a root licensed by ``flag``, ``stem_ending`` becomes ``morph_ending``.
 
     ``replaced`` holds the pattern tokens the rule swaps out (its context
     excluded) and ``regex`` matches them at the end of a root. Build rules with
-    ``MorphRule.build``, which fills both in.
+    ``MorphRule.build``, which fills both in. ``line_no`` is the line the rule
+    was read from, 0 when none. Equality leaves out ``replaced``, ``regex``
+    and ``line_no``.
     """
 
-    rule_id: int
-    flag: str
-    stem_ending: str
-    morph_ending: str
-    features: FeatureSet
-    replaced: tuple = field(compare=False, repr=False)
-    regex: "re.Pattern" = field(compare=False, repr=False)
+    __slots__ = ("rule_id", "flag", "stem_ending", "morph_ending", "features", "replaced",
+                 "regex", "line_no")
+    _compared = __slots__[:5]
+
+    def __init__(self, rule_id: int, flag: str, stem_ending: str, morph_ending: str,
+                 features: FeatureSet, replaced: tuple, regex: "re.Pattern", line_no: int = 0):
+        set_field(self, "rule_id", rule_id)
+        set_field(self, "flag", flag)
+        set_field(self, "stem_ending", stem_ending)
+        set_field(self, "morph_ending", morph_ending)
+        set_field(self, "features", features)
+        set_field(self, "replaced", replaced)
+        set_field(self, "regex", regex)
+        set_field(self, "line_no", line_no)
 
     @classmethod
     def build(cls, flag: str, stem_ending: str, morph_ending: str,
@@ -131,10 +139,18 @@ def _dash(cell: str) -> str:
 def load_rules(source: Iterable[bytes | str]) -> RuleTable:
     """Load the tab-separated rule table; raises LoadError naming the bad row."""
     rule_ids = count(1)
+    feature_sets: Dict[tuple, FeatureSet] = {}  # feature cells -> their FeatureSet
 
-    def parse(row: Dict[str, str]) -> MorphRule:
+    def features(row: Dict[str, str]) -> FeatureSet:
+        cells = tuple(map(row.__getitem__, _FEATURE_COLUMNS))
+        found = feature_sets.get(cells)
+        if found is None:
+            found = feature_sets[cells] = FeatureSet.from_cells(row)
+        return found
+
+    def parse(row: Dict[str, str], line_no: int) -> MorphRule:
         return MorphRule.build(row["flag"], _dash(row["stem_ending"]), _dash(row["morph_ending"]),
-                               partial(FeatureSet.from_cells, row), next(rule_ids))
+                               partial(features, row), next(rule_ids), line_no=line_no)
 
     return RuleTable(read_table(source, COLUMNS, COLUMNS, parse))
 
@@ -169,7 +185,7 @@ def expand_entry(entry: LexEntry, table: RuleTable) -> List[ExpandedForm]:
     for flag in entry.flags:
         bucket = table.by_flag.get(flag)
         if bucket is None:
-            logger.warning("entry %r: unknown flag %r skipped", entry.root, flag)
+            warn(__name__, "entry %r: unknown flag %r skipped", entry.root, flag)
             continue
         for rule in bucket:
             form = apply_rule(entry.root, rule)

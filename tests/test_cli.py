@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morfo import cli
+from morfo import cli, resources
 from morfo.analyzer import Analyzer
 from morfo.cli import run
 from morfo.rules import COLUMNS
@@ -239,7 +239,7 @@ def _alone(argv, line):
 def test_repeated_lines_are_written_as_when_alone(lines, cache_size, read_size):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "CACHE_SIZE", cache_size)  # small enough to evict
-        patch.setattr(cli, "READ_SIZE", read_size)  # small enough to split the input
+        patch.setattr(resources, "READ_SIZE", read_size)  # small enough to split the input
         for argv in CACHE_COMMANDS:
             assert invoke(list(argv), "".join(lines)) == (
                 0, "".join(_alone(argv, line) for line in lines))
@@ -271,7 +271,7 @@ SIX_BYTE_BAD_LINES = [
                          ids=[message for _, message in SIX_BYTE_BAD_LINES])
 @pytest.mark.parametrize("line_no", [4, 6], ids=["first-of-block", "last-of-block"])
 def test_bad_line_at_a_block_edge_is_named(bad_line, message, line_no, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "READ_SIZE", 13)
+    monkeypatch.setattr(resources, "READ_SIZE", 13)
     vacas = _alone(("analyze",), "vacas\n")
     code, out = invoke(["analyze"], "vacas\n" * (line_no - 1) + bad_line + "vacas\n" * 4)
     assert code == 1
@@ -286,14 +286,14 @@ def test_bad_line_at_a_block_edge_is_named(bad_line, message, line_no, monkeypat
     ["amo\r\n", "\r\n", "vacas\tnoun\r\n", "amo\r\n"],  # CRLF endings
 ], ids=["long-lines", "no-final-newline", "crlf"])
 def test_block_boundaries_do_not_change_output(read_size, lines, monkeypatch):
-    monkeypatch.setattr(cli, "READ_SIZE", read_size)
+    monkeypatch.setattr(resources, "READ_SIZE", read_size)
     for argv in CACHE_COMMANDS:
         assert invoke(list(argv), "".join(lines)) == (
             0, "".join(_alone(argv, line) for line in lines))
 
 
 def test_byte_order_mark_is_dropped_from_line_1_only(monkeypatch):
-    monkeypatch.setattr(cli, "READ_SIZE", 1)  # the second line starts the second block
+    monkeypatch.setattr(resources, "READ_SIZE", 1)  # the second line starts the second block
     code, out = invoke(["lemmatize"], "\ufeffamo\n\ufeffamo\n")
     assert (code, out) == (0, "amar\n\ufeffamo\n")
 
@@ -463,6 +463,32 @@ def test_import_does_not_load_json():
     script = "import sys, morfo.cli; print('json' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
+
+
+def test_import_and_a_quiet_run_load_no_dataclasses_inspect_or_logging(tmp_path):
+    """Start-up stays short: only a warning loads ``logging``, and nothing loads the others."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    script = ("import sys, morfo.cli\n"
+              "loaded = lambda: sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules))\n"
+              "print(loaded(), file=sys.stderr)\n"
+              "code = morfo.cli.run(sys.argv[1:])\n"
+              "print(loaded(), file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    stdin = "vacas\namo\ncasa\tnoun\ndámelo\n"
+    proc = subprocess.run([sys.executable, "-c", script, "analyze"], input=stdin.encode(),
+                          capture_output=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, b"[]\n[]\n")
+    assert proc.stdout.decode() == invoke(["analyze"], stdin)[1]
+
+    dictionary = tmp_path / "dictionary.txt"
+    dictionary.write_text("amar/VQ\nvaca/S\n", encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-c", script, "analyze", "--dict", str(dictionary)],
+                          input=stdin.encode(), capture_output=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr.decode().splitlines() == [
+        "[]",
+        "morfo: 1 dictionary entries carry flags with no rules (Q); those flags are skipped",
+        "['logging']"]
 
 
 def test_process_invalid_utf8_on_strict_stdin_exits_1():

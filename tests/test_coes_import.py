@@ -223,3 +223,47 @@ def test_import_round_trip_matches_a_reference_ispell_matcher(sections, infer_pe
             st.sampled_from(sorted(_WRITTEN.keys() - t[1] if t[0] else t[1]))) for t in condition)
         for root in [*roots, data.draw(st.text(sorted(_WRITTEN), max_size=2)) + fitting]:
             assert apply_rule(root, row) == _ispell_apply(root, condition, removed, added), root
+
+
+def test_infer_person_output_is_unchanged():
+    """The rule table that ``import-coes --infer-person`` writes for a file of three hint blocks."""
+    source = (
+        "flag *V: # PRESENTE indicativo\n"
+        "    A R > -AR, O  # amar amo\n"
+        "    A R > -AR, AS\n"
+        "    A R > -AR, A\n"
+        "    A R > -AR, AMOS\n"
+        "    A R > -AR, 'AIS\n"
+        "    A R > -AR, AN\n"
+        "    A R > -AR, E\n"
+        "# futuro\n"
+        "    A R > -AR, AR'E\n"
+        "    A R > -AR, AR'AS\n"
+        "# plural\n"
+        "    A R > -AR, AMOS\n"
+    )
+    rows = import_rules(io.StringIO(source), infer_person=True)
+    assert [row.line_no for row in rows] == [2, 3, 4, 5, 6, 7, 8, 10, 11, 13]
+    assert [row.example for row in rows] == [("amar", "amo")] + [None] * 9
+    assert dump_rules(rows).splitlines()[1:] == [
+        "V\tar\to\t\t\tsingular\tfirst\tindicative\tpresent\t",
+        "V\tar\tas\t\t\tsingular\tsecond\tindicative\tpresent\t",
+        "V\tar\ta\t\t\tsingular\tthird\tindicative\tpresent\t",
+        "V\tar\tamos\t\t\tplural\tfirst\tindicative\tpresent\t",
+        "V\tar\táis\t\t\tplural\tsecond\tindicative\tpresent\t",
+        "V\tar\tan\t\t\tplural\tthird\tindicative\tpresent\t",
+        "V\tar\te\t\t\tsingular\tfirst\tindicative\tpresent\t",
+        "V\tar\taré\t\t\tsingular\tfirst\t\tfuture\t",
+        "V\tar\tarás\t\t\tsingular\tsecond\t\tfuture\t",
+        "V\tar\tamos\t\t\tplural\t\t\t\t",
+    ]
+    with open(FIXTURE, encoding="utf-8") as stream:
+        fixture = dump_rules(import_rules(stream, infer_person=True))
+    assert fixture.splitlines()[1:] == [
+        "V\tar\to\t\t\tsingular\tfirst\t\tpresent\t",
+        "V\t(?<=[^cg])er\to\t\t\tsingular\tsecond\t\tpresent\t",
+        "V\tcer\tzo\t\t\tsingular\tthird\t\tpresent\t",
+        "V\tger\tjo\t\t\tplural\tfirst\t\tpresent\t",
+        "S\t(?<=[aeiouáéó])\ts\t\t\tplural\t\t\t\t",
+        "S\t(?<=[úídjlmry])\tes\t\t\tplural\t\t\t\t",
+    ]

@@ -1,8 +1,17 @@
-"""The library surface that callers rely on: the README example and ``morfo.__all__``."""
+"""The library surface that callers rely on: the README example, ``morfo.__all__``
+and the value types."""
 
+import copy
+import pickle
 from pathlib import Path
 
+import pytest
+
 import morfo
+from morfo import (Animacy, CliticSplit, FeatureSet, Gender, LexEntry, Mood, MorphRule, Person,
+                   Pos, Tense)
+from morfo.coes_import import ImportedRule
+from morfo.rules import compile_stem_pattern, dump_rules
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,3 +26,77 @@ def test_readme_library_example_runs(capsys):
 
 def test_every_exported_name_resolves():
     assert [name for name in morfo.__all__ if not hasattr(morfo, name)] == []
+
+
+def _rule(cls=MorphRule, pattern="ar", **changes):
+    """A rule whose ``replaced`` and ``regex`` come from ``pattern``."""
+    replaced, regex = compile_stem_pattern(pattern)
+    values = dict(rule_id=1, flag="V", stem_ending="ar", morph_ending="o",
+                  features=FeatureSet(pos=Pos.VERB), replaced=replaced, regex=regex)
+    return cls(**{**values, **changes})
+
+
+# Per value type: the keyword arguments of one value, and a field with a
+# value that makes a different one.
+_VALUES = {
+    FeatureSet: (dict(pos=Pos.VERB, mood=Mood.INDICATIVE), "tense", Tense.PRESENT),
+    MorphRule: (dict(rule_id=1, flag="V", stem_ending="ar", morph_ending="o",
+                     features=FeatureSet(pos=Pos.VERB), replaced=("a", "r"), regex=None),
+                "morph_ending", "as"),
+    LexEntry: (dict(root="amar", flags=("V",)), "flags", ("V", "N")),
+    CliticSplit: (dict(verb_part="da", clitics=("me",),
+                       pronoun_features=(FeatureSet(pos=Pos.PRONOUN, person=Person.FIRST),)),
+                  "clitics", ("te",)),
+}
+
+
+@pytest.mark.parametrize("cls", list(_VALUES), ids=lambda cls: cls.__name__)
+def test_value_types_compare_by_value_and_refuse_assignment(cls):
+    kwargs, name, value = _VALUES[cls]
+    one, same, other = cls(**kwargs), cls(**kwargs), cls(**{**kwargs, name: value})
+    assert all(getattr(one, key) == kwarg for key, kwarg in kwargs.items())
+    assert one == same and hash(one) == hash(same) and one is not same
+    assert one != other and other == cls(**{**kwargs, name: value})
+    assert len({one, same, other}) == 2
+    for field in (name, "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(one, field, value)
+    with pytest.raises(AttributeError):
+        delattr(one, name)
+    assert one == same
+
+
+def test_morph_rule_equality_ignores_pattern_and_line():
+    rule = _rule()
+    moved = _rule(pattern="er", line_no=7)  # other replaced tokens, regex and line
+    assert (rule.line_no, moved.line_no) == (0, 7)
+    assert rule == moved and hash(rule) == hash(moved)
+    assert rule != _rule(rule_id=2)
+    assert dump_rules([rule]) == dump_rules([moved])
+    # An imported rule also compares its example, and never equals a plain rule.
+    imported = _rule(ImportedRule, example=("amar", "amo"))
+    assert imported == _rule(ImportedRule, example=("amar", "amo"), line_no=3)
+    assert imported != _rule(ImportedRule) and imported != rule
+
+
+def test_feature_set_fields_and_dict():
+    names = ("pos", "gender", "number", "person", "mood", "tense", "animate")
+    assert FeatureSet.field_names() == names
+    features = FeatureSet(Pos.NOUN, Gender.FEMALE, animate=Animacy.ANIMATE)
+    assert list(features.as_dict().items()) == [
+        ("pos", "noun"), ("gender", "female"), ("number", None), ("person", None),
+        ("mood", None), ("tense", None), ("animate", "animate")]
+    assert FeatureSet().as_dict() == dict.fromkeys(names)
+
+
+@pytest.mark.parametrize("value", [
+    FeatureSet(Pos.NOUN, Gender.FEMALE),
+    _rule(line_no=4),
+    _rule(ImportedRule, example=("amar", "amo"), line_no=4),
+    LexEntry("amar", ("V",)),
+    CliticSplit("da", ("me",), (FeatureSet(pos=Pos.PRONOUN, person=Person.FIRST),)),
+], ids=lambda value: type(value).__name__)
+def test_value_types_copy_and_pickle(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        assert twin.__reduce__() == value.__reduce__()

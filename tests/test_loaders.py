@@ -1,7 +1,9 @@
 import io
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from morfo import resources
 from morfo.analyzer import load_default_table
 from morfo.clitics import load_pronoun_table
 from morfo.coes_import import import_rules
@@ -70,3 +72,106 @@ def test_bytes_are_decoded_and_crlf_endings_dropped():
     row = "3\tllegó\tllegar\tllegar\tv\tv\t_\t_\t0\t0\t_\t_\tY\tllegar.b1"
     [record] = parse_conll([("\ufeff" + row + "\r\n").encode("utf-8")], PACKAGED_MAPPING)
     assert (record.token_index, record.form, record.predicate_sense) == (3, "llegó", "llegar.b1")
+
+
+# -- block boundaries ----------------------------------------------------------
+
+_RULES_HEADER = "flag\tstem ending\tmorph ending\tpos\tgender\tnumber\tperson\tmood\ttense\tanimate"
+_DEFAULTS_HEADER = "ending\tpos\tgender\tnumber\tperson\tmood\ttense\tanimate"
+_PRONOUNS_HEADER = "pronoun\tperson\tnumber\tgender"
+_LONG = "desafortunadamente"  # longer than every block size below
+
+# Well-formed files: a byte-order mark on line 1, CRLF endings, a line longer
+# than a block, no final newline, and a byte-order mark at the start of a
+# later line, which is kept as part of it (in the rule table it makes a bad
+# flag; see _INVALID). At a block size of 1 every line starts a block.
+_VALID = {
+    load_dictionary: "\ufeff# roots\r\namar/V\r\n" + _LONG + "/S\r\n\r\n\ufeffvaca/S\r\namar/N",
+    load_rules: ("\ufeff" + _RULES_HEADER + "\r\nV\tar\to\tverb\t\tsingular\tfirst\tindicative"
+                 "\tpresent\t\r\n# " + _LONG + "\r\nS\t-\ts\tnoun\t\tplural\t\t\t\t\r\n"
+                 "V\t(?<=[aeiou])r\tremos\tverb\t\tplural\tfirst\tindicative\tfuture\t"),
+    load_default_table: ("\ufeff" + _DEFAULTS_HEADER + "\r\nción\tnoun\tfemale\tsingular\r\n"
+                         + _LONG + "\tadjective\r\n\ufeffsión\tnoun\r\n*\tnoun\tmale\tsingular"),
+    load_pronoun_table: "\ufeff" + _PRONOUNS_HEADER + "\r\nme\tfirst\tsingular\t\r\n"
+                        + "\r\n" * 3 + "\ufeffnos\tfirst\tplural\t",
+}
+
+# Files that fail in a later block: (loader, text, message, line). "\udce9" stands for
+# the byte 0xE9, which is not UTF-8, so that text is given to bytes sources only.
+_INVALID = [
+    (load_dictionary, "amar/V\nvaca/S\n" + _LONG + "/S\ncaf\udce9/S\nmesa/S\n", "invalid UTF-8", 4),
+    (load_dictionary, "amar/V\nvaca/S\n" + _LONG + "/S\namar/V9\n",
+     "invalid flag character '9' in 'amar/V9'", 4),
+    (load_rules,
+     _RULES_HEADER + "\nV\tar\to\tverb\t\t\t\t\t\t\n# " + _LONG + "\nV\tar\t\xe9\udce9\n",
+     "invalid UTF-8", 4),
+    (load_rules, _RULES_HEADER + "\nV\tar\to\tverb\t\t\t\t\t\t\n# " + _LONG
+     + "\nV\tar\to\tbogus\t\t\t\t\t\t\n", "invalid pos value 'bogus'", 4),
+    (load_rules, _RULES_HEADER + "\nV\tar\to\tverb\t\t\t\t\t\t\n\ufeffV\tar\to\tverb\t\t\t\t\t\t\n",
+     "flag must be a single character, got '\\ufeffV'", 3),
+    (load_default_table, _DEFAULTS_HEADER + "\n*\tnoun\n" + _LONG + "\tnoun\nñ\udce9\tnoun\n",
+     "invalid UTF-8", 4),
+    (load_default_table, _DEFAULTS_HEADER + "\n*\tnoun\n" + _LONG + "\tnoun\n\tnoun\n",
+     "empty ending cell (use '*' for the catch-all row)", 4),
+    (load_pronoun_table,
+     _PRONOUNS_HEADER + "\nme\tfirst\tsingular\t\n\n\n\ufeffnos\tfirst\t\udce9\t\n",
+     "invalid UTF-8", 5),
+    (load_pronoun_table, _PRONOUNS_HEADER + "\nme\tfirst\tsingular\t\n\n\n\tfirst\tplural\t\n",
+     "empty pronoun cell", 5),
+]
+
+
+def _as_bytes(text):
+    return text.encode("utf-8", "surrogateescape")
+
+
+_SOURCES = {
+    "bytes stream": lambda text: io.BytesIO(_as_bytes(text)),
+    "text stream": io.StringIO,
+    "bytes lines": lambda text: _as_bytes(text).splitlines(keepends=True),
+    "text lines": lambda text: text.splitlines(keepends=True),
+    "bytes lines without ends": lambda text: _as_bytes(text).splitlines(),  # as in the README
+}
+
+
+def _outcome(loader, source):
+    """What ``loader`` makes of ``source``, in a form that compares by value."""
+    try:
+        value = loader(source)
+    except LoadError as exc:
+        return "error", str(exc), exc.line_no
+    if loader is load_dictionary:
+        value = list(value.flags.items())
+    elif loader is load_rules:
+        value = [(rule, rule.line_no) for rule in value.rules]
+    return "loaded", value
+
+
+@pytest.mark.parametrize("read_size", [1, 5, 13])
+@pytest.mark.parametrize("loader", list(_VALID), ids=lambda loader: loader.__name__)
+def test_block_boundaries_do_not_change_what_loads(loader, read_size, monkeypatch):
+    text = _VALID[loader]
+    expected = _outcome(loader, text.splitlines())  # one line per item, at the default size
+    monkeypatch.setattr(resources, "READ_SIZE", read_size)
+    assert expected[0] == "loaded"
+    for kind, make in _SOURCES.items():
+        assert _outcome(loader, make(text)) == expected, kind
+
+
+def test_what_the_block_boundary_files_load():
+    assert _outcome(load_dictionary, _VALID[load_dictionary].splitlines()) == ("loaded", [
+        ("amar", ("V", "N")), (_LONG, ("S",)), ("\ufeffvaca", ("S",))])
+    _, rules = _outcome(load_rules, _VALID[load_rules].splitlines())
+    assert [line_no for _rule, line_no in rules] == [2, 4, 5]
+
+
+@pytest.mark.parametrize("read_size", [1, 5, 13, 2048])
+@pytest.mark.parametrize("loader, text, message, line_no", _INVALID,
+                         ids=lambda value: getattr(value, "__name__", None))
+def test_block_boundaries_do_not_change_the_error(loader, text, message, line_no, read_size,
+                                                   monkeypatch):
+    monkeypatch.setattr(resources, "READ_SIZE", read_size)
+    kinds = [k for k in _SOURCES if "\udce9" not in text or k.startswith("bytes")]
+    for kind in kinds:
+        assert _outcome(loader, _SOURCES[kind](text)) == (
+            "error", f"line {line_no}: {message}", line_no), kind

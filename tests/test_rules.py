@@ -114,3 +114,12 @@ def test_expand_entry_no_flags(rule_table):
 def test_expansion_is_deterministic(lexicon, rule_table):
     entry = lexicon.lookup_exact("amar")
     assert expand_entry(entry, rule_table) == expand_entry(entry, rule_table)
+
+
+def test_rules_carry_the_line_they_were_read_from():
+    table = load_rules(io.StringIO("# rules\n\n" + HEADER + "\n"
+                                   "V\tar\to\tverb\t\t\t\t\t\t\n"
+                                   "# a comment\n"
+                                   "S\t-\ts\tnoun\t\t\t\t\t\t\n"))
+    assert [(rule.rule_id, rule.line_no) for rule in table.rules] == [(1, 4), (2, 6)]
+    assert _rule("ar", "o").line_no == 2
