@@ -156,13 +156,11 @@ class Analyzer:
 
     def _warn_unknown_flags(self) -> None:
         known = set(self.rules.by_flag)
-        entries = 0
-        unknown = set()
-        for flags in self.lexicon.flags.values():
-            if not known.issuperset(flags):
-                entries += 1
-                unknown.update(flags)
-        if entries:
+        # Roots share flag tuples, so each distinct tuple is checked once.
+        bad = {flags for flags in set(self.lexicon.flags.values()) if not known.issuperset(flags)}
+        if bad:
+            entries = sum(flags in bad for flags in self.lexicon.flags.values())
+            unknown = set().union(*bad)
             warn(__name__, "%d dictionary entries carry flags with no rules (%s); "
                  "those flags are skipped", entries, ", ".join(sorted(unknown - known)))
 

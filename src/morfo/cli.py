@@ -30,7 +30,7 @@ from morfo.clitics import CliticSplit, CliticSplitter, load_pronoun_table
 from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
 from morfo.errors import LoadError
 from morfo.features import Pos
-from morfo.lexicon import load_dictionary, normalize
+from morfo.lexicon import load_cached_dictionary, normalize
 from morfo.rules import dump_rules, load_rules
 
 EXIT_OK = 0
@@ -96,7 +96,7 @@ def _load(name: str, override: Optional[str], loader):
 
 
 def build_analyzer(args) -> Analyzer:
-    lexicon = _load(resources.DICTIONARY, args.dict, load_dictionary)
+    lexicon = _load(resources.DICTIONARY, args.dict, load_cached_dictionary)
     rules = _load(resources.RULES, args.rules, load_rules)
     defaults = _load(resources.DEFAULTS, args.defaults, load_default_table)
     return Analyzer(lexicon, rules, defaults)

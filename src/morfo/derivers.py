@@ -44,13 +44,18 @@ class Nominalizer:
 
     def _lint_single_flag(self) -> None:
         # Each verb may use only one nominal derivation; more is a data error.
-        for root, flags in self.analyzer.lexicon.flags.items():
+        # Roots share flag tuples, so each distinct tuple is checked once, and
+        # the roots are searched, in file order, only when one fails.
+        root_flags = self.analyzer.lexicon.flags
+        bad = {flags for flags in set(root_flags.values())
+               if sum(f in self.nominal_flags for f in flags) > 1}
+        if bad:
+            root, flags = next((root, flags) for root, flags in root_flags.items() if flags in bad)
             licensed = [f for f in flags if f in self.nominal_flags]
-            if len(licensed) > 1:
-                raise LoadError(
-                    f"entry {root!r} carries multiple nominalization flags: "
-                    f"{''.join(licensed)}"
-                )
+            raise LoadError(
+                f"entry {root!r} carries multiple nominalization flags: "
+                f"{''.join(licensed)}"
+            )
 
     def nominalize(self, verb: str) -> Optional[str]:
         """The rule-specified nominal form, or None when no such form is on record."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import codecs
 import os
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
@@ -46,7 +45,7 @@ def data_path(name: str, override: Optional[str] = None) -> Path:
         candidate = Path(env_dir) / name
         if candidate.exists():
             return candidate
-    return Path(resources.files("morfo").joinpath("data", name))
+    return Path(__file__).parent / "data" / name
 
 
 def without_bom(first_block: bytes | str) -> bytes | str:

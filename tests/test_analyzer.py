@@ -334,3 +334,12 @@ def test_default_fallback_matches_linear_scan(rule_table, brute_force, rows, wor
                     == oracle.default_features(normalize(word), pos_hint)), (word, pos_hint)
             if word:
                 assert analyzer.analyze(word, pos_hint) == oracle.analyze(word, pos_hint)
+
+
+def test_unknown_flag_warning_counts_every_root_of_a_shared_tuple(caplog, rule_table,
+                                                                   default_table):
+    lexicon = load_dictionary(["ama/VQ", "vaca/SQW", "casa/S", "perro/SWQ", "gato/SQW", "mar/QV"])
+    with caplog.at_level(logging.WARNING):
+        Analyzer(lexicon, rule_table, default_table)
+    assert [r.getMessage() for r in caplog.records] == [
+        "5 dictionary entries carry flags with no rules (Q, W); those flags are skipped"]

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morfo import cli, resources
+from morfo import cli, lexicon, resources
 from morfo.analyzer import Analyzer
 from morfo.cli import run
 from morfo.rules import COLUMNS
@@ -245,6 +245,38 @@ def test_repeated_lines_are_written_as_when_alone(lines, cache_size, read_size):
                 0, "".join(_alone(argv, line) for line in lines))
 
 
+def test_seed_forms_through_both_cache_generations_are_written_as_when_alone(
+        generation_set, monkeypatch):
+    """The line cache is transparent at its real size, over real forms.
+
+    1,000 seed forms, each lowercase, capitalised and upper-case, each bare,
+    hinted ``verb`` and hinted ``noun``, give more distinct lines than both
+    generations hold; repeated three times and shuffled, they turn the
+    generations over several times, and lines dropped from the old one are
+    computed again.
+    """
+    rng = random.Random(4)
+    forms = rng.sample(sorted({form for _root, form, _rule, _features in generation_set}), 1000)
+    distinct = [spelling + hint + "\n" for form in forms
+                for spelling in (form, form.capitalize(), form.upper())
+                for hint in ("", "\tverb", "\tnoun")]
+    assert len(set(distinct)) > 2 * cli.CACHE_SIZE
+    lines = distinct * 3
+    rng.shuffle(lines)
+    # A run alone still reads, computes and writes its one line through the
+    # stream loop; only the parser and the analyzer are built once for all.
+    parser = cli.build_parser()
+    analyzer = cli.build_analyzer(parser.parse_args(["analyze"]))
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.setattr(cli, "build_analyzer", lambda args: analyzer)
+    for argv in (["analyze"], ["lemmatize", "--format", "jsonl"]):
+        alone = {}
+        for line in distinct:
+            code, alone[line] = invoke(argv, line)
+            assert code == 0
+        assert invoke(argv, "".join(lines)) == (0, "".join(alone[line] for line in lines))
+
+
 @pytest.mark.parametrize("bad_line, message", [
     ("\tverb\n", "empty token before pos tag 'verb'"),
     ("amo\tadverbio\n", "unknown pos tag 'adverbio'"),
@@ -331,6 +363,138 @@ def test_latin1_data_file_names_the_line(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"failed to load {dictionary}: line 6: invalid UTF-8" in err and "Traceback" not in err
+
+
+# -- the dictionary cache ----------------------------------------------------
+
+CACHE_DICTIONARY = "amar/VQ\nvaca/S\ncomer/V\n"
+CACHE_INPUT = "amo\nvacas\ncomemos\ncasa\tnoun\n"
+
+
+def _dictionary(tmp_path, text=CACHE_DICTIONARY, mtime_s=1_000_000_000):
+    """A dictionary file last modified at ``mtime_s``, long enough ago to be cached."""
+    path = tmp_path / "dictionary.txt"
+    path.write_text(text, encoding="utf-8")
+    os.utime(path, (mtime_s, mtime_s))
+    return path
+
+
+def _cached_run(argv, capsys, stdin_text=CACHE_INPUT):
+    """(exit code, stdout, stderr) of an in-process run."""
+    code, out = invoke(argv, stdin_text)
+    return code, out, capsys.readouterr().err
+
+
+def _entries(cache_home):
+    return sorted((cache_home / "morfo").glob("*")) if (cache_home / "morfo").exists() else []
+
+
+@pytest.fixture
+def own_cache_home(tmp_path, monkeypatch):
+    cache_home = tmp_path / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+    return cache_home
+
+
+def _fail(_source):
+    raise AssertionError("parsed, not loaded from the cache")
+
+
+def test_second_run_is_served_from_the_cache(tmp_path, own_cache_home, monkeypatch, capsys):
+    path = _dictionary(tmp_path)
+    commands = [[command, "--dict", str(path)]
+                for command in ("analyze", "lemmatize", "nominalize", "split-clitics")]
+    commands += [["analyze", "--dict", str(path), "--format", "jsonl"],
+                 ["evaluate", "--dict", str(path), "--conll", str(FIXTURES / "sample.conll")]]
+    monkeypatch.setenv("XDG_CACHE_HOME", "/dev/null")
+    parsed = [_cached_run(argv, capsys) for argv in commands]
+    assert parsed[0][0] == 0 and "carry flags with no rules (Q)" in parsed[0][2]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(own_cache_home))
+    assert _cached_run(commands[0], capsys) == parsed[0]
+    assert [p.suffix for p in _entries(own_cache_home)] == [".marshal"]
+    monkeypatch.setattr(lexicon, "load_dictionary", _fail)
+    assert [_cached_run(argv, capsys) for argv in commands] == parsed
+
+
+def test_an_edit_of_the_same_size_is_parsed_again(tmp_path, own_cache_home, capsys):
+    path = _dictionary(tmp_path)
+    argv = ["lemmatize", "--dict", str(path)]
+    assert _cached_run(argv, capsys)[:2] == (0, "amar\nvaca\ncomer\ncasa\n")
+    _dictionary(tmp_path, CACHE_DICTIONARY.replace("comer", "coser"), mtime_s=1_000_000_001)
+    assert _cached_run(argv, capsys)[:2] == (0, "amar\nvaca\ncomemos\ncasa\n")
+    assert len(_entries(own_cache_home)) == 1  # the entry was replaced, not joined by another
+
+
+def test_files_read_through_one_path_are_told_apart(tmp_path, own_cache_home, capsys):
+    """Two files of one size and time, each opened as ``/dev/fd/N``, are two dictionaries."""
+    fd = 60
+    outputs = []
+    for name, text in (("one", "amar/V\n"), ("two", "amer/V\n")):
+        (tmp_path / name).mkdir()
+        path = _dictionary(tmp_path / name, text)
+        opened = os.open(path, os.O_RDONLY)
+        os.dup2(opened, fd)
+        os.close(opened)
+        try:
+            outputs.append(_cached_run(["lemmatize", "--dict", f"/dev/fd/{fd}"], capsys, "amo\n"))
+        finally:
+            os.close(fd)
+    assert outputs == [(0, "amar\n", ""), (0, "amer\n", "")]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data[:len(data) // 2],  # truncated
+    lambda data: data[:-3],  # the end of the flags cut off
+    lambda data: b"",
+    lambda data: b"\x00garbage" * 50,
+    lambda data: data.replace(b"vaca", b"vacb"),  # a changed root
+    lambda data: data.replace(b"dictionary.txt", b"dictionarz.txt"),  # another path's stamp
+    lambda data: data.replace(b"\x01", b"\x02", 1),  # another format's stamp
+])
+def test_a_damaged_entry_is_parsed_again_in_silence(damage, tmp_path, own_cache_home, capsys):
+    argv = ["analyze", "--dict", str(_dictionary(tmp_path))]
+    expected = _cached_run(argv, capsys)
+    [entry] = _entries(own_cache_home)
+    entry.write_bytes(damage(entry.read_bytes()))
+    assert _cached_run(argv, capsys) == expected
+    assert _cached_run(argv, capsys) == expected  # from the entry the second run rewrote
+
+
+def test_an_unusable_cache_changes_nothing_but_speed(tmp_path, monkeypatch, capsys):
+    argv = ["analyze", "--dict", str(_dictionary(tmp_path))]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setenv("HOME", "/dev/null")  # a relative XDG_CACHE_HOME falls back to it
+    expected = _cached_run(argv, capsys)
+    for cache_home in ("/dev/null", str(tmp_path / "dictionary.txt"), "relative"):
+        monkeypatch.setenv("XDG_CACHE_HOME", cache_home)
+        assert _cached_run(argv, capsys) == expected
+        assert _cached_run(["analyze"], capsys)[2] == ""
+    entry_dir = tmp_path / "cache" / "morfo"
+    [entry] = entry_dir.iterdir()
+    entry.unlink()
+    entry.mkdir()  # an entry that cannot be read or replaced
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    assert _cached_run(argv, capsys) == expected
+    assert [p.name for p in entry_dir.iterdir()] == [entry.name]  # no temporary file left
+
+
+def test_a_malformed_dictionary_exits_2_and_stores_nothing(tmp_path, own_cache_home, capsys):
+    path = _dictionary(tmp_path, "amar/V\nvaca/S9\n")
+    for _ in range(2):
+        assert _cached_run(["analyze", "--dict", str(path)], capsys) == (
+            2, "", f"morfo: failed to load {path}: line 2: invalid flag character '9' in "
+                   "'vaca/S9'\n")
+    assert _entries(own_cache_home) == []
+
+
+def test_process_runs_give_the_same_output_with_and_without_the_cache(tmp_path):
+    path = _dictionary(tmp_path)
+    argv = ["analyze", "--dict", str(path)]
+    runs = [_run_module(argv, CACHE_INPUT.encode(), XDG_CACHE_HOME=cache_home)
+            for cache_home in (str(tmp_path / "cache"), str(tmp_path / "cache"), "/dev/null")]
+    assert (tmp_path / "cache" / "morfo").is_dir()
+    assert len({(p.returncode, p.stdout, p.stderr) for p in runs}) == 1
+    assert runs[0].returncode == 0 and runs[0].stdout.decode() == invoke(argv, CACHE_INPUT)[1]
 
 
 def test_evaluate_ignores_byte_order_mark(tmp_path):
@@ -462,6 +626,17 @@ def test_import_does_not_load_json():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     script = "import sys, morfo.cli; print('json' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
+
+
+def test_import_does_not_load_importlib_resources():
+    """The packaged data is found beside the package, with no ``importlib.resources``.
+
+    ``-S`` keeps out ``site``, whose ``.pth`` hooks may import it themselves.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    script = "import sys, morfo.cli; print('importlib.resources' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
 
 

@@ -92,6 +92,16 @@ def test_single_nominal_flag_lint(analyzer):
         Nominalizer(bad, {"N", "C"})
 
 
+def test_single_nominal_flag_lint_names_the_first_entry_in_file_order(analyzer):
+    from morfo.lexicon import load_dictionary
+
+    lexicon = load_dictionary(["amar/VN", "zumbar/VCN", "abrir/V", "crear/VNC", "comer/VCN"])
+    bad = Lemmatizer(analyzer.__class__(lexicon, analyzer.rules, analyzer.defaults))
+    with pytest.raises(LoadError) as info:
+        Nominalizer(bad, {"N", "C"})
+    assert str(info.value) == "entry 'zumbar' carries multiple nominalization flags: CN"
+
+
 def test_memoization_is_invisible(lemmatizer, analyzer):
     first = lemmatizer.lemmatize("llegó")
     second = lemmatizer.lemmatize("llegó")

@@ -1,12 +1,17 @@
 import io
+import os
+import sys
+import tempfile
+import threading
+import unicodedata
+from pathlib import Path
 
 import pytest
-import unicodedata
-
 from hypothesis import example, given, settings, strategies as st
 
+from morfo import lexicon as lexicon_module, resources
 from morfo.errors import LoadError
-from morfo.lexicon import LexEntry, Lexicon, load_dictionary, normalize
+from morfo.lexicon import LexEntry, Lexicon, load_cached_dictionary, load_dictionary, normalize
 
 
 def test_load_single_entry():
@@ -100,6 +105,114 @@ def test_load_matches_reference_parse(lines, newline):
     reference = _reference_lexicon(text)
     assert lexicon == reference
     assert list(lexicon) == list(reference)
+
+
+def _settled(path):
+    """Date ``path`` back past the cache's settling time, as a file not edited of late."""
+    old = os.stat(path).st_mtime_ns - 2 * lexicon_module.SETTLE_NS
+    os.utime(path, ns=(old, old))
+
+
+def _load_file(path):
+    with open(path, "rb") as stream:
+        return load_cached_dictionary(stream)
+
+
+def _fail(_source):
+    raise AssertionError("parsed, not loaded from the cache")
+
+
+# Roots that repeat (merged), comments, decomposed and accented letters, and
+# flags shared between roots.
+_CACHE_ROOT = st.sampled_from(["amar", "vaca", "Vaca", "cancion", "canción", "cancio\u0301n",
+                               "ÑANDÚ", "niño", "e\u0301l", "x"])
+_CACHE_LINE = st.one_of(
+    st.builds(lambda root, flags: root + ("/" + flags if flags else ""),
+              _CACHE_ROOT, st.sampled_from(["", "V", "S", "VS", "SV", "VVN", "n"])),
+    st.sampled_from(["# comentario", "", "  # otro/V"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_CACHE_LINE, max_size=20), st.sampled_from(["\n", "\r\n"]))
+def test_cached_load_equals_a_fresh_parse(lines, newline):
+    data = newline.join(lines).encode("utf-8")
+    fresh = load_dictionary(io.BytesIO(data))
+    with tempfile.TemporaryDirectory() as directory:  # a new path, and so a new entry, per example
+        path = Path(directory) / "dictionary.txt"
+        path.write_bytes(data)
+        _settled(path)
+        first = _load_file(path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lexicon_module, "load_dictionary", _fail)
+            cached = _load_file(path)
+    for loaded in (first, cached):
+        assert loaded == fresh
+        assert list(loaded.flags.items()) == list(fresh.flags.items())
+
+
+@pytest.mark.parametrize("change", ["lexicon.py", "resources.py", "cache tag", "format"])
+def test_new_parsing_code_or_interpreter_parses_again(change, tmp_path, monkeypatch):
+    path = tmp_path / "dictionary.txt"
+    path.write_text("amar/V\nvaca/S\n", encoding="utf-8")
+    _settled(path)
+    expected = _load_file(path)
+    if change == "cache tag":
+        monkeypatch.setattr(sys.implementation, "cache_tag", "other-311")
+    elif change == "format":
+        monkeypatch.setattr(lexicon_module, "CACHE_FORMAT", lexicon_module.CACHE_FORMAT + 1)
+    else:  # the same module, at another size and time
+        module = lexicon_module if change == "lexicon.py" else resources
+        edited = tmp_path / change
+        edited.write_text(Path(module.__file__).read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        monkeypatch.setattr(module, "__file__", str(edited))
+    parses = []
+    monkeypatch.setattr(lexicon_module, "load_dictionary",
+                        lambda source: parses.append(source) or load_dictionary(source))
+    assert _load_file(path) == expected
+    assert len(parses) == 1
+    assert _load_file(path) == expected  # from the entry that parse replaced
+    assert len(parses) == 1
+
+
+def test_a_file_edited_of_late_is_parsed_but_not_cached(tmp_path):
+    path = tmp_path / "dictionary.txt"
+    path.write_text("amar/V\n", encoding="utf-8")
+    assert _load_file(path) == load_dictionary(["amar/V"])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lexicon_module, "load_dictionary", _fail)
+        with pytest.raises(AssertionError, match="parsed"):
+            _load_file(path)
+
+
+def test_streams_that_are_not_regular_files_are_parsed(tmp_path, monkeypatch):
+    """A pipe, a FIFO and an in-memory stream can be read only once, so the cache skips them."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"amar/V\nvaca/S\n")
+    os.close(write_end)
+    with open(read_end, "rb") as stream:
+        assert load_cached_dictionary(stream) == load_dictionary(["amar/V", "vaca/S"])
+    fifo = tmp_path / "dictionary.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(b"casa/S\n",))
+    writer.start()
+    try:
+        assert _load_file(fifo) == load_dictionary(["casa/S"])
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert load_cached_dictionary(io.BytesIO(b"mar/S\n")) == load_dictionary(["mar/S"])
+    assert not os.path.exists(lexicon_module.cache_dir())
+
+
+def test_cache_dir_follows_xdg_cache_home(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert lexicon_module.cache_dir() == str(tmp_path / "morfo")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    for unset in ("", "relative/cache"):
+        monkeypatch.setenv("XDG_CACHE_HOME", unset)
+        assert lexicon_module.cache_dir() == str(tmp_path / "home" / ".cache" / "morfo")
 
 
 def test_lexicon_api():
