@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 usage, input or output error, 2 data-file load error.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -274,7 +275,42 @@ def cmd_evaluate(args, stdin: BinaryIO, stdout: TextIO) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
+#: Each command's function, help text and own arguments (name, keywords), in help order.
+_COMMANDS = {
+    "analyze": (cmd_analyze,
+                "label words read from stdin, one token (or token<TAB>pos) per line", ()),
+    "lemmatize": (cmd_lemmatize, "reduce words to dictionary roots", ()),
+    "nominalize": (cmd_nominalize, "convert verbs to nominal form", (
+        ("--nominal-flags", {"help": "nominal-derivation flag manifest"}),
+    )),
+    "split-clitics": (cmd_split_clitics, "detach enclitic pronouns", (
+        ("--verbs-only", {"action": "store_true",
+                          "help": "only split tokens whose input pos tag is verb (or untagged)"}),
+    )),
+    "import-coes": (cmd_import_coes, "convert a COES/Ispell affix file to the rule-table TSV", (
+        ("--aff", {"help": "affix file to import (default: stdin)"}),
+        ("--out", {"help": "output TSV path (default: stdout)"}),
+        ("--skip-flags", {"help": "flag characters whose sections are skipped"}),
+        ("--infer-person", {"action": "store_true",
+                            "help": "assign person/number cyclically within six-rule blocks"}),
+    )),
+    "evaluate": (cmd_evaluate, "score the analyzer and lemmatizer on CoNLL-2009 data", (
+        ("--conll", {"action": "append", "required": True,
+                     "help": "CoNLL-2009 file (repeatable)"}),
+        ("--mapping", {"help": "gold-to-enum mapping config (TSV)"}),
+        ("--filter-on-lemma", {"action": "store_true",
+                               "help": "apply the participle filter to the gold lemma instead "
+                                       "of the form"}),
+    )),
+}
+
+
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The CLI's argument parser; for a known ``command``, one that builds only its subparser.
+
+    That parser parses ``command``'s arguments, and prints its help, usage
+    and errors, exactly as the full one does: its usage names every command.
+    """
     parser = _Parser(prog="morfo", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--dict", help="dictionary file (word/FLAGS lines)")
@@ -282,56 +318,45 @@ def build_parser() -> _Parser:
     common.add_argument("--defaults", help="ending-default feature table (TSV)")
     common.add_argument("--pronouns", help="clitic pronoun table (TSV)")
     common.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sub.add_parser("analyze", parents=[common],
-                   help="label words read from stdin, one token (or token<TAB>pos) per line")
-    sub.add_parser("lemmatize", parents=[common], help="reduce words to dictionary roots")
-    p = sub.add_parser("nominalize", parents=[common], help="convert verbs to nominal form")
-    p.add_argument("--nominal-flags", help="nominal-derivation flag manifest")
-    p = sub.add_parser("split-clitics", parents=[common], help="detach enclitic pronouns")
-    p.add_argument("--verbs-only", action="store_true",
-                   help="only split tokens whose input pos tag is verb (or untagged)")
-    p = sub.add_parser("import-coes", parents=[common],
-                       help="convert a COES/Ispell affix file to the rule-table TSV")
-    p.add_argument("--aff", help="affix file to import (default: stdin)")
-    p.add_argument("--out", help="output TSV path (default: stdout)")
-    p.add_argument("--skip-flags", help="flag characters whose sections are skipped")
-    p.add_argument("--infer-person", action="store_true",
-                   help="assign person/number cyclically within six-rule blocks")
-    p = sub.add_parser("evaluate", parents=[common],
-                       help="score the analyzer and lemmatizer on CoNLL-2009 data")
-    p.add_argument("--conll", action="append", required=True, help="CoNLL-2009 file (repeatable)")
-    p.add_argument("--mapping", help="gold-to-enum mapping config (TSV)")
-    p.add_argument("--filter-on-lemma", action="store_true",
-                   help="apply the participle filter to the gold lemma instead of the form")
+    names = list(_COMMANDS)
+    # The full parser names a missing command "command", from its dest, which
+    # a metavar would replace; a one-command parser never reports one.
+    metavar = None
+    if command in _COMMANDS:
+        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                                metavar=metavar)
+    for name in names:
+        _function, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "lemmatize": cmd_lemmatize,
-    "nominalize": cmd_nominalize,
-    "split-clitics": cmd_split_clitics,
-    "import-coes": cmd_import_coes,
-    "evaluate": cmd_evaluate,
-}
-
-
 def run(argv: Sequence[str], stdin: BinaryIO = None, stdout: TextIO = None) -> int:
+    """Run the command in ``argv`` on ``stdin`` and ``stdout``; return its exit code.
+
+    ``stdin`` defaults to the process's stdin (as bytes) and ``stdout`` to its
+    stdout. A run given neither stream owns the process's stdio, as ``main``
+    does, and ends with ``gc.freeze()``: at exit the interpreter skips
+    collecting every object alive then and leaves their memory to the
+    operating system. A run given either stream never freezes.
+    """
+    owns_stdio = stdin is None and stdout is None
     stdin = stdin if stdin is not None else sys.stdin.buffer
     if stdout is None:
         stdout = sys.stdout
         if hasattr(stdout, "reconfigure"):  # not when redirected to a StringIO
             stdout.reconfigure(encoding="utf-8")
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     errors.echo_warnings(_WARNINGS)
     try:
-        code = _COMMANDS[args.command](args, stdin, stdout)
+        code = _COMMANDS[args.command][0](args, stdin, stdout)
         stdout.flush()
         return code
     except DataFileError as exc:
@@ -350,6 +375,8 @@ def run(argv: Sequence[str], stdin: BinaryIO = None, stdout: TextIO = None) -> i
         return EXIT_USAGE
     finally:
         errors.echo_warnings(None)
+        if owns_stdio:
+            gc.freeze()
 
 
 def main() -> None:

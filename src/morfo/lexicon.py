@@ -177,6 +177,7 @@ def _cache_key(stream: BinaryIO) -> Optional[Tuple[str, bytes, bool]]:
     except OSError:
         return None
     path = os.path.abspath(stream.name)
+    # ``_remove_stale`` reads the path as the third item.
     stamp = (CACHE_FORMAT, sys.implementation.cache_tag, path, status.st_dev, status.st_ino,
              status.st_size, status.st_mtime_ns, *[(s.st_size, s.st_mtime_ns) for s in code])
     name = f"dictionary-{crc32(os.fsencode(path)):08x}.marshal"
@@ -210,6 +211,7 @@ def _write_entry(entry: str, stamp: bytes, flags: Dict[str, tuple]) -> None:
     """Store ``flags`` under ``stamp`` through a temporary file, so that no reader sees part of it.
 
     A directory or file that cannot be written leaves the cache as it was.
+    Once stored, the entry's stale neighbours are removed (``_remove_stale``).
     """
     payload = marshal.dumps(flags)
     temporary = f"{entry}.{os.getpid()}.tmp"
@@ -227,6 +229,42 @@ def _write_entry(entry: str, stamp: bytes, flags: Dict[str, tuple]) -> None:
             os.unlink(temporary)
         except OSError:
             pass
+        return
+    _remove_stale(entry)
+
+
+def _remove_stale(entry: str) -> None:
+    """Remove each other entry beside ``entry`` whose dictionary is gone or stamp unreadable.
+
+    The stamp is the first marshalled object of an entry, and its third item
+    is the dictionary's absolute path. Temporary files belong to writers
+    that may still be running, and are left alone; so is any file that
+    cannot be read or removed.
+    """
+    directory, own = os.path.split(entry)
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return
+    for name in names:
+        if name == own or not (name.startswith("dictionary-") and name.endswith(".marshal")):
+            continue
+        path = os.path.join(directory, name)
+        try:
+            with open(path, "rb") as stream:
+                data = stream.read()
+        except OSError:
+            continue
+        try:
+            stamp = marshal.loads(data)  # the payload after the stamp is not decoded
+        except (EOFError, ValueError, TypeError):
+            stamp = None
+        dictionary = stamp[2] if type(stamp) is tuple and len(stamp) > 2 else None
+        if not (type(dictionary) is str and os.path.exists(dictionary)):
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
 
 
 def load_cached_dictionary(stream: BinaryIO) -> Lexicon:
@@ -238,6 +276,7 @@ def load_cached_dictionary(stream: BinaryIO) -> Lexicon:
     cache that cannot be read or written falls back to the parse, and
     nothing is printed. A file that fails to load, or was modified too
     recently to tell a later same-size edit by its stamp, stores nothing.
+    Storing an entry removes those of dictionaries that no longer exist.
     """
     key = _cache_key(stream)
     if key is None:

@@ -1,11 +1,14 @@
 import contextlib
+import gc
 import io
 import json
+import marshal
 import os
 import random
 import subprocess
 import sys
 import time
+import warnings
 from functools import cache
 from pathlib import Path
 
@@ -178,6 +181,33 @@ def test_bad_usage_exits_1():
     assert code == 1
 
 
+PARSER_CASES = [["--help"], *([command, "--help"] for command in cli._COMMANDS), [],
+                ["no-such-command"], ["analyze", "--format", "xml"], ["evaluate"],
+                ["lemmatize", "--no-such-option"]]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_the_parser_for_one_command_prints_what_the_full_parser_prints(argv, monkeypatch,
+                                                                        capsys):
+    def outcome():
+        code, out = invoke(argv)
+        captured = capsys.readouterr()
+        return code, out, captured.out, captured.err
+
+    chosen = outcome()
+    assert chosen[2] or chosen[3]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert outcome() == chosen
+
+
+def test_the_parser_for_one_command_knows_no_other(capsys):
+    assert cli.build_parser().parse_args(["lemmatize"]).command == "lemmatize"
+    with pytest.raises(SystemExit):
+        cli.build_parser("analyze").parse_args(["lemmatize"])
+    assert "invalid choice: 'lemmatize'" in capsys.readouterr().err
+
+
 def test_unknown_pos_tag_exits_1(capsys):
     code, out = invoke(["analyze"], "amo\namo\tadverbio\n")
     assert code == 1
@@ -267,7 +297,7 @@ def test_seed_forms_through_both_cache_generations_are_written_as_when_alone(
     # stream loop; only the parser and the analyzer are built once for all.
     parser = cli.build_parser()
     analyzer = cli.build_analyzer(parser.parse_args(["analyze"]))
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: parser)
     monkeypatch.setattr(cli, "build_analyzer", lambda args: analyzer)
     for argv in (["analyze"], ["lemmatize", "--format", "jsonl"]):
         alone = {}
@@ -487,6 +517,63 @@ def test_a_malformed_dictionary_exits_2_and_stores_nothing(tmp_path, own_cache_h
     assert _entries(own_cache_home) == []
 
 
+def test_storing_an_entry_removes_those_of_dictionaries_that_are_gone(
+        tmp_path, own_cache_home, capsys):
+    for name in ("gone", "kept", "new"):
+        (tmp_path / name).mkdir()
+    gone, kept, new = (_dictionary(tmp_path / name) for name in ("gone", "kept", "new"))
+    entries = []
+    for path in (gone, kept):
+        assert _cached_run(["lemmatize", "--dict", str(path)], capsys)[0] == 0
+        [entry] = set(_entries(own_cache_home)) - set(entries)
+        entries.append(entry)
+    gone_entry, kept_entry = entries
+    gone.unlink()
+    directory = own_cache_home / "morfo"
+    damaged = [directory / f"dictionary-0000000{n}.marshal" for n in range(3)]
+    for path, data in zip(damaged, [b"\x00garbage", marshal.dumps(42),
+                                    marshal.dumps((1, "tag")) + b"payload"]):
+        path.write_bytes(data)
+    temporary = directory / f"{gone_entry.name}.123.tmp"  # a concurrent writer's
+    temporary.write_bytes(b"")
+    before = set(_entries(own_cache_home))
+    assert _cached_run(["lemmatize", "--dict", str(kept)], capsys)[0] == 0
+    assert set(_entries(own_cache_home)) == before  # a run served from the cache removes nothing
+    assert _cached_run(["lemmatize", "--dict", str(new)], capsys)[0] == 0
+    [new_entry] = set(_entries(own_cache_home)) - before
+    assert set(_entries(own_cache_home)) == {kept_entry, temporary, new_entry}
+
+
+def test_every_command_closes_what_it_opens(tmp_path, own_cache_home):
+    """Every file a command opens is closed before ``run`` returns.
+
+    A process that owns its stdio freezes its objects, so it would not report
+    a file left open at exit; these runs are in-process. The first run with ``--dict`` parses and stores the dictionary, the later
+    ones load the entry, and the packaged dictionary takes both paths too.
+    """
+    path = str(_dictionary(tmp_path))
+    runs = [[command, "--dict", path]
+            for command in ("analyze", "lemmatize", "nominalize", "split-clitics")]
+    runs += [["analyze"], ["split-clitics", "--format", "jsonl"],
+             ["import-coes", "--aff", str(FIXTURES / "fig1.aff"), "--out",
+              str(tmp_path / "rules.tsv")],
+             ["evaluate", "--dict", path, "--conll", str(FIXTURES / "sample.conll")],
+             ["evaluate", "--conll", str(FIXTURES / "sample.conll")]]
+    unraisable = []
+    hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            for argv in runs:
+                assert invoke(argv, CACHE_INPUT)[0] == 0, argv
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    assert [str(u.exc_value) for u in unraisable] == []
+    assert (tmp_path / "rules.tsv").stat().st_size > 0
+    assert len(_entries(own_cache_home)) == 2
+
+
 def test_process_runs_give_the_same_output_with_and_without_the_cache(tmp_path):
     path = _dictionary(tmp_path)
     argv = ["analyze", "--dict", str(path)]
@@ -564,6 +651,29 @@ def test_run_writes_to_a_redirected_stdout():
     assert (code, out.getvalue()) == (0, "amar\n")
 
 
+def test_a_run_given_a_stream_never_freezes(tmp_path):
+    frozen = gc.get_freeze_count()
+    for argv in (["analyze"], ["lemmatize", "--format", "jsonl"], ["evaluate"],
+                 ["import-coes", "--out", str(tmp_path / "rules.tsv")],
+                 ["analyze", "--dict", "/no/such/file.txt"]):
+        invoke(argv, "amo\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        run(["lemmatize"], stdin=io.BytesIO(b"amo\n"))
+    assert gc.get_freeze_count() == frozen
+
+
+def test_a_run_on_the_process_stdio_freezes_its_objects():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    script = ("import gc, sys, morfo.cli\n"
+              "code = morfo.cli.run(sys.argv[1:])\n"
+              "print(gc.get_freeze_count(), file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script, "lemmatize"], input=b"amo\n",
+                          capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, b"amar\n")
+    assert int(proc.stderr) > 0
+
+
 def _run_module(argv, stdin, **env):
     """``python -m morfo.cli`` in a child process, on real stdin and stdout."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), **env}
@@ -576,7 +686,9 @@ def test_process_output_equals_in_process_output(generation_set):
 
     The input holds more distinct lines than both cache generations keep,
     so lines are evicted and computed again, and repeats, CRLF endings,
-    blank lines and pos hints are mixed in.
+    blank lines and pos hints are mixed in. The output is larger than the
+    stdout buffer and a pipe's, and the child, which freezes its objects when
+    ``run`` ends, still writes all of it.
     """
     rng = random.Random(7)
     forms = {form for _root, form, _rule, _features in generation_set}
@@ -589,11 +701,13 @@ def test_process_output_equals_in_process_output(generation_set):
         token + rng.choice(["", "", "", "\tnoun", "\tverb"]) + rng.choice(["\n", "\n", "\r\n"])
         + rng.choice(["", "", "", "", "\n", "  \r\n"])
         for token in tokens)
+    assert text.count("\n") > 20_000
     for argv in (["analyze"], ["lemmatize", "--format", "jsonl"]):
         code, expected = invoke(argv, text)
         proc = _run_module(argv, text.encode("utf-8"))
         assert (proc.returncode, proc.stderr) == (code, b"") == (0, b"")
         assert proc.stdout.decode("utf-8") == expected
+        assert len(proc.stdout) > 64 * 1024
 
 
 def test_process_answers_a_typed_line_before_end_of_input():
