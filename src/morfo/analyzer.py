@@ -161,8 +161,8 @@ class Analyzer:
         if bad:
             entries = sum(flags in bad for flags in self.lexicon.flags.values())
             unknown = set().union(*bad)
-            warn(__name__, "%d dictionary entries carry flags with no rules (%s); "
-                 "those flags are skipped", entries, ", ".join(sorted(unknown - known)))
+            warn(f"{entries} dictionary entries carry flags with no rules "
+                 f"({', '.join(sorted(unknown - known))}); those flags are skipped")
 
     # -- affix stripping ------------------------------------------------------
 

@@ -7,13 +7,11 @@ once. For one run they keep the output of recently seen input lines, up to
 8,192 (twice ``CACHE_SIZE``), and write it again when a line repeats; this
 changes speed only. The analyzer itself keeps no results.
 
-Warnings print to stderr as ``morfo: [<file>: ]<message>``. Start-up is kept
-short: importing this module loads neither ``dataclasses`` nor ``logging``,
-and a run loads ``logging`` only when it warns, ``json`` only for
-``--format jsonl``, and the COES importer and CoNLL evaluator only for their
-commands.
-
-Exit codes: 0 success, 1 usage, input or output error, 2 data-file load error.
+Warnings print to stderr as ``morfo: [<file>: ]<message>`` (``errors.warn``).
+Start-up is kept short: importing this module loads neither ``dataclasses``
+nor ``logging``; a run loads ``json`` only for ``--format jsonl``, and the
+COES importer and CoNLL evaluator only for their commands. ``_DESCRIPTION``
+gives the exit codes.
 """
 
 from __future__ import annotations
@@ -47,6 +45,12 @@ EXIT_DATA = 2
 #: 5,120, and 19.48 MB (+14%, near the bench's 15% bound) at 8,192.
 CACHE_SIZE = 4096
 
+#: What ``morfo --help`` says above the commands.
+_DESCRIPTION = ("Rule-based Spanish morphology from a root dictionary and a suffix rule table. "
+                "The stream commands read one token (or token<TAB>pos) per line of stdin and "
+                "write one line per token. Exit codes: 0 success, 1 usage, input or output "
+                "error, 2 data-file load error.")
+
 #: Input pos tag -> its ``Pos``, and ``Provenance`` -> its output text.
 _POS_TAGS = {pos.value: pos for pos in Pos}
 _PROVENANCE_TEXT = {p: p.value for p in Provenance}
@@ -64,32 +68,16 @@ class DataFileError(Exception):
         self.path = path
 
 
-class _Warnings:
-    """Prints each warning to the current stderr as ``morfo: <message>``.
-
-    A warning raised while ``_read`` loads a file reads ``morfo: <path>: <message>``.
-    """
-
-    path = None
-
-    def __call__(self, message: str) -> None:
-        where = f"{self.path}: " if self.path is not None else ""
-        print(f"morfo: {where}{message}", file=sys.stderr)
-
-
-_WARNINGS = _Warnings()
-
-
 def _read(path, loader):
-    """``loader`` applied to the file at ``path``, read as bytes; every failure names the file."""
-    _WARNINGS.path = path
+    """``loader`` applied to the file at ``path``, read as bytes; failures and warnings name it."""
+    errors.loading = path
     try:
         with open(path, "rb") as stream:
             return loader(stream)
     except (OSError, LoadError) as exc:
         raise DataFileError(path, exc) from exc
     finally:
-        _WARNINGS.path = None
+        errors.loading = None
 
 
 def _load(name: str, override: Optional[str], loader):
@@ -311,7 +299,7 @@ def build_parser(command: Optional[str] = None) -> _Parser:
     That parser parses ``command``'s arguments, and prints its help, usage
     and errors, exactly as the full one does: its usage names every command.
     """
-    parser = _Parser(prog="morfo", description=__doc__)
+    parser = _Parser(prog="morfo", description=_DESCRIPTION)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--dict", help="dictionary file (word/FLAGS lines)")
     common.add_argument("--rules", help="morphological rule table (TSV)")
@@ -354,7 +342,6 @@ def run(argv: Sequence[str], stdin: BinaryIO = None, stdout: TextIO = None) -> i
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    errors.echo_warnings(_WARNINGS)
     try:
         code = _COMMANDS[args.command][0](args, stdin, stdout)
         stdout.flush()
@@ -374,7 +361,6 @@ def run(argv: Sequence[str], stdin: BinaryIO = None, stdout: TextIO = None) -> i
         print(f"morfo: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
-        errors.echo_warnings(None)
         if owns_stdio:
             gc.freeze()
 

@@ -71,8 +71,8 @@ def convert_accents(text: str, line_no: Optional[int] = None) -> str:
     where = f"line {line_no}: " if line_no else ""
     for match in _ESCAPE.finditer(text):
         if match.lastindex is None:
-            warn(__name__, "%sdangling %r before %r left unchanged",
-                 where, match.group(), text[match.end():match.end() + 1])
+            warn(f"{where}dangling {match.group()!r} before "
+                 f"{text[match.end():match.end() + 1]!r} left unchanged")
     return _unescape(text)
 
 
@@ -141,7 +141,7 @@ def import_rules(
     Only suffix rules are imported: an Ispell ``prefixes`` section is skipped
     up to the next ``suffixes`` line, with one warning naming its line.
 
-    An example comment that its rule does not reproduce is logged as a warning.
+    An example comment that its rule does not reproduce is warned of.
     """
     skip: Set[str] = set(skip_flags)
     rows: List[ImportedRule] = []
@@ -172,8 +172,7 @@ def import_rules(
             flag, hints = None, {}
             in_prefixes = section.group(1).lower() == "prefixes"
             if in_prefixes:
-                warn(__name__, "line %d: prefixes section skipped; only suffix rules are imported",
-                     line_no)
+                warn(f"line {line_no}: prefixes section skipped; only suffix rules are imported")
             continue
         header = _FLAG_HEADER.match(line)
         if header:
@@ -193,7 +192,7 @@ def import_rules(
         if in_prefixes:
             continue
         if flag is None:
-            warn(__name__, "line %d: rule before any flag header skipped", line_no)
+            warn(f"line {line_no}: rule before any flag header skipped")
             continue
         if flag in skip:
             continue
@@ -204,11 +203,11 @@ def import_rules(
                 example=_parse_example(comment), line_no=line_no))
             block.append(len(rows) - 1)
         except ValueError as exc:
-            warn(__name__, "line %d: %s; row skipped", line_no, exc)
+            warn(f"line {line_no}: {exc}; row skipped")
     close_block()
     for row, got in check_examples(rows):
-        warn(__name__, "line %d: example %s -> %s, rule produced %r",
-             row.line_no, *row.example, got)
+        source, expected = row.example
+        warn(f"line {row.line_no}: example {source} -> {expected}, rule produced {got!r}")
     return rows
 
 

@@ -71,29 +71,12 @@ def load_mapping(source: Iterable[bytes | str]) -> FeatureMapping:
 
 @dataclass
 class TokenRecord:
-    sentence_index: int
     token_index: int
     form: str
     gold_lemma: str
-    gold_pos_raw: str
     gold_pos: Optional[Pos]
     gold_features: FeatureSet
-    raw_features: Dict[str, str]  # FEAT pairs that the mapping did not cover
-    feat_string: str
     is_predicate: bool
-    predicate_sense: Optional[str]
-
-    def to_conll_line(self) -> str:
-        """Serialize the consumed columns back into a CoNLL-2009 row."""
-        cols = ["_"] * _MIN_COLUMNS
-        cols[_COL_ID] = str(self.token_index)
-        cols[_COL_FORM] = self.form
-        cols[_COL_LEMMA] = self.gold_lemma if not self.is_predicate else "_"
-        cols[_COL_POS] = self.gold_pos_raw
-        cols[_COL_FEAT] = self.feat_string
-        cols[_COL_FILLPRED] = "Y" if self.is_predicate else "_"
-        cols[_COL_PRED] = self.predicate_sense or "_"
-        return "\t".join(cols)
 
 
 def _strip_sense(sense: str) -> str:
@@ -102,18 +85,12 @@ def _strip_sense(sense: str) -> str:
 
 
 def parse_conll(source: Iterable[bytes | str], mapping: FeatureMapping) -> List[TokenRecord]:
-    """Parse CoNLL-2009 rows into records; unmappable FEAT values are kept raw."""
+    """Parse CoNLL-2009 rows into records; one warning counts the FEAT values with no mapping."""
     records: List[TokenRecord] = []
-    sentence = 0
-    in_sentence = False
     unmapped = 0
     for line_no, line in lines(source):
         if not line.strip():
-            if in_sentence:
-                sentence += 1
-                in_sentence = False
             continue
-        in_sentence = True
         cols = line.split("\t")
         if len(cols) < _MIN_COLUMNS:
             raise LoadError(f"expected at least {_MIN_COLUMNS} columns, got {len(cols)}", line_no)
@@ -123,15 +100,12 @@ def parse_conll(source: Iterable[bytes | str], mapping: FeatureMapping) -> List[
             raise LoadError(f"non-numeric token id {cols[_COL_ID]!r}", line_no) from None
         feat_string = cols[_COL_FEAT]
         feat_values: Dict[str, str] = {}
-        raw_features: Dict[str, str] = {}
         if feat_string not in ("_", ""):
             for pair in feat_string.split("|"):
                 hit = mapping.feat_map.get(pair)
                 if hit:
                     feat_values[hit[0]] = hit[1]
                 else:
-                    key, _, value = pair.partition("=")
-                    raw_features[key] = value
                     unmapped += 1
         try:
             gold_features = FeatureSet.from_cells(feat_values)
@@ -141,20 +115,15 @@ def parse_conll(source: Iterable[bytes | str], mapping: FeatureMapping) -> List[
         sense = cols[_COL_PRED] if is_predicate and cols[_COL_PRED] != "_" else None
         gold_lemma = _strip_sense(sense) if sense else cols[_COL_LEMMA]
         records.append(TokenRecord(
-            sentence_index=sentence,
             token_index=token_index,
             form=cols[_COL_FORM],
             gold_lemma=gold_lemma,
-            gold_pos_raw=cols[_COL_POS],
             gold_pos=mapping.pos_map.get(cols[_COL_POS]),
             gold_features=gold_features,
-            raw_features=raw_features,
-            feat_string=feat_string,
             is_predicate=is_predicate,
-            predicate_sense=sense,
         ))
     if unmapped:
-        warn(__name__, "%d FEAT values had no mapping and were kept raw", unmapped)
+        warn(f"{unmapped} FEAT values had no mapping and were kept raw")
     return records
 
 

@@ -20,7 +20,7 @@ import sys
 import time
 import unicodedata
 from binascii import crc32
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import BinaryIO, Dict, Iterable, Iterator, Optional, Tuple
 
 from morfo import resources
 from morfo.errors import LoadError
@@ -34,6 +34,11 @@ CACHE_FORMAT = 1
 #: but not cached: a second edit of the same size could fall within the file
 #: system's timestamp granularity (2 s on FAT) and leave its stamp unchanged.
 SETTLE_NS = 2_000_000_000
+
+#: A temporary entry file last modified more than this many seconds ago was
+#: left by a writer that died between creating and renaming it (a write takes
+#: milliseconds), and the next store beside it removes it.
+ORPHAN_S = 3600
 
 
 def normalize(word: str) -> str:
@@ -63,27 +68,14 @@ class LexEntry(Frozen):
 class Lexicon:
     """Immutable map of roots to flag tuples.
 
-    ``flags`` maps each root to its flags, in the order the entries were
-    given (for a loaded file, the order of each root's first line); roots with
-    equal flags may share one tuple. ``LexEntry`` objects are made only on
-    request.
+    ``flags`` maps each root to its flags (for a loaded file, in the order of
+    each root's first line); roots with equal flags may share one tuple. The
+    dict given is kept, not copied, so it must not change afterwards.
+    Iterating makes a ``LexEntry`` per root.
     """
 
-    def __init__(self, entries: Iterable[LexEntry] = ()):
-        entries = list(entries)
-        self.flags: Dict[str, tuple] = {e.root: e.flags for e in entries}
-        if len(self.flags) != len(entries):
-            raise ValueError("duplicate roots in lexicon")
-
-    @classmethod
-    def _from_flags(cls, flags: Dict[str, tuple]) -> Lexicon:
-        lexicon = cls.__new__(cls)
-        lexicon.flags = flags
-        return lexicon
-
-    @property
-    def entries(self) -> List[LexEntry]:
-        return list(self)
+    def __init__(self, flags: Dict[str, tuple]):
+        self.flags = flags
 
     def __len__(self) -> int:
         return len(self.flags)
@@ -93,10 +85,6 @@ class Lexicon:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Lexicon) and self.flags == other.flags
-
-    def lookup_exact(self, root: str) -> Optional[LexEntry]:
-        flags = self.flags.get(root)
-        return None if flags is None else LexEntry(root, flags)
 
 
 def _check_line(line: str, line_no: int) -> None:
@@ -137,7 +125,7 @@ def load_dictionary(source: Iterable[bytes | str]) -> Lexicon:
                 union = tuple(dict.fromkeys(known + flags))
                 flags = shared.setdefault("".join(union), union)
             merged[root] = flags
-    return Lexicon._from_flags(merged)
+    return Lexicon(merged)
 
 
 def cache_dir() -> Optional[str]:
@@ -237,9 +225,9 @@ def _remove_stale(entry: str) -> None:
     """Remove each other entry beside ``entry`` whose dictionary is gone or stamp unreadable.
 
     The stamp is the first marshalled object of an entry, and its third item
-    is the dictionary's absolute path. Temporary files belong to writers
-    that may still be running, and are left alone; so is any file that
-    cannot be read or removed.
+    is the dictionary's absolute path. A temporary file is removed once it is
+    older than ``ORPHAN_S``; a younger one may belong to a writer still
+    running. Any file that cannot be read or removed is left alone.
     """
     directory, own = os.path.split(entry)
     try:
@@ -247,20 +235,29 @@ def _remove_stale(entry: str) -> None:
     except OSError:
         return
     for name in names:
-        if name == own or not (name.startswith("dictionary-") and name.endswith(".marshal")):
+        if name == own or not name.startswith("dictionary-"):
             continue
         path = os.path.join(directory, name)
-        try:
-            with open(path, "rb") as stream:
-                data = stream.read()
-        except OSError:
+        if name.endswith(".tmp") and ".marshal." in name:
+            try:
+                stale = time.time() - os.stat(path).st_mtime > ORPHAN_S
+            except OSError:
+                continue
+        elif name.endswith(".marshal"):
+            try:
+                with open(path, "rb") as stream:
+                    data = stream.read()
+            except OSError:
+                continue
+            try:
+                stamp = marshal.loads(data)  # the payload after the stamp is not decoded
+            except (EOFError, ValueError, TypeError):
+                stamp = None
+            dictionary = stamp[2] if type(stamp) is tuple and len(stamp) > 2 else None
+            stale = not (type(dictionary) is str and os.path.exists(dictionary))
+        else:
             continue
-        try:
-            stamp = marshal.loads(data)  # the payload after the stamp is not decoded
-        except (EOFError, ValueError, TypeError):
-            stamp = None
-        dictionary = stamp[2] if type(stamp) is tuple and len(stamp) > 2 else None
-        if not (type(dictionary) is str and os.path.exists(dictionary)):
+        if stale:
             try:
                 os.unlink(path)
             except OSError:
@@ -287,4 +284,4 @@ def load_cached_dictionary(stream: BinaryIO) -> Lexicon:
         flags = load_dictionary(stream).flags
         if settled:
             _write_entry(entry, stamp, flags)
-    return Lexicon._from_flags(flags)
+    return Lexicon(flags)

@@ -185,7 +185,7 @@ def expand_entry(entry: LexEntry, table: RuleTable) -> List[ExpandedForm]:
     for flag in entry.flags:
         bucket = table.by_flag.get(flag)
         if bucket is None:
-            warn(__name__, "entry %r: unknown flag %r skipped", entry.root, flag)
+            warn(f"entry {entry.root!r}: unknown flag {flag!r} skipped")
             continue
         for rule in bucket:
             form = apply_rule(entry.root, rule)

@@ -1,5 +1,5 @@
+import contextlib
 import io
-import logging
 import random
 
 import pytest
@@ -139,9 +139,8 @@ def test_soundness_of_dictionary_analyses(analyzer, generation_set, lexicon, rul
         for a in analyzer.analyze(form):
             if a.provenance is Provenance.DEFAULT_FALLBACK:
                 continue
-            entry = lexicon.lookup_exact(a.lemma)
-            assert entry is not None
-            assert apply_rule(entry.root, rule_table.by_id[a.rule_id]) == form
+            assert a.lemma in lexicon.flags
+            assert apply_rule(a.lemma, rule_table.by_id[a.rule_id]) == form
 
 
 def test_memo_transparency(lexicon, rule_table, default_table, generation_set):
@@ -208,12 +207,12 @@ def class_rules():
 @given(data=st.data())
 def test_stripping_matches_oracle_on_random_sub_lexicons(lexicon, class_rules, default_table,
                                                          brute_force, generation_set, data):
-    chosen = data.draw(st.lists(st.sampled_from(lexicon.entries), max_size=40,
+    chosen = data.draw(st.lists(st.sampled_from(list(lexicon)), max_size=40,
                                 unique_by=lambda e: e.root))
     entries = [LexEntry(e.root, e.flags + tuple(data.draw(st.sets(st.sampled_from("XYZ")))
                                                 - set(e.flags)))
                for e in chosen]
-    analyzer = Analyzer(Lexicon(entries), class_rules, default_table)
+    analyzer = Analyzer(Lexicon({e.root: e.flags for e in entries}), class_rules, default_table)
     oracle = brute_force(analyzer)
     queries = list(oracle.forms)
     queries += data.draw(st.lists(st.sampled_from([f for _r, f, _i, _f in generation_set]),
@@ -245,13 +244,12 @@ def test_class_rule_heads_are_the_root_tails_it_matches(default_table, brute_for
     assert [a.lemma for a in analyzer.analyze("fui") if a.rule_id] == fui_lemmas
 
 
-def test_unknown_flags_warned_once_at_construction(caplog, rule_table, default_table):
+def test_unknown_flags_warned_once_at_construction(capsys, rule_table, default_table):
     lexicon = load_dictionary(io.StringIO("ama/VQ\nvaca/SQW\ncasa/S\n"))
-    with caplog.at_level(logging.WARNING):
-        analyzer = Analyzer(lexicon, rule_table, default_table)
-        analyzer.analyze("ama")
-        analyzer.analyze("vacas")
-    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    analyzer = Analyzer(lexicon, rule_table, default_table)
+    analyzer.analyze("ama")
+    analyzer.analyze("vacas")
+    warnings = capsys.readouterr().err.splitlines()
     assert len(warnings) == 1
     assert "2 dictionary entries" in warnings[0] and "(Q, W)" in warnings[0]
 
@@ -326,7 +324,7 @@ _DEFAULT_ROWS = st.tuples(st.just("*") | st.text(alphabet="abó", min_size=1, ma
 @example(rows=[("abb", "verb", ""), ("ab", "noun", ""), ("b", "noun", "plural")], words=["ab"])
 def test_default_fallback_matches_linear_scan(rule_table, brute_force, rows, words):
     table = load_default_table(["ending\tpos\tnumber"] + ["\t".join(row) for row in rows])
-    analyzer = Analyzer(Lexicon(), rule_table, table)
+    analyzer = Analyzer(Lexicon({}), rule_table, table)
     oracle = brute_force(analyzer)
     for word in words:
         for pos_hint in (None, *Pos):
@@ -336,10 +334,17 @@ def test_default_fallback_matches_linear_scan(rule_table, brute_force, rows, wor
                 assert analyzer.analyze(word, pos_hint) == oracle.analyze(word, pos_hint)
 
 
-def test_unknown_flag_warning_counts_every_root_of_a_shared_tuple(caplog, rule_table,
+def test_unknown_flag_warning_counts_every_root_of_a_shared_tuple(capsys, rule_table,
                                                                    default_table):
     lexicon = load_dictionary(["ama/VQ", "vaca/SQW", "casa/S", "perro/SWQ", "gato/SQW", "mar/QV"])
-    with caplog.at_level(logging.WARNING):
-        Analyzer(lexicon, rule_table, default_table)
-    assert [r.getMessage() for r in caplog.records] == [
-        "5 dictionary entries carry flags with no rules (Q, W); those flags are skipped"]
+    Analyzer(lexicon, rule_table, default_table)
+    assert capsys.readouterr().err.splitlines() == [
+        "morfo: 5 dictionary entries carry flags with no rules (Q, W); those flags are skipped"]
+
+
+def test_a_library_warning_is_one_stderr_line_and_nothing_on_stdout(rule_table, default_table):
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        Analyzer(load_dictionary(["amar/VQ"]), rule_table, default_table)
+    assert (err.getvalue(), out.getvalue()) == (
+        "morfo: 1 dictionary entries carry flags with no rules (Q); those flags are skipped\n", "")

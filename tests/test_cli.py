@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from morfo import cli, lexicon, resources
 from morfo.analyzer import Analyzer
 from morfo.cli import run
+from morfo.features import Pos
 from morfo.rules import COLUMNS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -201,6 +202,13 @@ def test_the_parser_for_one_command_prints_what_the_full_parser_prints(argv, mon
     assert outcome() == chosen
 
 
+def test_help_holds_no_developer_notes(capsys):
+    assert invoke(["--help"]) == (0, "")
+    text = capsys.readouterr().out
+    assert text.startswith("usage: morfo ")
+    assert "resources." not in text and "CACHE_SIZE" not in text
+
+
 def test_the_parser_for_one_command_knows_no_other(capsys):
     assert cli.build_parser().parse_args(["lemmatize"]).command == "lemmatize"
     with pytest.raises(SystemExit):
@@ -273,6 +281,47 @@ def test_repeated_lines_are_written_as_when_alone(lines, cache_size, read_size):
         for argv in CACHE_COMMANDS:
             assert invoke(list(argv), "".join(lines)) == (
                 0, "".join(_alone(argv, line) for line in lines))
+
+
+# Pieces of fuzzed stdin, besides random characters: seed forms, pos tags
+# (known, unknown and in other cases), line ends, whitespace and control
+# characters that str.strip or str.splitlines treat specially, byte-order
+# marks, and bytes that are not UTF-8 (a lone continuation byte, a cut
+# sequence, an encoded surrogate).
+FUZZ_PIECES = [b"amo", b"vacas", b"d\xc3\xa1melo", b"crear", b"casa", b"xyzal",
+               *(b"\t" + pos.value.encode() for pos in Pos), b"\tNOUN", b"\tnombre",
+               b"\n", b"\n", b"\r\n", b"\r", b"\t", b" ", b"\x00", b"\x0b", b"\x0c", b"\x1c",
+               b"\xc2\x85", b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\xed\xa0\x80"]
+
+
+@settings(max_examples=200, deadline=None)
+# Only the first line's byte-order mark is dropped: line 1 is blank, line 2 is not.
+@example(data=b"\xef\xbb\xbf\r\n\xef\xbb\xbf\n", argv=CACHE_COMMANDS[0], read_size=1)
+@given(data=st.lists(st.one_of(st.sampled_from(FUZZ_PIECES),
+                               st.characters().map(lambda c: c.encode("utf-8", "surrogatepass"))),
+                     max_size=30).map(b"".join),
+       argv=st.sampled_from(CACHE_COMMANDS), read_size=st.integers(1, 64))
+def test_random_stdin_gives_a_line_per_line_or_names_the_bad_line(data, argv, read_size):
+    """Whatever the bytes, a stream command exits 0 with one output line per
+    non-blank input line, or exits 1 after the lines before the bad one and names it."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err):
+        patch.setattr(resources, "READ_SIZE", read_size)
+        code = run(list(argv), stdin=io.BytesIO(data), stdout=out)
+    raw_lines = data.removeprefix(b"\xef\xbb\xbf").split(b"\n")
+    if not raw_lines[-1]:
+        raw_lines.pop()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+        filled = [raw for raw in raw_lines if raw.decode("utf-8").strip()]
+    else:
+        assert code == 1
+        bad = int(err.getvalue().removeprefix("morfo: line ").partition(":")[0])
+        assert err.getvalue().count("\n") == 1 and 1 <= bad <= len(raw_lines)
+        filled = [raw for raw in raw_lines[:bad - 1] if raw.decode("utf-8").strip()]
+    assert out.getvalue().count("\n") == len(filled)
+    assert out.getvalue().endswith("\n") or not filled
 
 
 def test_seed_forms_through_both_cache_generations_are_written_as_when_alone(
@@ -536,6 +585,10 @@ def test_storing_an_entry_removes_those_of_dictionaries_that_are_gone(
         path.write_bytes(data)
     temporary = directory / f"{gone_entry.name}.123.tmp"  # a concurrent writer's
     temporary.write_bytes(b"")
+    orphan = directory / f"{kept_entry.name}.456.tmp"  # a writer's that died two days ago
+    orphan.write_bytes(b"")
+    two_days_ago = time.time() - 2 * 86400
+    os.utime(orphan, (two_days_ago, two_days_ago))
     before = set(_entries(own_cache_home))
     assert _cached_run(["lemmatize", "--dict", str(kept)], capsys)[0] == 0
     assert set(_entries(own_cache_home)) == before  # a run served from the cache removes nothing
@@ -755,7 +808,7 @@ def test_import_does_not_load_importlib_resources():
 
 
 def test_import_and_a_quiet_run_load_no_dataclasses_inspect_or_logging(tmp_path):
-    """Start-up stays short: only a warning loads ``logging``, and nothing loads the others."""
+    """Start-up stays short: neither a quiet run nor one that warns loads any of them."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     script = ("import sys, morfo.cli\n"
               "loaded = lambda: sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules))\n"
@@ -777,7 +830,7 @@ def test_import_and_a_quiet_run_load_no_dataclasses_inspect_or_logging(tmp_path)
     assert proc.stderr.decode().splitlines() == [
         "[]",
         "morfo: 1 dictionary entries carry flags with no rules (Q); those flags are skipped",
-        "['logging']"]
+        "[]"]
 
 
 def test_process_invalid_utf8_on_strict_stdin_exits_1():

@@ -16,8 +16,8 @@ from morfo.lexicon import LexEntry, Lexicon, load_cached_dictionary, load_dictio
 
 def test_load_single_entry():
     lex = load_dictionary(io.StringIO("amar/V\n"))
-    entry = lex.lookup_exact("amar")
-    assert entry == LexEntry("amar", ("V",))
+    assert lex.flags == {"amar": ("V",)}
+    assert list(lex) == [LexEntry("amar", ("V",))]
 
 
 def test_load_empty_stream():
@@ -26,8 +26,7 @@ def test_load_empty_stream():
 
 def test_unsorted_input_keeps_file_order():
     lex = load_dictionary(io.StringIO("vaca/S\namar/V\n"))
-    assert lex.lookup_exact("amar") is not None
-    assert lex.lookup_exact("vaca") is not None
+    assert list(lex.flags) == ["vaca", "amar"]
     assert [e.root for e in lex] == ["vaca", "amar"]
 
 
@@ -38,13 +37,13 @@ def test_comments_and_blank_lines_ignored():
 
 def test_duplicate_roots_merge_flags():
     lex = load_dictionary(io.StringIO("mercado/S\nmercado/V\n"))
-    assert lex.lookup_exact("mercado").flags == ("S", "V")
+    assert lex.flags["mercado"] == ("S", "V")
 
 
 def test_input_is_normalized():
     lex = load_dictionary(io.StringIO("AMAR/V\n"))
-    assert lex.lookup_exact("amar") is not None
-    assert lex.lookup_exact(normalize("AMAR")) is not None
+    assert "amar" in lex.flags
+    assert normalize("AMAR") in lex.flags
 
 
 def test_malformed_lines_name_the_line():
@@ -83,7 +82,7 @@ def _reference_lexicon(text):
         word, _, flag_part = line.partition("/")
         flags = merged.setdefault(normalize(word), [])
         flags.extend(ch for ch in flag_part if ch not in flags)
-    return Lexicon([LexEntry(root, tuple(flags)) for root, flags in merged.items()])
+    return Lexicon({root: tuple(flags) for root, flags in merged.items()})
 
 
 _ROOT = st.text(alphabet="abcABáÁñÑ\u0301-'", min_size=1, max_size=5)
@@ -216,17 +215,16 @@ def test_cache_dir_follows_xdg_cache_home(monkeypatch, tmp_path):
 
 
 def test_lexicon_api():
-    entries = [LexEntry("vaca", ("S",)), LexEntry("amar", ("V", "N")), LexEntry("amo", ())]
-    lexicon = Lexicon(entries)
-    assert len(lexicon) == 3 and len(Lexicon()) == 0
-    assert list(lexicon) == lexicon.entries == entries
-    assert lexicon.lookup_exact("amar") == LexEntry("amar", ("V", "N"))
-    assert lexicon.lookup_exact("am") is None
-    assert lexicon == Lexicon(reversed(entries)) == load_dictionary(["vaca/S", "amar/VN", "amo"])
-    assert lexicon != Lexicon(entries[:2])
-    assert lexicon != Lexicon([LexEntry("amar", ("N", "V")), *entries[::2]])
-    with pytest.raises(ValueError, match="duplicate roots"):
-        Lexicon([LexEntry("amo", ()), LexEntry("amo", ("V",))])
+    flags = {"vaca": ("S",), "amar": ("V", "N"), "amo": ()}
+    lexicon = Lexicon(flags)
+    assert lexicon.flags is flags  # kept, not copied
+    assert len(lexicon) == 3 and len(Lexicon({})) == 0
+    assert list(lexicon) == [LexEntry("vaca", ("S",)), LexEntry("amar", ("V", "N")),
+                             LexEntry("amo", ())]
+    assert lexicon == Lexicon(dict(reversed(flags.items())))
+    assert lexicon == load_dictionary(["vaca/S", "amar/VN", "amo"])
+    assert lexicon != Lexicon({"vaca": ("S",), "amar": ("V", "N")})
+    assert lexicon != Lexicon({**flags, "amar": ("N", "V")})
 
 
 def test_equal_flags_share_one_tuple():
@@ -245,11 +243,11 @@ def test_normalize_is_nfc_and_idempotent(text):
 
 
 def test_lookup_exact_miss(lexicon):
-    assert lexicon.lookup_exact("zzzz") is None
+    assert "zzzz" not in lexicon.flags
 
 
 def test_lookup_exact_seed(lexicon):
-    assert "V" in lexicon.lookup_exact("amar").flags
+    assert "V" in lexicon.flags["amar"]
 
 
 def test_sortedness(lexicon):

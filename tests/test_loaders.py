@@ -61,7 +61,7 @@ def test_every_loader_loads_or_raises_load_error(text, conll, data):
 
 def test_byte_order_mark_is_dropped_from_data_files():
     lexicon = load_dictionary(["\ufeffamar/V\n"])
-    assert lexicon.lookup_exact("amar") is not None
+    assert lexicon.flags == {"amar": ("V",)}
     header = "flag\tstem ending\tmorph ending\tpos\tgender\tnumber\tperson\tmood\ttense\tanimate"
     table = load_rules(["\ufeff" + header + "\n", "V\tar\to\tverb\n"])
     assert table.rules[0].morph_ending == "o"
@@ -71,7 +71,7 @@ def test_byte_order_mark_is_dropped_from_data_files():
 def test_bytes_are_decoded_and_crlf_endings_dropped():
     row = "3\tllegó\tllegar\tllegar\tv\tv\t_\t_\t0\t0\t_\t_\tY\tllegar.b1"
     [record] = parse_conll([("\ufeff" + row + "\r\n").encode("utf-8")], PACKAGED_MAPPING)
-    assert (record.token_index, record.form, record.predicate_sense) == (3, "llegó", "llegar.b1")
+    assert (record.token_index, record.form, record.gold_lemma) == (3, "llegó", "llegar")
 
 
 # -- block boundaries ----------------------------------------------------------

@@ -97,14 +97,17 @@ def test_by_flag_buckets_preserve_file_order(rule_table):
 
 
 def test_expand_entry_fig1_forms(lexicon, rule_table):
-    vaca_forms = {f.form for f in expand_entry(lexicon.lookup_exact("vaca"), rule_table)}
+    vaca = LexEntry("vaca", lexicon.flags["vaca"])
+    vaca_forms = {f.form for f in expand_entry(vaca, rule_table)}
     assert "vacas" in vaca_forms
-    tabu_forms = {f.form for f in expand_entry(lexicon.lookup_exact("tabú"), rule_table)}
+    tabu = LexEntry("tabú", lexicon.flags["tabú"])
+    tabu_forms = {f.form for f in expand_entry(tabu, rule_table)}
     assert "tabúes" in tabu_forms
 
 
-def test_expand_entry_unknown_flag_is_skipped(rule_table):
+def test_expand_entry_unknown_flag_is_skipped(rule_table, capsys):
     assert expand_entry(LexEntry("qqq", ("9",)), rule_table) == []
+    assert capsys.readouterr().err == "morfo: entry 'qqq': unknown flag '9' skipped\n"
 
 
 def test_expand_entry_no_flags(rule_table):
@@ -112,7 +115,7 @@ def test_expand_entry_no_flags(rule_table):
 
 
 def test_expansion_is_deterministic(lexicon, rule_table):
-    entry = lexicon.lookup_exact("amar")
+    entry = LexEntry("amar", lexicon.flags["amar"])
     assert expand_entry(entry, rule_table) == expand_entry(entry, rule_table)
 
 
