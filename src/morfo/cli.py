@@ -240,11 +240,12 @@ def cmd_import_coes(args, stdin: BinaryIO, stdout: TextIO) -> int:
 
 def cmd_evaluate(args, stdin: BinaryIO, stdout: TextIO) -> int:
     from morfo.conll_eval import (
-        MetricsReport,
         evaluate_features,
         evaluate_lemmas,
         load_mapping,
         parse_conll,
+        render_kv,
+        render_text,
     )
 
     analyzer = build_analyzer(args)
@@ -253,13 +254,10 @@ def cmd_evaluate(args, stdin: BinaryIO, stdout: TextIO) -> int:
     records = []
     for path in args.conll:
         records.extend(_read(path, lambda stream: parse_conll(stream, mapping)))
-    report = MetricsReport(features=evaluate_features(records, analyzer))
-    report.lemmas_all, report.lemmas_filtered = evaluate_lemmas(
-        records, lemmatizer, filter_on_lemma=args.filter_on_lemma)
-    if args.format == "jsonl":
-        stdout.write(report.render_kv() + "\n")
-    else:
-        stdout.write(report.render_text() + "\n")
+    features = evaluate_features(records, analyzer)
+    lemmas = evaluate_lemmas(records, lemmatizer, filter_on_lemma=args.filter_on_lemma)
+    render = render_kv if args.format == "jsonl" else render_text
+    stdout.write(render(features, lemmas) + "\n")
     return EXIT_OK
 
 

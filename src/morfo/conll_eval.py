@@ -6,12 +6,12 @@ when the prediction sets it, and as correct when both are set and equal.
 The Total row pools the per-feature counts. Lemma evaluation scores exact
 string matches over annotated verbal predicates, with a second figure that
 excludes surface forms ending in the common past-participle suffixes.
+``render_text`` and ``render_kv`` render both as a table or as key=value lines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from morfo.analyzer import Analyzer
 from morfo.derivers import Lemmatizer
@@ -35,16 +35,15 @@ def participle_filter(form: str) -> bool:
     return normalize(form).endswith(PARTICIPLE_SUFFIXES)
 
 
-@dataclass
-class FeatureMapping:
+class FeatureMapping(NamedTuple):
     """Corpus-specific POS tags and FEAT key=value pairs mapped onto our enums."""
-    pos_map: Dict[str, Pos] = field(default_factory=dict)
-    feat_map: Dict[str, Tuple[str, str]] = field(default_factory=dict)
+    pos_map: Dict[str, Pos]
+    feat_map: Dict[str, Tuple[str, str]]
 
 
 def load_mapping(source: Iterable[bytes | str]) -> FeatureMapping:
     """Load the mapping TSV: rows are ``pos <tag> <posvalue>`` or ``feat <k=v> <field=value>``."""
-    mapping = FeatureMapping()
+    mapping = FeatureMapping({}, {})
     for line_no, line in data_lines(source):
         cells = [c.strip() for c in line.split("\t")]
         if len(cells) != 3:
@@ -69,9 +68,7 @@ def load_mapping(source: Iterable[bytes | str]) -> FeatureMapping:
     return mapping
 
 
-@dataclass
-class TokenRecord:
-    token_index: int
+class TokenRecord(NamedTuple):
     form: str
     gold_lemma: str
     gold_pos: Optional[Pos]
@@ -95,7 +92,7 @@ def parse_conll(source: Iterable[bytes | str], mapping: FeatureMapping) -> List[
         if len(cols) < _MIN_COLUMNS:
             raise LoadError(f"expected at least {_MIN_COLUMNS} columns, got {len(cols)}", line_no)
         try:
-            token_index = int(cols[_COL_ID])
+            int(cols[_COL_ID])
         except ValueError:
             raise LoadError(f"non-numeric token id {cols[_COL_ID]!r}", line_no) from None
         feat_string = cols[_COL_FEAT]
@@ -115,7 +112,6 @@ def parse_conll(source: Iterable[bytes | str], mapping: FeatureMapping) -> List[
         sense = cols[_COL_PRED] if is_predicate and cols[_COL_PRED] != "_" else None
         gold_lemma = _strip_sense(sense) if sense else cols[_COL_LEMMA]
         records.append(TokenRecord(
-            token_index=token_index,
             form=cols[_COL_FORM],
             gold_lemma=gold_lemma,
             gold_pos=mapping.pos_map.get(cols[_COL_POS]),
@@ -123,17 +119,16 @@ def parse_conll(source: Iterable[bytes | str], mapping: FeatureMapping) -> List[
             is_predicate=is_predicate,
         ))
     if unmapped:
-        warn(f"{unmapped} FEAT values had no mapping and were kept raw")
+        warn(f"{unmapped} FEAT values had no mapping and were ignored")
     return records
 
 
 # -- metrics ------------------------------------------------------------------
 
-@dataclass
-class FeatureScore:
-    correct: int = 0
-    gold_count: int = 0
-    pred_count: int = 0
+class FeatureScore(NamedTuple):
+    correct: int
+    gold_count: int
+    pred_count: int
 
     @property
     def precision(self) -> float:
@@ -149,77 +144,32 @@ class FeatureScore:
         return 2 * p * r / (p + r) if p + r else 0.0
 
 
-@dataclass
-class LemmaScore:
-    total: int = 0
-    correct: int = 0
+class LemmaScore(NamedTuple):
+    total: int
+    correct: int
 
     @property
     def ratio(self) -> float:
         return self.correct / self.total if self.total else 0.0
 
 
-@dataclass
-class MetricsReport:
-    features: Dict[str, FeatureScore] = field(default_factory=dict)
-    lemmas_all: Optional[LemmaScore] = None
-    lemmas_filtered: Optional[LemmaScore] = None
-
-    def render_text(self) -> str:
-        lines = []
-        if self.features:
-            lines.append(f"{'Feature':>8}  {'Precision':>9}  {'Recall':>9}  {'F-score':>9}")
-            for name in ("total",) + SCORED_FEATURES:
-                score = self.features.get(name)
-                if score is None:
-                    continue
-                lines.append(f"{name:>8}  {score.precision:9.6f}  {score.recall:9.6f}  {score.f_score:9.6f}")
-        if self.lemmas_all is not None:
-            lines.append("")
-            lines.append(f"{'Lemmas':>14}  {'All predicates':>14}  {'Non-participle':>14}")
-            filt = self.lemmas_filtered or LemmaScore()
-            lines.append(f"{'Total':>14}  {self.lemmas_all.total:>14}  {filt.total:>14}")
-            lines.append(f"{'Correct':>14}  {self.lemmas_all.correct:>14}  {filt.correct:>14}")
-            lines.append(f"{'Correct/Total':>14}  {self.lemmas_all.ratio:>14.6f}  {filt.ratio:>14.6f}")
-        return "\n".join(lines)
-
-    def render_kv(self) -> str:
-        lines = []
-        for name, score in self.features.items():
-            lines.append(f"feature.{name}.precision={score.precision:.6f}")
-            lines.append(f"feature.{name}.recall={score.recall:.6f}")
-            lines.append(f"feature.{name}.f_score={score.f_score:.6f}")
-        for label, score in (("all", self.lemmas_all), ("non_participle", self.lemmas_filtered)):
-            if score is None:
-                continue
-            lines.append(f"lemma.{label}.total={score.total}")
-            lines.append(f"lemma.{label}.correct={score.correct}")
-            lines.append(f"lemma.{label}.accuracy={score.ratio:.6f}")
-        return "\n".join(lines)
-
-
 def evaluate_features(records: Iterable[TokenRecord], analyzer: Analyzer) -> Dict[str, FeatureScore]:
-    """Per-feature precision/recall counts over verb/noun/adjective tokens."""
-    scores = {name: FeatureScore() for name in SCORED_FEATURES}
-    total = FeatureScore()
+    """Per-feature precision/recall counts over verb/noun/adjective tokens, then their total."""
+    counts = {name: [0, 0, 0] for name in SCORED_FEATURES}  # correct, gold, predicted
     for record in records:
         if record.gold_pos not in EVAL_POS:
             continue
         predicted = analyzer.preferred_analysis(record.form, pos_hint=record.gold_pos).features
-        for name in SCORED_FEATURES:
+        for name, count in counts.items():
             gold = getattr(record.gold_features, name)
             pred = getattr(predicted, name)
-            score = scores[name]
             if gold is not None:
-                score.gold_count += 1
-                total.gold_count += 1
+                count[1] += 1
+                count[0] += gold == pred
             if pred is not None:
-                score.pred_count += 1
-                total.pred_count += 1
-            if gold is not None and gold == pred:
-                score.correct += 1
-                total.correct += 1
-    scores["total"] = total
+                count[2] += 1
+    scores = {name: FeatureScore(*count) for name, count in counts.items()}
+    scores["total"] = FeatureScore(*map(sum, zip(*scores.values())))
     return scores
 
 
@@ -229,17 +179,44 @@ def evaluate_lemmas(
     filter_on_lemma: bool = False,
 ) -> Tuple[LemmaScore, LemmaScore]:
     """Lemma accuracy over verbal predicates: (all, participle-filtered)."""
-    all_score = LemmaScore()
-    filtered_score = LemmaScore()
+    total = correct = kept = kept_correct = 0
     for record in records:
         if not record.is_predicate or record.gold_pos is not Pos.VERB:
             continue
-        predicted = lemmatizer.lemmatize(record.form, Pos.VERB)
-        correct = predicted == normalize(record.gold_lemma)
-        all_score.total += 1
-        all_score.correct += int(correct)
-        filter_target = record.gold_lemma if filter_on_lemma else record.form
-        if not participle_filter(filter_target):
-            filtered_score.total += 1
-            filtered_score.correct += int(correct)
-    return all_score, filtered_score
+        hit = lemmatizer.lemmatize(record.form, Pos.VERB) == normalize(record.gold_lemma)
+        total += 1
+        correct += hit
+        if not participle_filter(record.gold_lemma if filter_on_lemma else record.form):
+            kept += 1
+            kept_correct += hit
+    return LemmaScore(total, correct), LemmaScore(kept, kept_correct)
+
+
+def render_text(features: Dict[str, FeatureScore], lemmas: Tuple[LemmaScore, LemmaScore]) -> str:
+    """The report as two tables: each feature's scores, then lemma accuracy (all, filtered)."""
+    every, kept = lemmas
+    rows = [f"{'Feature':>8}  {'Precision':>9}  {'Recall':>9}  {'F-score':>9}"]
+    for name in ("total",) + SCORED_FEATURES:
+        score = features[name]
+        rows.append(f"{name:>8}  {score.precision:9.6f}  {score.recall:9.6f}  {score.f_score:9.6f}")
+    return "\n".join(rows + [
+        "",
+        f"{'Lemmas':>14}  {'All predicates':>14}  {'Non-participle':>14}",
+        f"{'Total':>14}  {every.total:>14}  {kept.total:>14}",
+        f"{'Correct':>14}  {every.correct:>14}  {kept.correct:>14}",
+        f"{'Correct/Total':>14}  {every.ratio:>14.6f}  {kept.ratio:>14.6f}",
+    ])
+
+
+def render_kv(features: Dict[str, FeatureScore], lemmas: Tuple[LemmaScore, LemmaScore]) -> str:
+    """The report as ``key=value`` lines: each feature in ``features``' order, then the lemmas."""
+    rows = []
+    for name, score in features.items():
+        rows += [f"feature.{name}.precision={score.precision:.6f}",
+                 f"feature.{name}.recall={score.recall:.6f}",
+                 f"feature.{name}.f_score={score.f_score:.6f}"]
+    for label, score in zip(("all", "non_participle"), lemmas):
+        rows += [f"lemma.{label}.total={score.total}",
+                 f"lemma.{label}.correct={score.correct}",
+                 f"lemma.{label}.accuracy={score.ratio:.6f}"]
+    return "\n".join(rows)

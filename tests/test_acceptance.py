@@ -17,7 +17,6 @@ from morfo.analyzer import Analyzer, Provenance, load_default_table
 from morfo.clitics import CliticSplitter
 from morfo.coes_import import check_examples, import_rules
 from morfo.conll_eval import (
-    MetricsReport,
     evaluate_features,
     evaluate_lemmas,
     load_mapping,

@@ -663,19 +663,18 @@ def test_import_coes_from_stdin_with_out_file(tmp_path):
 
 
 def test_evaluate_text_report():
-    code, out = invoke(["evaluate", "--conll", str(FIXTURES / "sample.conll")])
-    assert code == 0
-    assert "gender" in out and "Lemma" in out
+    # sample.conll holds no participle-shaped predicate, so the filter changes nothing
+    expected = (FIXTURES / "sample_report.txt").read_text(encoding="utf-8")
+    for extra in ([], ["--format", "tsv"], ["--filter-on-lemma"]):
+        assert invoke(["evaluate", "--conll", str(FIXTURES / "sample.conll")] + extra) == (
+            0, expected)
 
 
 def test_evaluate_kv_report():
-    code, out = invoke(["evaluate", "--conll", str(FIXTURES / "sample.conll"),
-                        "--format", "jsonl"])
-    assert code == 0
-    values = dict(line.split("=") for line in out.split() if "=" in line)
-    assert values["feature.gender.f_score"] == "0.800000"
-    assert values["feature.total.f_score"] == "0.945455"
-    assert values["lemma.all.accuracy"] == "1.000000"
+    expected = (FIXTURES / "sample_report.kv").read_text(encoding="utf-8")
+    for extra in ([], ["--filter-on-lemma"]):
+        assert invoke(["evaluate", "--conll", str(FIXTURES / "sample.conll"),
+                       "--format", "jsonl"] + extra) == (0, expected)
 
 
 def test_evaluate_missing_file_exits_2():
@@ -808,7 +807,7 @@ def test_import_does_not_load_importlib_resources():
 
 
 def test_import_and_a_quiet_run_load_no_dataclasses_inspect_or_logging(tmp_path):
-    """Start-up stays short: neither a quiet run nor one that warns loads any of them."""
+    """Start-up stays short: neither a quiet run, one that warns nor ``evaluate`` loads any of them."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     script = ("import sys, morfo.cli\n"
               "loaded = lambda: sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules))\n"
@@ -831,6 +830,14 @@ def test_import_and_a_quiet_run_load_no_dataclasses_inspect_or_logging(tmp_path)
         "[]",
         "morfo: 1 dictionary entries carry flags with no rules (Q); those flags are skipped",
         "[]"]
+
+    conll = FIXTURES / "sample.conll"
+    proc = subprocess.run([sys.executable, "-c", script, "evaluate", "--conll", str(conll)],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr.decode().splitlines() == [
+        "[]", f"morfo: {conll}: 4 FEAT values had no mapping and were ignored", "[]"]
+    assert proc.stdout.decode() == invoke(["evaluate", "--conll", str(conll)])[1]
 
 
 def test_process_invalid_utf8_on_strict_stdin_exits_1():
@@ -899,7 +906,7 @@ def test_process_evaluate_warning_names_the_conll_file():
     proc = _run_module(["evaluate", "--conll", str(conll)], b"")
     assert proc.returncode == 0
     assert proc.stderr.decode().splitlines() == [
-        f"morfo: {conll}: 4 FEAT values had no mapping and were kept raw"]
+        f"morfo: {conll}: 4 FEAT values had no mapping and were ignored"]
 
 
 def test_repeated_runs_print_each_warning_once_to_the_current_stderr(capsys):

@@ -6,12 +6,13 @@ import pytest
 
 from morfo.conll_eval import (
     FeatureScore,
-    MetricsReport,
     evaluate_features,
     evaluate_lemmas,
     load_mapping,
     parse_conll,
     participle_filter,
+    render_kv,
+    render_text,
 )
 from morfo.derivers import Lemmatizer
 from morfo.errors import LoadError
@@ -171,10 +172,11 @@ def test_participle_filter():
 
 
 def test_report_rendering(records, analyzer, lemmatizer):
-    report = MetricsReport(features=evaluate_features(records, analyzer))
-    report.lemmas_all, report.lemmas_filtered = evaluate_lemmas(records, lemmatizer)
-    text = report.render_text()
-    assert "gender" in text and "Correct/Total" in text
-    kv = report.render_kv()
-    assert "feature.total.f_score=" in kv
-    assert "lemma.all.accuracy=1.000000" in kv
+    features = evaluate_features(records, analyzer)
+    fixtures = FIXTURE.parent
+    for filter_on_lemma in (False, True):  # the same on this fixture: no participle-shaped predicate
+        lemmas = evaluate_lemmas(records, lemmatizer, filter_on_lemma=filter_on_lemma)
+        text = render_text(features, lemmas) + "\n"
+        assert text == (fixtures / "sample_report.txt").read_text(encoding="utf-8")
+        kv = render_kv(features, lemmas) + "\n"
+        assert kv == (fixtures / "sample_report.kv").read_text(encoding="utf-8")

@@ -69,9 +69,11 @@ def test_byte_order_mark_is_dropped_from_data_files():
 
 
 def test_bytes_are_decoded_and_crlf_endings_dropped():
-    row = "3\tllegó\tllegar\tllegar\tv\tv\t_\t_\t0\t0\t_\t_\tY\tllegar.b1"
+    # the last column, a sense with no ".NN" suffix, is the gold lemma, so a kept CR shows
+    row = "3\tllegó\tllegar\tllegar\tv\tv\t_\t_\t0\t0\t_\t_\tY\tllegar"
     [record] = parse_conll([("\ufeff" + row + "\r\n").encode("utf-8")], PACKAGED_MAPPING)
-    assert (record.token_index, record.form, record.gold_lemma) == (3, "llegó", "llegar")
+    # a BOM left on the ID column would fail the parse as a non-numeric token id
+    assert (record.form, record.gold_lemma) == ("llegó", "llegar")
 
 
 # -- block boundaries ----------------------------------------------------------
