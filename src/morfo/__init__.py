@@ -22,10 +22,23 @@ from morfo.errors import LoadError
 from morfo.lexicon import LexEntry, Lexicon, load_dictionary, normalize
 from morfo.rules import MorphRule, RuleTable, apply_rule, expand_entry, load_rules
 from morfo.analyzer import Analysis, Analyzer, Provenance, load_default_table
-from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
-from morfo.clitics import CliticSplit, CliticSplitter, load_pronoun_table
 
 __version__ = "0.1.0"
+
+#: Modules whose names are imported on first use, so that importing the
+#: package, as every CLI run does, loads neither of them.
+_LAZY = {"morfo.derivers": ("Lemmatizer", "Nominalizer", "load_nominal_flags"),
+         "morfo.clitics": ("CliticSplit", "CliticSplitter", "load_pronoun_table")}
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    for module, names in _LAZY.items():
+        if name in names:
+            return getattr(import_module(module), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Analysis",

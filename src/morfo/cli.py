@@ -10,8 +10,9 @@ changes speed only. The analyzer itself keeps no results.
 Warnings print to stderr as ``morfo: [<file>: ]<message>`` (``errors.warn``).
 Start-up is kept short: importing this module loads neither ``dataclasses``
 nor ``logging``; a run loads ``json`` only for ``--format jsonl``, and the
-COES importer and CoNLL evaluator only for their commands. ``_DESCRIPTION``
-gives the exit codes.
+derivers, clitic splitter, COES importer and CoNLL evaluator only for the
+commands that use them, so ``analyze`` loads none of the four.
+``_DESCRIPTION`` gives the exit codes.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from typing import BinaryIO, Optional, Sequence, TextIO
 
 from morfo import errors, resources
 from morfo.analyzer import Analyzer, Provenance, load_default_table
-from morfo.clitics import CliticSplit, CliticSplitter, load_pronoun_table
-from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
 from morfo.errors import LoadError
 from morfo.features import Pos
 from morfo.lexicon import load_cached_dictionary, normalize
@@ -190,12 +189,16 @@ def cmd_analyze(args, stdin: BinaryIO, stdout: TextIO) -> int:
 
 
 def cmd_lemmatize(args, stdin: BinaryIO, stdout: TextIO) -> int:
+    from morfo.derivers import Lemmatizer
+
     return _stream(args, stdin, stdout, Lemmatizer(build_analyzer(args)).lemmatize,
                    tsv=lambda _token, lemma: lemma,
                    jsonl=lambda token, lemma: {"surface": token, "lemma": lemma})
 
 
 def cmd_nominalize(args, stdin: BinaryIO, stdout: TextIO) -> int:
+    from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
+
     analyzer = build_analyzer(args)
     nominal_flags = _load(resources.NOMINAL_FLAGS, args.nominal_flags, load_nominal_flags)
     try:
@@ -208,6 +211,8 @@ def cmd_nominalize(args, stdin: BinaryIO, stdout: TextIO) -> int:
 
 
 def cmd_split_clitics(args, stdin: BinaryIO, stdout: TextIO) -> int:
+    from morfo.clitics import CliticSplit, CliticSplitter, load_pronoun_table
+
     analyzer = build_analyzer(args)
     pronouns = _load(resources.PRONOUNS, args.pronouns, load_pronoun_table)
     splitter = CliticSplitter(analyzer, pronouns)
@@ -247,6 +252,7 @@ def cmd_evaluate(args, stdin: BinaryIO, stdout: TextIO) -> int:
         render_kv,
         render_text,
     )
+    from morfo.derivers import Lemmatizer
 
     analyzer = build_analyzer(args)
     lemmatizer = Lemmatizer(analyzer)

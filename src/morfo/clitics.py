@@ -9,12 +9,11 @@ dictionary verb in one of the three hosting moods.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from morfo.analyzer import Analyzer, Provenance
 from morfo.errors import LoadError
 from morfo.features import FeatureSet, Mood, Pos
-from morfo.frozen import Frozen, set_field
 from morfo.lexicon import normalize
 from morfo.resources import read_table
 
@@ -46,17 +45,13 @@ def load_pronoun_table(source: Iterable[bytes | str]) -> Dict[str, FeatureSet]:
     return table
 
 
-class CliticSplit(Frozen):
+class CliticSplit(NamedTuple):
     """A token as ``verb_part`` plus 0, 1 or 2 ``clitics`` in surface order, with a
     ``FeatureSet`` per clitic in ``pronoun_features``."""
 
-    __slots__ = ("verb_part", "clitics", "pronoun_features")
-    _compared = __slots__
-
-    def __init__(self, verb_part: str, clitics: tuple, pronoun_features: tuple):
-        set_field(self, "verb_part", verb_part)
-        set_field(self, "clitics", clitics)
-        set_field(self, "pronoun_features", pronoun_features)
+    verb_part: str
+    clitics: tuple
+    pronoun_features: tuple
 
     @property
     def is_split(self) -> bool:

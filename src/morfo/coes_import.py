@@ -15,7 +15,6 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from morfo.errors import warn
 from morfo.features import FeatureSet, Mood, Number, Person, Tense
-from morfo.frozen import set_field
 from morfo.resources import lines
 from morfo.rules import MorphRule, apply_rule
 
@@ -81,17 +80,6 @@ def _convert(text: str, line_no: int) -> str:
     return re.sub(r"\s+", "", convert_accents(text, line_no)).lower()
 
 
-class ImportedRule(MorphRule):
-    """A rule with the example comment it was imported with: (root, form), or None."""
-
-    __slots__ = ("example",)
-    _compared = MorphRule._compared + __slots__
-
-    def __init__(self, *args, example: Optional[Tuple[str, str]] = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        set_field(self, "example", example)
-
-
 def _hints_from_comment(comment: str) -> dict:
     hints = {}
     for word in re.findall(r"[\wáéíóúñ]+", _unescape(comment).lower()):
@@ -135,7 +123,7 @@ def import_rules(
     aff_source: Iterable[bytes | str],
     skip_flags: Sequence[str] = (),
     infer_person: bool = False,
-) -> List[ImportedRule]:
+) -> List[MorphRule]:
     """Parse an affix file into TSV-ready rows; unparseable lines warn and are skipped.
 
     Only suffix rules are imported: an Ispell ``prefixes`` section is skipped
@@ -144,7 +132,7 @@ def import_rules(
     An example comment that its rule does not reproduce is warned of.
     """
     skip: Set[str] = set(skip_flags)
-    rows: List[ImportedRule] = []
+    rows: List[MorphRule] = []
     flag: Optional[str] = None
     in_prefixes = False
     hints: dict = {}
@@ -155,11 +143,8 @@ def import_rules(
             for slot, idx in enumerate(block):
                 person, number = _PERSON_CYCLE[slot % len(_PERSON_CYCLE)]
                 # The block's rows were built from these hints; add person and number.
-                row = rows[idx]
-                rows[idx] = ImportedRule.build(
-                    row.flag, row.stem_ending, row.morph_ending,
-                    partial(FeatureSet, **hints, person=person, number=number),
-                    example=row.example, line_no=row.line_no)
+                rows[idx] = rows[idx]._replace(
+                    features=FeatureSet(**hints, person=person, number=number))
         block.clear()
 
     for line_no, raw in lines(aff_source):
@@ -198,7 +183,7 @@ def import_rules(
             continue
         try:
             stem, added = _stem_and_ending(rule_text, line_no)
-            rows.append(ImportedRule.build(
+            rows.append(MorphRule.build(
                 flag, stem, added, partial(FeatureSet, **hints),
                 example=_parse_example(comment), line_no=line_no))
             block.append(len(rows) - 1)
@@ -211,7 +196,7 @@ def import_rules(
     return rows
 
 
-def check_examples(rows: Iterable[ImportedRule]) -> List[Tuple[ImportedRule, Optional[str]]]:
+def check_examples(rows: Iterable[MorphRule]) -> List[Tuple[MorphRule, Optional[str]]]:
     """Every rule whose example comment it does not reproduce, with what it produced."""
     return [(row, got) for row in rows
             if row.example and (got := apply_rule(row.example[0], row)) != row.example[1]]

@@ -56,7 +56,7 @@ def load_mapping(source: Iterable[bytes | str]) -> FeatureMapping:
                 raise LoadError(f"invalid pos value {target!r}", line_no) from None
         elif kind == "feat":
             fname, _, fvalue = target.partition("=")
-            if fname not in FeatureSet.field_names() or not fvalue:
+            if fname not in FeatureSet._fields or not fvalue:
                 raise LoadError(f"invalid feature target {target!r}", line_no)
             try:
                 FeatureSet.from_cells({fname: fvalue})

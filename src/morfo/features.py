@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
-
-from morfo.frozen import Frozen, set_field
+from typing import NamedTuple, Optional
 
 
 class Pos(str, Enum):
@@ -72,28 +70,16 @@ _VERBAL_FIELDS = ("mood", "tense")
 _GENDERED_POS = (Pos.NOUN, Pos.ADJECTIVE, Pos.PRONOUN)
 
 
-class FeatureSet(Frozen):
+class FeatureSet(NamedTuple):
     """A bundle of morphological feature values; every field may be unset (None)."""
 
-    __slots__ = ("pos", "gender", "number", "person", "mood", "tense", "animate", "_hash")
-    _compared = __slots__[:-1]
-
-    def __init__(self, pos: Optional[Pos] = None, gender: Optional[Gender] = None,
-                 number: Optional[Number] = None, person: Optional[Person] = None,
-                 mood: Optional[Mood] = None, tense: Optional[Tense] = None,
-                 animate: Optional[Animacy] = None):
-        set_field(self, "pos", pos)
-        set_field(self, "gender", gender)
-        set_field(self, "number", number)
-        set_field(self, "person", person)
-        set_field(self, "mood", mood)
-        set_field(self, "tense", tense)
-        set_field(self, "animate", animate)
-        # Renderers look feature sets up in dicts, so the hash is computed once.
-        set_field(self, "_hash", hash((pos, gender, number, person, mood, tense, animate)))
-
-    def __hash__(self):
-        return self._hash
+    pos: Optional[Pos] = None
+    gender: Optional[Gender] = None
+    number: Optional[Number] = None
+    person: Optional[Person] = None
+    mood: Optional[Mood] = None
+    tense: Optional[Tense] = None
+    animate: Optional[Animacy] = None
 
     def validate(self) -> None:
         """Enforce pos-conditional constraints; raises ValueError on violation."""
@@ -108,12 +94,7 @@ class FeatureSet(Frozen):
 
     def as_dict(self) -> dict:
         """Feature values as plain strings, None for unset."""
-        return {name: (getattr(self, name).value if getattr(self, name) else None)
-                for name in self._compared}
-
-    @classmethod
-    def field_names(cls) -> tuple:
-        return cls._compared
+        return {name: (value.value if value else None) for name, value in zip(self._fields, self)}
 
     @classmethod
     def from_cells(cls, cells: dict) -> "FeatureSet":

@@ -20,11 +20,10 @@ import sys
 import time
 import unicodedata
 from binascii import crc32
-from typing import BinaryIO, Dict, Iterable, Iterator, Optional, Tuple
+from typing import BinaryIO, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from morfo import resources
 from morfo.errors import LoadError
-from morfo.frozen import Frozen, set_field
 
 #: Part of every cache stamp; a new value makes every existing entry stale.
 #: Change it whenever the layout of an entry or of ``Lexicon.flags`` changes.
@@ -51,15 +50,11 @@ def normalize(word: str) -> str:
     return lower if lower.isascii() else unicodedata.normalize("NFC", lower)
 
 
-class LexEntry(Frozen):
+class LexEntry(NamedTuple):
     """A root and its flags: ordered, duplicate-free single-letter codes."""
 
-    __slots__ = ("root", "flags")
-    _compared = __slots__
-
-    def __init__(self, root: str, flags: tuple):
-        set_field(self, "root", root)
-        set_field(self, "flags", flags)
+    root: str
+    flags: tuple
 
     def to_line(self) -> str:
         return self.root + ("/" + "".join(self.flags) if self.flags else "")
@@ -71,7 +66,7 @@ class Lexicon:
     ``flags`` maps each root to its flags (for a loaded file, in the order of
     each root's first line); roots with equal flags may share one tuple. The
     dict given is kept, not copied, so it must not change afterwards.
-    Iterating makes a ``LexEntry`` per root.
+    Iterating makes a ``LexEntry`` named tuple, (root, flags), per root.
     """
 
     def __init__(self, flags: Dict[str, tuple]):

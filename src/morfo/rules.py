@@ -18,7 +18,6 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from morfo.errors import warn
 from morfo.features import FeatureSet
-from morfo.frozen import Frozen, set_field
 from morfo.lexicon import LexEntry
 from morfo.resources import read_table
 
@@ -79,35 +78,31 @@ def compile_stem_pattern(source: str) -> Tuple[tuple, "re.Pattern"]:
     return replaced, regex
 
 
-class MorphRule(Frozen):
+class MorphRule(NamedTuple):
     """One rule: on a root licensed by ``flag``, ``stem_ending`` becomes ``morph_ending``.
 
     ``replaced`` holds the pattern tokens the rule swaps out (its context
     excluded) and ``regex`` matches them at the end of a root. Build rules with
     ``MorphRule.build``, which fills both in. ``line_no`` is the line the rule
-    was read from, 0 when none. Equality leaves out ``replaced``, ``regex``
-    and ``line_no``.
+    was read from, 0 when none, and ``example`` the (root, form) pair of an
+    imported rule's comment, None when none. Equality compares every field.
     """
 
-    __slots__ = ("rule_id", "flag", "stem_ending", "morph_ending", "features", "replaced",
-                 "regex", "line_no")
-    _compared = __slots__[:5]
-
-    def __init__(self, rule_id: int, flag: str, stem_ending: str, morph_ending: str,
-                 features: FeatureSet, replaced: tuple, regex: "re.Pattern", line_no: int = 0):
-        set_field(self, "rule_id", rule_id)
-        set_field(self, "flag", flag)
-        set_field(self, "stem_ending", stem_ending)
-        set_field(self, "morph_ending", morph_ending)
-        set_field(self, "features", features)
-        set_field(self, "replaced", replaced)
-        set_field(self, "regex", regex)
-        set_field(self, "line_no", line_no)
+    rule_id: int
+    flag: str
+    stem_ending: str
+    morph_ending: str
+    features: FeatureSet
+    replaced: tuple
+    regex: re.Pattern
+    line_no: int = 0
+    example: Optional[Tuple[str, str]] = None
 
     @classmethod
     def build(cls, flag: str, stem_ending: str, morph_ending: str,
-              features: Callable[[], FeatureSet], rule_id: int = 0, **extra):
-        """A rule of this class, ``features()`` called last.
+              features: Callable[[], FeatureSet], rule_id: int = 0, line_no: int = 0,
+              example: Optional[Tuple[str, str]] = None) -> "MorphRule":
+        """A rule, ``features()`` called last.
 
         A bad flag, pattern or feature set raises ValueError, checked in that order.
         """
@@ -115,7 +110,7 @@ class MorphRule(Frozen):
             raise ValueError(f"flag must be a single character, got {flag!r}")
         replaced, regex = compile_stem_pattern(stem_ending)
         return cls(rule_id, flag, stem_ending.strip(), morph_ending, features(), replaced, regex,
-                   **extra)
+                   line_no, example)
 
 
 class RuleTable:

@@ -637,6 +637,33 @@ def test_process_runs_give_the_same_output_with_and_without_the_cache(tmp_path):
     assert runs[0].returncode == 0 and runs[0].stdout.decode() == invoke(argv, CACHE_INPUT)[1]
 
 
+def test_concurrent_processes_fill_one_cold_cache(tmp_path):
+    """Six children on one empty cache home, three per dictionary, each write what an
+    uncached run writes, and leave one entry per dictionary and no temporary file."""
+    paths = []
+    for name, text in (("one", CACHE_DICTIONARY), ("two", "amar/V\nvaca/S\ncasa/S\n")):
+        (tmp_path / name).mkdir()
+        paths.append(_dictionary(tmp_path / name, text))
+    cache_home = tmp_path / "cache"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+           "XDG_CACHE_HOME": str(cache_home)}
+    children = [subprocess.Popen([sys.executable, "-m", "morfo.cli", "analyze", "--dict",
+                                  str(path)], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, env=env)
+                for path in paths * 3]
+    runs = [(child.communicate(CACHE_INPUT.encode(), timeout=60), child.returncode)
+            for child in children]
+    uncached = [_run_module(["analyze", "--dict", str(path)], CACHE_INPUT.encode(),
+                            XDG_CACHE_HOME="/dev/null") for path in paths]
+    assert uncached[0].stdout != uncached[1].stdout
+    assert runs == [((p.stdout, p.stderr), p.returncode) for p in uncached * 3]
+    assert uncached[0].returncode == 0
+    entries = _entries(cache_home)
+    assert [entry for entry in entries if entry.suffix == ".tmp"] == []
+    assert sorted(marshal.loads(entry.read_bytes())[2] for entry in entries
+                  if entry.match("dictionary-*.marshal")) == sorted(map(str, paths))
+
+
 def test_evaluate_ignores_byte_order_mark(tmp_path):
     conll = tmp_path / "gold.conll"
     conll.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "sample.conll").read_bytes())
@@ -675,6 +702,20 @@ def test_evaluate_kv_report():
     for extra in ([], ["--filter-on-lemma"]):
         assert invoke(["evaluate", "--conll", str(FIXTURES / "sample.conll"),
                        "--format", "jsonl"] + extra) == (0, expected)
+
+
+def test_evaluate_filter_on_lemma_reaches_the_lemma_scores(tmp_path):
+    # "acusó" is not participle-shaped; its gold lemma "acusado" is.
+    conll = tmp_path / "gold.conll"
+    conll.write_text("1\tacusó\t_\t_\tv\tv\t_\t_\t0\t0\t_\t_\tY\tacusado.b2\n",
+                     encoding="utf-8")
+    totals = []
+    for extra in ([], ["--filter-on-lemma"]):
+        code, out = invoke(["evaluate", "--conll", str(conll), "--format", "jsonl"] + extra)
+        assert code == 0
+        report = dict(line.split("=") for line in out.splitlines())
+        totals.append(report["lemma.non_participle.total"])
+    assert totals == ["1", "0"]
 
 
 def test_evaluate_missing_file_exits_2():
@@ -807,10 +848,12 @@ def test_import_does_not_load_importlib_resources():
 
 
 def test_import_and_a_quiet_run_load_no_dataclasses_inspect_or_logging(tmp_path):
-    """Start-up stays short: neither a quiet run, one that warns nor ``evaluate`` loads any of them."""
+    """Start-up stays short: neither a quiet run, one that warns nor ``evaluate`` loads any of
+    them, and ``analyze`` loads neither the derivers nor the clitic splitter."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     script = ("import sys, morfo.cli\n"
-              "loaded = lambda: sorted({'dataclasses', 'inspect', 'logging'} & set(sys.modules))\n"
+              "loaded = lambda: sorted({'dataclasses', 'inspect', 'logging', 'morfo.clitics',\n"
+              "                         'morfo.derivers'} & set(sys.modules))\n"
               "print(loaded(), file=sys.stderr)\n"
               "code = morfo.cli.run(sys.argv[1:])\n"
               "print(loaded(), file=sys.stderr)\n"
@@ -836,7 +879,8 @@ def test_import_and_a_quiet_run_load_no_dataclasses_inspect_or_logging(tmp_path)
                           capture_output=True, env=env)
     assert proc.returncode == 0
     assert proc.stderr.decode().splitlines() == [
-        "[]", f"morfo: {conll}: 4 FEAT values had no mapping and were ignored", "[]"]
+        "[]", f"morfo: {conll}: 4 FEAT values had no mapping and were ignored",
+        "['morfo.derivers']"]
     assert proc.stdout.decode() == invoke(["evaluate", "--conll", str(conll)])[1]
 
 

@@ -10,7 +10,6 @@ import pytest
 import morfo
 from morfo import (Animacy, CliticSplit, FeatureSet, Gender, LexEntry, Mood, MorphRule, Person,
                    Pos, Tense)
-from morfo.coes_import import ImportedRule
 from morfo.rules import compile_stem_pattern, dump_rules
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -28,12 +27,12 @@ def test_every_exported_name_resolves():
     assert [name for name in morfo.__all__ if not hasattr(morfo, name)] == []
 
 
-def _rule(cls=MorphRule, pattern="ar", **changes):
+def _rule(pattern="ar", **changes):
     """A rule whose ``replaced`` and ``regex`` come from ``pattern``."""
     replaced, regex = compile_stem_pattern(pattern)
     values = dict(rule_id=1, flag="V", stem_ending="ar", morph_ending="o",
                   features=FeatureSet(pos=Pos.VERB), replaced=replaced, regex=regex)
-    return cls(**{**values, **changes})
+    return MorphRule(**{**values, **changes})
 
 
 # Per value type: the keyword arguments of one value, and a field with a
@@ -66,22 +65,22 @@ def test_value_types_compare_by_value_and_refuse_assignment(cls):
     assert one == same
 
 
-def test_morph_rule_equality_ignores_pattern_and_line():
+def test_morph_rule_equality_compares_every_field():
     rule = _rule()
-    moved = _rule(pattern="er", line_no=7)  # other replaced tokens, regex and line
-    assert (rule.line_no, moved.line_no) == (0, 7)
-    assert rule == moved and hash(rule) == hash(moved)
+    assert (rule.line_no, rule.example) == (0, None)
+    assert rule == _rule() and hash(rule) == hash(_rule())
+    # Other replaced tokens and regex, line, example or id each make another rule.
+    for changes in (dict(pattern="er"), dict(line_no=7), dict(example=("amar", "amo"))):
+        assert rule != _rule(**changes)
     assert rule != _rule(rule_id=2)
+    # dump_rules writes none of replaced, regex, line_no and example.
+    moved = _rule(pattern="er", line_no=7, example=("amar", "amo"))
     assert dump_rules([rule]) == dump_rules([moved])
-    # An imported rule also compares its example, and never equals a plain rule.
-    imported = _rule(ImportedRule, example=("amar", "amo"))
-    assert imported == _rule(ImportedRule, example=("amar", "amo"), line_no=3)
-    assert imported != _rule(ImportedRule) and imported != rule
 
 
 def test_feature_set_fields_and_dict():
     names = ("pos", "gender", "number", "person", "mood", "tense", "animate")
-    assert FeatureSet.field_names() == names
+    assert FeatureSet._fields == names
     features = FeatureSet(Pos.NOUN, Gender.FEMALE, animate=Animacy.ANIMATE)
     assert list(features.as_dict().items()) == [
         ("pos", "noun"), ("gender", "female"), ("number", None), ("person", None),
@@ -92,7 +91,7 @@ def test_feature_set_fields_and_dict():
 @pytest.mark.parametrize("value", [
     FeatureSet(Pos.NOUN, Gender.FEMALE),
     _rule(line_no=4),
-    _rule(ImportedRule, example=("amar", "amo"), line_no=4),
+    _rule(line_no=4, example=("amar", "amo")),
     LexEntry("amar", ("V",)),
     CliticSplit("da", ("me",), (FeatureSet(pos=Pos.PRONOUN, person=Person.FIRST),)),
 ], ids=lambda value: type(value).__name__)
