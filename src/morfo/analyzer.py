@@ -2,16 +2,20 @@
 
 A word is recognised the way Ispell and Hunspell recognise one: for every
 suffix of the word that some rule produces (its morph ending), the rest of
-the word plus the part that rule replaced is a candidate root. A replaced
-part that holds a character class stands for every root tail of its length
-that it matches, so each candidate is one dictionary probe. When the lexicon
-holds that root with the rule's flag, a rule with a ``(?<=...)`` context is
-applied forward to confirm it; any other rule gives the word back from every
-such root, so it needs no check. Rules that replace a whole root (``ser`` ->
-``fue``) need no special case. A reading whose lemma starts with a different
-letter from the word is labelled ``irregular_table``, every other one
-``dictionary``. When no reading exists, a single fallback analysis comes from
-an ordered table of word-ending defaults.
+the word plus the part that rule replaced is a candidate root. The morph
+endings are held reversed in a trie, so one walk from the end of the word,
+a letter at a time, reaches every ending the word has and stops at the first
+suffix that no rule produces. A replaced part that holds a character class
+stands for every root tail of its length that it matches, so each candidate
+is one dictionary probe. When the lexicon holds that root with the rule's
+flag, a rule with a ``(?<=...)`` context is applied forward to confirm it;
+any other rule gives the word back from every such root, so it needs no
+check. Rules that replace a whole root (``ser`` -> ``fue``) need no special
+case. A reading whose lemma starts with a different letter from the word is
+labelled ``irregular_table``, every other one ``dictionary``. ``analyze``
+sorts the readings; ``preferred_analysis`` takes the least of them under its
+preference order, which is total, without sorting. When no reading exists, a
+single fallback analysis comes from an ordered table of word-ending defaults.
 """
 
 from __future__ import annotations
@@ -31,6 +35,14 @@ class Provenance(str, Enum):
     DICTIONARY = "dictionary"
     DEFAULT_FALLBACK = "default_fallback"
     IRREGULAR_TABLE = "irregular_table"
+
+
+# Module globals, read on every lookup, are cheaper to read than enum members.
+_DICTIONARY = Provenance.DICTIONARY
+_IRREGULAR = Provenance.IRREGULAR_TABLE
+_FALLBACK = Provenance.DEFAULT_FALLBACK
+_NOUN = Pos.NOUN
+_PARTICIPLE = Mood.PARTICIPLE
 
 
 class Analysis(NamedTuple):
@@ -94,9 +106,9 @@ def _rank_nominal(reading: Tuple[str, MorphRule]):
     """Preference key of a reading of a word ending in -o, -a, -os or -as."""
     root, rule = reading
     features = rule.features
-    if features.pos == Pos.NOUN:
+    if features.pos == _NOUN:
         shape = 0
-    elif features.mood == Mood.PARTICIPLE:
+    elif features.mood == _PARTICIPLE:
         shape = 2
     else:
         shape = 1
@@ -105,15 +117,36 @@ def _rank_nominal(reading: Tuple[str, MorphRule]):
 
 def _analysis(surface: str, root: str, rule: MorphRule) -> Analysis:
     return Analysis(surface, root, rule.rule_id, rule.features,
-                    Provenance.DICTIONARY if root[0] == surface[0] else Provenance.IRREGULAR_TABLE)
+                    _DICTIONARY if root[0] == surface[0] else _IRREGULAR)
+
+
+def _node(rules: Iterable[MorphRule], heads: Dict[tuple, List[str]]) -> tuple:
+    """The trie node of one morph ending produced by ``rules``, with no children yet.
+
+    Its heads are ``((head, ((flag, ((rule, check), ...)), ...)), ...)``: each
+    literal root tail that some of ``rules`` replace, with those rules by
+    flag, in file order. ``check`` says whether a rule needs a forward
+    application to confirm a root: a head matches its rules' replaced parts,
+    so only a rule with a context can fail to give stem + morph ending back
+    from stem + head.
+    """
+    by_head: Dict[str, Dict[str, list]] = {}
+    for rule in rules:
+        check = rule.stem_ending.startswith("(?<=")
+        for head in heads[rule.replaced]:
+            by_head.setdefault(head, {}).setdefault(rule.flag, []).append((rule, check))
+    return tuple([(head, tuple([(flag, tuple(pairs)) for flag, pairs in by_flag.items()]))
+                  for head, by_flag in by_head.items()]), {}
 
 
 class Analyzer:
     """Feature extraction over a lexicon and rule table.
 
-    Construction indexes the rules by morph ending and replaced root tail, and
-    the default table by ending; it does not expand the lexicon. A lookup
-    changes no state, so an analyzer may be shared between threads.
+    Construction builds a trie of the rules' morph endings, reversed, whose
+    nodes hold the literal root tails the rules replace, and indexes the
+    default table by ending; it does not expand the lexicon. A lookup walks
+    the trie from the end of the word and changes no state, so an analyzer
+    may be shared between threads.
     """
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable, defaults: List[DefaultRow]):
@@ -130,21 +163,22 @@ class Analyzer:
         heads = {p: ["".join(p)] for p in patterns}
         for p in classed:
             heads[p] = sorted(filter(re.compile("".join(p)).fullmatch, root_tails[len(p)]))
-        # Every suffix of a morph ending -> the heads of that ending (none for
-        # a suffix that is no ending itself), so stripping can stop at the
-        # first suffix of a word that no rule produces. A head is a replaced
-        # tail, mapped to flag -> rules, each with whether it needs a forward
-        # check: a head matches its rules' replaced parts, so only a rule with
-        # a context can fail to give stem + morph ending back from stem + head.
-        self._tails: Dict[str, Dict[str, Dict[str, list]]] = {}
+        by_ending: Dict[str, List[MorphRule]] = {}
         for rule in rules.rules:
-            ending = rule.morph_ending
-            for cut in range(1, len(ending) + 1):
-                self._tails.setdefault(ending[cut:], {})
-            by_head = self._tails.setdefault(ending, {})
-            check = rule.stem_ending.startswith("(?<=")
-            for head in heads[rule.replaced]:
-                by_head.setdefault(head, {}).setdefault(rule.flag, []).append((rule, check))
+            by_ending.setdefault(rule.morph_ending, []).append(rule)
+        # The morph endings, reversed, as a trie. A node is (heads, children):
+        # children maps the letter before a node's ending in a word to the
+        # node of that longer ending, so a word is walked from its end; the
+        # root is the empty ending. A suffix of an ending that is no ending
+        # itself has no heads, and a word's walk stops at the first suffix
+        # with no node. Endings are added shortest first, so the node of each
+        # is new when it is made.
+        self._trie = _node(by_ending.pop("", ()), heads)
+        for ending in sorted(by_ending, key=len):
+            node = self._trie
+            for letter in reversed(ending[1:]):
+                node = node[1].setdefault(letter, ((), {}))
+            node[1][ending[0]] = _node(by_ending[ending], heads)
         # pos hint -> the fallback passes it takes: the rows of that pos, then
         # every row; no hint, or a hint with no rows, takes only the second.
         every_row = _default_pass(defaults)
@@ -170,35 +204,39 @@ class Analyzer:
         """Every (root, rule) pair of the lexicon whose forward application gives ``surface``."""
         out = []
         root_flags = self.lexicon.flags
-        for cut in range(len(surface), -1, -1):
-            by_head = self._tails.get(surface[cut:])
-            if by_head is None:
-                break
-            stem = surface[:cut]
-            for head, by_flag in by_head.items():
-                root = stem + head
-                flags = root_flags.get(root)
-                if flags is None:
-                    continue
-                for flag in flags:
-                    for rule, check in by_flag.get(flag, ()):
-                        if not check or apply_rule(root, rule) == surface:
-                            out.append((root, rule))
-        return out
+        heads, children = self._trie
+        cut = len(surface)
+        while True:
+            if heads:
+                stem = surface[:cut]
+                for head, by_flag in heads:
+                    root = stem + head
+                    flags = root_flags.get(root)
+                    if flags is None:
+                        continue
+                    for flag, pairs in by_flag:
+                        if flag in flags:
+                            for rule, check in pairs:
+                                if not check or apply_rule(root, rule) == surface:
+                                    out.append((root, rule))
+            if not cut:
+                return out
+            cut -= 1
+            node = children.get(surface[cut])
+            if node is None:
+                return out
+            heads, children = node
 
-    def _ranked(self, surface: str, pos_hint: Optional[Pos]) -> List[Tuple[str, MorphRule]]:
-        """The (root, rule) readings ``analyze`` reports for ``surface``, in its order."""
+    def _kept(self, surface: str, pos_hint: Optional[Pos]) -> List[Tuple[str, MorphRule]]:
+        """The (root, rule) readings ``analyze`` reports for ``surface``, in no set order."""
         if not surface:
             raise ValueError("empty word")
-        first = surface[0]
         readings = self._readings(surface)
         if not surface.isalpha():
+            first = surface[0]
             readings = [r for r in readings if r[0][0] != first]
         if pos_hint is not None:
             readings = [r for r in readings if r[1].features.pos == pos_hint]
-        if len(readings) > 1:
-            readings.sort(key=lambda r: (1, r[0], r[1].rule_id) if r[0][0] == first
-                          else (0, r[1].rule_id, r[0]))
         return readings
 
     # -- fallback -------------------------------------------------------------
@@ -226,7 +264,7 @@ class Analyzer:
 
     def _fallback_analysis(self, surface: str, pos_hint: Optional[Pos]) -> Analysis:
         return Analysis(surface, surface, None, self._default_features(surface, pos_hint),
-                        Provenance.DEFAULT_FALLBACK)
+                        _FALLBACK)
 
     # -- public API -----------------------------------------------------------
 
@@ -238,9 +276,13 @@ class Analyzer:
         the word is alphabetic.
         """
         surface = normalize(word)
-        readings = self._ranked(surface, pos_hint)
+        readings = self._kept(surface, pos_hint)
         if not readings:
             return [self._fallback_analysis(surface, pos_hint)]
+        if len(readings) > 1:
+            first = surface[0]
+            readings.sort(key=lambda r: (1, r[0], r[1].rule_id) if r[0][0] == first
+                          else (0, r[1].rule_id, r[0]))
         return [_analysis(surface, root, rule) for root, rule in readings]
 
     def preferred_analysis(self, word: str, pos_hint: Optional[Pos] = None) -> Analysis:
@@ -248,10 +290,12 @@ class Analyzer:
 
         For a word ending in -o, -a, -os or -as, noun readings come first and
         participle readings last. Then the lower rule id wins, then the lemma
-        that sorts first. A fallback analysis is always the only one.
+        that sorts first. A fallback analysis is always the only one. The
+        readings are not sorted: this order is total, so the least of them is
+        the answer.
         """
         surface = normalize(word)
-        readings = self._ranked(surface, pos_hint)
+        readings = self._kept(surface, pos_hint)
         if not readings:
             return self._fallback_analysis(surface, pos_hint)
         if len(readings) == 1:

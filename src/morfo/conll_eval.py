@@ -82,7 +82,11 @@ def _strip_sense(sense: str) -> str:
 
 
 def parse_conll(source: Iterable[bytes | str], mapping: FeatureMapping) -> List[TokenRecord]:
-    """Parse CoNLL-2009 rows into records; one warning counts the FEAT values with no mapping."""
+    """Parse CoNLL-2009 rows into records; one warning counts the FEAT values with no mapping.
+
+    A row with too few columns, a non-numeric ID, an empty or blank FORM or
+    invalid gold features raises ``LoadError`` naming its line.
+    """
     records: List[TokenRecord] = []
     unmapped = 0
     for line_no, line in lines(source):
@@ -95,6 +99,9 @@ def parse_conll(source: Iterable[bytes | str], mapping: FeatureMapping) -> List[
             int(cols[_COL_ID])
         except ValueError:
             raise LoadError(f"non-numeric token id {cols[_COL_ID]!r}", line_no) from None
+        form = cols[_COL_FORM]
+        if not form.strip():
+            raise LoadError("empty FORM", line_no)
         feat_string = cols[_COL_FEAT]
         feat_values: Dict[str, str] = {}
         if feat_string not in ("_", ""):
@@ -112,7 +119,7 @@ def parse_conll(source: Iterable[bytes | str], mapping: FeatureMapping) -> List[
         sense = cols[_COL_PRED] if is_predicate and cols[_COL_PRED] != "_" else None
         gold_lemma = _strip_sense(sense) if sense else cols[_COL_LEMMA]
         records.append(TokenRecord(
-            form=cols[_COL_FORM],
+            form=form,
             gold_lemma=gold_lemma,
             gold_pos=mapping.pos_map.get(cols[_COL_POS]),
             gold_features=gold_features,

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from morfo.analyzer import Analyzer, Provenance, load_default_table
 from morfo.errors import LoadError
-from morfo.features import Gender, Mood, Number, Person, Pos, Tense
+from morfo.features import FeatureSet, Gender, Mood, Number, Person, Pos, Tense
 from morfo.lexicon import LexEntry, Lexicon, load_dictionary, normalize
 from morfo.resources import data_path
-from morfo.rules import COLUMNS, apply_rule, load_rules
+from morfo.rules import COLUMNS, MorphRule, RuleTable, apply_rule, load_rules
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyzáéíóúñ"
 
@@ -226,6 +226,62 @@ def test_stripping_matches_oracle_on_random_sub_lexicons(lexicon, class_rules, d
             _check_order(results)
 
 
+# A small alphabet for rule tables whose morph endings nest; it holds the
+# nominal endings' letters, so the nominal preference order is reached too.
+NESTED_ALPHABET = "aáeéoñs"
+_NESTED_FEATURES = [FeatureSet(pos=Pos.NOUN), FeatureSet(pos=Pos.ADJECTIVE),
+                    FeatureSet(pos=Pos.VERB), FeatureSet(pos=Pos.VERB, mood=Mood.PARTICIPLE)]
+_nested_token = st.one_of(
+    st.sampled_from(NESTED_ALPHABET),
+    st.builds(lambda negated, letters: "[" + "^" * negated + "".join(sorted(letters)) + "]",
+              st.booleans(), st.sets(st.sampled_from(NESTED_ALPHABET), min_size=1, max_size=3)))
+
+
+@st.composite
+def nested_tables(draw):
+    """(lexicon flags, rules): morph endings that are the suffixes of one string,
+    the empty one included, and a rule that replaces a whole root, so that its
+    morph ending is a whole word."""
+    chain = draw(st.text(alphabet=NESTED_ALPHABET, min_size=1, max_size=4))
+    endings = [chain[cut:] for cut in range(len(chain) + 1)]
+    endings += draw(st.lists(st.text(alphabet=NESTED_ALPHABET, max_size=3), max_size=2))
+    roots = draw(st.lists(st.text(alphabet=NESTED_ALPHABET, min_size=1, max_size=5),
+                          min_size=1, max_size=12, unique=True))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        context = "".join(draw(st.lists(_nested_token, max_size=1)))
+        replaced = "".join(draw(st.lists(_nested_token, max_size=2)))
+        rows.append((f"(?<={context}){replaced}" if context else replaced,
+                     draw(st.sampled_from(endings))))
+    rows.append((draw(st.sampled_from(roots)), draw(st.sampled_from([e for e in endings if e]))))
+    rules = [MorphRule.build(draw(st.sampled_from("ABC")), stem_ending, morph_ending,
+                             lambda: draw(st.sampled_from(_NESTED_FEATURES)), rule_id)
+             for rule_id, (stem_ending, morph_ending) in enumerate(draw(st.permutations(rows)), 1)]
+    flags = {root: tuple(draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3,
+                                       unique=True)))
+             for root in roots}
+    return flags, rules
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=nested_tables(), data=st.data())
+def test_stripping_matches_oracle_on_random_nested_rule_tables(default_table, brute_force,
+                                                               table, data):
+    flags, rules = table
+    with contextlib.redirect_stderr(io.StringIO()):  # a flag with no rules is warned about
+        analyzer = Analyzer(Lexicon(flags), RuleTable(rules), default_table)
+    oracle = brute_force(analyzer)
+    queries = [form for form in oracle.forms if form]  # a rule may replace a root with nothing
+    queries += data.draw(st.lists(st.text(alphabet=NESTED_ALPHABET + "-", min_size=1,
+                                          max_size=6), max_size=20))
+    for query in queries:
+        for pos_hint in (None, Pos.VERB, Pos.NOUN):
+            results = analyzer.analyze(query, pos_hint)
+            assert results == oracle.analyze(query, pos_hint), (query, pos_hint)
+            _check_order(results)
+    _check_preferred(analyzer, queries, (None, Pos.VERB, Pos.NOUN))
+
+
 @pytest.mark.parametrize("entries, fui_lemmas", [
     # No root ends in a tail that Y's "[sdi][aeo][rs]" matches, so Y has no
     # head and "fui" no candidate root.
@@ -237,7 +293,11 @@ def test_class_rule_heads_are_the_root_tails_it_matches(default_table, brute_for
                                                         fui_lemmas):
     rules = load_rules(["\t".join(COLUMNS)] + CLASS_RULES)
     analyzer = Analyzer(load_dictionary(entries), rules, default_table)
-    assert sorted(analyzer._tails["fui"]) == sorted({lemma[-3:] for lemma in fui_lemmas})
+    node = analyzer._trie
+    for letter in reversed("fui"):
+        node = node[1][letter]
+    heads = [head for head, _by_flag in node[0]]
+    assert sorted(heads) == sorted({lemma[-3:] for lemma in fui_lemmas})
     oracle = brute_force(analyzer)
     for word in ("fui", "amfui", "tfui", "amo", "amamos", "damos"):
         assert analyzer.analyze(word) == oracle.analyze(word), word

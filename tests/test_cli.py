@@ -597,6 +597,39 @@ def test_storing_an_entry_removes_those_of_dictionaries_that_are_gone(
     assert set(_entries(own_cache_home)) == {kept_entry, temporary, new_entry}
 
 
+def test_a_writer_killed_before_its_rename_leaves_a_file_a_later_store_removes(
+        tmp_path, own_cache_home, monkeypatch, capsys):
+    path = _dictionary(tmp_path)
+    script = ("import os, sys\n"
+              "from morfo import lexicon\n"
+              "os.replace = lambda *_args: os._exit(9)\n"
+              "with open(sys.argv[1], 'rb') as stream:\n"
+              "    lexicon.load_cached_dictionary(stream)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+           "XDG_CACHE_HOME": str(own_cache_home)}
+    child = subprocess.Popen([sys.executable, "-c", script, str(path)], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, env=env)
+    assert (child.communicate(timeout=60), child.returncode) == ((b"", b""), 9)
+    [temporary] = _entries(own_cache_home)
+    entry = temporary.with_name(temporary.name.removesuffix(f".{child.pid}.tmp"))
+    assert entry.name.endswith(".marshal")
+    argv = ["analyze", "--dict", str(path)]
+    monkeypatch.setenv("XDG_CACHE_HOME", "/dev/null")
+    uncached = _cached_run(argv, capsys)
+    assert uncached[0] == 0
+    monkeypatch.setenv("XDG_CACHE_HOME", str(own_cache_home))
+    assert _cached_run(argv, capsys) == uncached
+    assert _entries(own_cache_home) == [entry, temporary]  # too young to be an orphan
+    with monkeypatch.context() as patch:
+        patch.setattr(lexicon, "load_dictionary", _fail)
+        assert _cached_run(argv, capsys) == uncached
+    orphaned = time.time() - lexicon.ORPHAN_S - 60
+    os.utime(temporary, (orphaned, orphaned))
+    entry.unlink()  # so that the next run parses and stores again
+    assert _cached_run(argv, capsys) == uncached
+    assert _entries(own_cache_home) == [entry]
+
+
 def test_every_command_closes_what_it_opens(tmp_path, own_cache_home):
     """Every file a command opens is closed before ``run`` returns.
 
@@ -735,6 +768,17 @@ def test_evaluate_invalid_gold_features_exits_2_naming_the_line(tmp_path, capsys
     assert code == 2
     err = capsys.readouterr().err
     assert f"failed to load {conll}: line 1:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("form", ["", "  "])
+def test_evaluate_empty_form_exits_2_naming_the_line(form, tmp_path, capsys):
+    rows = (FIXTURES / "sample.conll").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert rows[1].split("\t")[1:5] == ["hombre", "hombre", "hombre", "n"]
+    rows[1] = rows[1].replace("\thombre\t", f"\t{form}\t", 1)
+    conll = tmp_path / "gold.conll"
+    conll.write_text("".join(rows), encoding="utf-8")
+    assert invoke(["evaluate", "--conll", str(conll)]) == (2, "")
+    assert capsys.readouterr().err == f"morfo: failed to load {conll}: line 2: empty FORM\n"
 
 
 def test_run_writes_to_a_redirected_stdout():
