@@ -8,21 +8,26 @@ once. For one run they keep the output of recently seen input lines, up to
 changes speed only. The analyzer itself keeps no results.
 
 Warnings print to stderr as ``morfo: [<file>: ]<message>`` (``errors.warn``).
-Start-up is kept short: importing this module loads neither ``dataclasses``
-nor ``logging``; a run loads ``json`` only for ``--format jsonl``, and the
-derivers, clitic splitter, COES importer and CoNLL evaluator only for the
-commands that use them, so ``analyze`` loads none of the four.
+Start-up is kept short: importing this module loads none of ``dataclasses``,
+``logging`` and ``argparse``. A well-formed command line is parsed from the
+option table (``_parse_plain``), so its run loads no ``argparse``, nor the
+``gettext`` and ``locale`` that argparse loads; argparse is imported only
+to print help, usage and errors, and to parse the rarer forms it alone
+accepts, such as abbreviations and ``--name=value``. A run loads ``json``
+only for ``--format jsonl``, and the derivers, clitic splitter, COES
+importer and CoNLL evaluator only for the commands that use them, so
+``analyze`` loads none of the four.
 ``_DESCRIPTION`` gives the exit codes.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from pathlib import Path
-from typing import BinaryIO, Optional, Sequence, TextIO
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, BinaryIO, Optional, Sequence, TextIO
 
 from morfo import errors, resources
 from morfo.analyzer import Analyzer, Provenance, load_default_table
@@ -31,6 +36,9 @@ from morfo.features import Pos
 from morfo.lexicon import load_cached_dictionary, normalize
 from morfo.rules import dump_rules, load_rules
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -38,10 +46,13 @@ EXIT_DATA = 2
 #: Raw input lines in the young generation of a stream run's output cache;
 #: with the old generation, a run keeps up to twice as many. On the bench's
 #: seed-stream input (seed 1: 200,000 lines, 19,548 distinct), 4,096 misses
-#: 41,250 lines, where a 2,048-entry LRU cache missed 66,423. Peak RSS of
-#: `analyze` on it through a pipe (max of 4-6 runs, Python 3.11): 17.06 MB
-#: with that LRU cache, 17.93 MB (+5.1%) at 4,096, 18.11 MB (+6.2%) at
-#: 5,120, and 19.48 MB (+14%, near the bench's 15% bound) at 8,192.
+#: 41,250 lines, where a 2,048-entry LRU cache missed 66,423. Peak RSS
+#: (VmHWM) of `analyze` on it through a pipe, via bench/launch.py (max of 6
+#: runs, Python 3.11): 15.15 MB at 2,048, 15.84 MB at 4,096, 16.05 MB (+1.3%)
+#: at 5,120 and 17.39 MB (+9.8%) at 8,192. On seed 7, a
+#: ``functools.lru_cache(8192)`` in place of the two generations missed
+#: 30,936 lines instead of 41,388, but peaked 2.7 MB higher (max of 8 runs)
+#: and was no faster (median wall 0.512 s against 0.458 s).
 CACHE_SIZE = 4096
 
 #: What ``morfo --help`` says above the commands.
@@ -53,12 +64,6 @@ _DESCRIPTION = ("Rule-based Spanish morphology from a root dictionary and a suff
 #: Input pos tag -> its ``Pos``, and ``Provenance`` -> its output text.
 _POS_TAGS = {pos.value: pos for pos in Pos}
 _PROVENANCE_TEXT = {p: p.value for p in Provenance}
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 class DataFileError(Exception):
@@ -234,9 +239,9 @@ def cmd_import_coes(args, stdin: BinaryIO, stdout: TextIO) -> int:
         return import_rules(stream, skip_flags=args.skip_flags or "",
                             infer_person=args.infer_person)
 
-    rows = _read(args.aff, parse) if args.aff else parse(stdin)
+    rows = _read(args.aff, parse) if args.aff is not None else parse(stdin)
     text = dump_rules(rows)
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         stdout.write(text)
@@ -267,7 +272,17 @@ def cmd_evaluate(args, stdin: BinaryIO, stdout: TextIO) -> int:
     return EXIT_OK
 
 
-#: Each command's function, help text and own arguments (name, keywords), in help order.
+#: The options every command takes (name, keywords), in help order.
+_OPTIONS = (
+    ("--dict", {"help": "dictionary file (word/FLAGS lines)"}),
+    ("--rules", {"help": "morphological rule table (TSV)"}),
+    ("--defaults", {"help": "ending-default feature table (TSV)"}),
+    ("--pronouns", {"help": "clitic pronoun table (TSV)"}),
+    ("--format", {"choices": ("tsv", "jsonl"), "default": "tsv"}),
+)
+
+#: Each command's function, help text and own options (name, keywords), in help order; in its
+#: help, a command's own options follow ``_OPTIONS``.
 _COMMANDS = {
     "analyze": (cmd_analyze,
                 "label words read from stdin, one token (or token<TAB>pos) per line", ()),
@@ -297,31 +312,72 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> _Parser:
+def _parse_plain(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """What ``build_parser().parse_args(argv)`` returns, if ``argv`` uses only the plain forms;
+    else ``None``.
+
+    The plain forms are a command, then its options by their full names:
+    ``--name value`` for a store or append option, where ``value`` does not
+    start with ``-`` and is one of the option's choices if it has any, and
+    ``--name`` alone for a ``store_true`` one. Every required option is
+    given. Anything else, such as ``-h``, an abbreviation, ``--name=value``
+    or an error, is argparse's to parse, and only argparse prints help, usage
+    and errors. A plain command line thus runs without importing it.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = {name: (name[2:].replace("-", "_"), keywords)
+               for name, keywords in (*_OPTIONS, *_COMMANDS[argv[0]][2])}
+    values = {dest: keywords.get("default", False if keywords.get("action") == "store_true"
+                                 else None)
+              for dest, keywords in options.values()}
+    words = iter(argv[1:])
+    for name in words:
+        if name not in options:
+            return None
+        dest, keywords = options[name]
+        action = keywords.get("action")
+        if action == "store_true":
+            values[dest] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = [*(values[dest] or ()), value] if action == "append" else value
+    if any(keywords.get("required") and values[dest] is None
+           for dest, keywords in options.values()):
+        return None
+    return SimpleNamespace(command=argv[0], **values)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The CLI's argument parser; for a known ``command``, one that builds only its subparser.
 
     That parser parses ``command``'s arguments, and prints its help, usage
     and errors, exactly as the full one does: its usage names every command.
     """
-    parser = _Parser(prog="morfo", description=_DESCRIPTION)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--dict", help="dictionary file (word/FLAGS lines)")
-    common.add_argument("--rules", help="morphological rule table (TSV)")
-    common.add_argument("--defaults", help="ending-default feature table (TSV)")
-    common.add_argument("--pronouns", help="clitic pronoun table (TSV)")
-    common.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
+    import argparse  # only help, usage, errors and the rarer forms of an option need it
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(prog="morfo", description=_DESCRIPTION)
     names = list(_COMMANDS)
     # The full parser names a missing command "command", from its dest, which
     # a metavar would replace; a one-command parser never reports one.
     metavar = None
     if command in _COMMANDS:
         names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser,
                                 metavar=metavar)
     for name in names:
-        _function, help_text, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for flag, keywords in arguments:
+        _function, help_text, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in (*_OPTIONS, *options):
             p.add_argument(flag, **keywords)
     return parser
 
@@ -341,11 +397,12 @@ def run(argv: Sequence[str], stdin: BinaryIO = None, stdout: TextIO = None) -> i
         stdout = sys.stdout
         if hasattr(stdout, "reconfigure"):  # not when redirected to a StringIO
             stdout.reconfigure(encoding="utf-8")
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         code = _COMMANDS[args.command][0](args, stdin, stdout)
         stdout.flush()

@@ -37,8 +37,12 @@ T = TypeVar("T")
 
 
 def data_path(name: str, override: Optional[str] = None) -> Path:
-    """Resolve a data file: explicit override > $MORFO_DATA dir > packaged data."""
-    if override:
+    """Resolve a data file: explicit override > $MORFO_DATA dir > packaged data.
+
+    An override is used whenever it is given, even ``""``, which names no
+    file; an empty ``$MORFO_DATA`` counts as unset.
+    """
+    if override is not None:
         return Path(override)
     env_dir = os.environ.get(DATA_ENV)
     if env_dir:

@@ -175,7 +175,11 @@ class ExpandedForm(NamedTuple):
 
 
 def expand_entry(entry: LexEntry, table: RuleTable) -> List[ExpandedForm]:
-    """All forms produced by the entry's licensed rules, in flag then rule order."""
+    """All forms produced by the entry's licensed rules, in flag then rule order.
+
+    A rule that would rewrite the whole root to nothing produces no form: no
+    lookup can reach the empty word.
+    """
     out: List[ExpandedForm] = []
     for flag in entry.flags:
         bucket = table.by_flag.get(flag)
@@ -184,7 +188,7 @@ def expand_entry(entry: LexEntry, table: RuleTable) -> List[ExpandedForm]:
             continue
         for rule in bucket:
             form = apply_rule(entry.root, rule)
-            if form is not None:
+            if form:
                 out.append(ExpandedForm(form, rule.rule_id, rule.features))
     return out
 

@@ -173,6 +173,28 @@ def test_missing_dict_file_exits_2(capsys):
     assert "failed to load" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--dict", ""], ["lemmatize", "--rules", ""], ["analyze", "--defaults", ""],
+    ["split-clitics", "--pronouns", ""], ["nominalize", "--nominal-flags", ""],
+    ["evaluate", "--conll", str(FIXTURES / "sample.conll"), "--mapping", ""],
+    ["evaluate", "--conll", ""], ["import-coes", "--aff", ""],
+], ids=" ".join)
+def test_an_empty_path_is_a_load_error(argv, capsys):
+    assert invoke(argv, "amo\n") == (2, "")
+    assert capsys.readouterr().err.startswith("morfo: failed to load ")
+
+
+def test_an_empty_out_path_cannot_be_written(capsys):
+    assert invoke(["import-coes", "--aff", str(FIXTURES / "fig1.aff"), "--out", ""]) == (1, "")
+    assert capsys.readouterr().err.startswith("morfo: [Errno ")
+
+
+def test_an_empty_data_directory_is_unset(monkeypatch):
+    expected = invoke(["analyze"], "amo\nvacas\n")
+    monkeypatch.setenv(resources.DATA_ENV, "")
+    assert invoke(["analyze"], "amo\nvacas\n") == expected
+
+
 def test_bad_usage_exits_1():
     code, _out = invoke([])
     assert code == 1
@@ -200,6 +222,75 @@ def test_the_parser_for_one_command_prints_what_the_full_parser_prints(argv, mon
     full = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
     assert outcome() == chosen
+
+
+def _argparse_result(argv):
+    """``vars`` of what the full parser returns for ``argv``, or ``None`` where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+OPTION_NAMES = sorted({name for name, _keywords in cli._OPTIONS}
+                      | {name for _f, _help, options in cli._COMMANDS.values()
+                         for name, _keywords in options})
+OPTION_VALUES = st.sampled_from(["", "-", "-x", "--", "-1", "tsv", "jsonl", "xml", "a.txt",
+                                 "x y", "analyze"])
+ODD_WORDS = st.one_of(
+    st.sampled_from(["no-such-command", "analyse", "-h", "--help", "--", "--no-such-option"]),
+    st.sampled_from(OPTION_NAMES).flatmap(lambda name: st.integers(3, len(name) - 1).map(
+        lambda length: name[:length])),  # abbreviations
+    st.tuples(st.sampled_from(OPTION_NAMES), OPTION_VALUES).map("=".join))
+
+
+@st.composite
+def command_lines(draw):
+    """A command, known or not, then its declared options with values of the declared kind,
+    then up to two edits, each the removal of a word or the insertion of any other word."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "no-such-command", "-h", "--dict"]))
+    declared = (*cli._OPTIONS, *cli._COMMANDS[command][2]) if command in cli._COMMANDS else ()
+    argv = [command]
+    for name, keywords in draw(st.lists(st.sampled_from(declared), max_size=4)) if declared else ():
+        argv.append(name)
+        if keywords.get("action") != "store_true":
+            argv.append(draw(st.sampled_from(keywords.get("choices", ("", "a.txt", "x y")))))
+    others = st.one_of(ODD_WORDS, st.sampled_from(OPTION_NAMES), OPTION_VALUES)
+    for _edit in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        if at < len(argv) and draw(st.booleans()):
+            del argv[at]
+        else:
+            argv.insert(at, draw(others))
+    return argv
+
+
+PLAIN_ARGV = [["analyze"], ["lemmatize", "--format", "jsonl", "--format", "tsv"],
+              ["nominalize", "--nominal-flags", "", "--dict", "a.txt"],
+              ["split-clitics", "--verbs-only", "--pronouns", "p.tsv", "--verbs-only"],
+              ["import-coes", "--skip-flags", "XY", "--infer-person", "--out", "r.tsv"],
+              ["evaluate", "--conll", "a", "--filter-on-lemma", "--conll", "b", "--mapping", "m"]]
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGV, ids=" ".join)
+def test_a_plain_command_line_is_parsed_as_argparse_parses_it(argv):
+    plain = cli._parse_plain(argv)
+    assert plain is not None and vars(plain) == _argparse_result(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines())
+@example(argv=["evaluate"])
+@example(argv=["analyze", "--format", "xml"])
+@example(argv=["analyze", "--dict"])
+@example(argv=["analyze", "--dic", "x"])
+@example(argv=["analyze", "--format=jsonl"])
+@example(argv=["evaluate", "--conll", "-x"])
+@example(argv=["evaluate", "--conll", "a", "--conll", "b"])
+def test_the_plain_parser_agrees_with_argparse_or_declines(argv):
+    plain = cli._parse_plain(argv)
+    assert plain is None or vars(plain) == _argparse_result(argv)
 
 
 def test_help_holds_no_developer_notes(capsys):
@@ -343,10 +434,8 @@ def test_seed_forms_through_both_cache_generations_are_written_as_when_alone(
     lines = distinct * 3
     rng.shuffle(lines)
     # A run alone still reads, computes and writes its one line through the
-    # stream loop; only the parser and the analyzer are built once for all.
-    parser = cli.build_parser()
-    analyzer = cli.build_analyzer(parser.parse_args(["analyze"]))
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: parser)
+    # stream loop; only the analyzer is built once for all.
+    analyzer = cli.build_analyzer(cli._parse_plain(["analyze"]))
     monkeypatch.setattr(cli, "build_analyzer", lambda args: analyzer)
     for argv in (["analyze"], ["lemmatize", "--format", "jsonl"]):
         alone = {}
@@ -926,6 +1015,34 @@ def test_import_and_a_quiet_run_load_no_dataclasses_inspect_or_logging(tmp_path)
         "[]", f"morfo: {conll}: 4 FEAT values had no mapping and were ignored",
         "['morfo.derivers']"]
     assert proc.stdout.decode() == invoke(["evaluate", "--conll", str(conll)])[1]
+
+
+def test_a_plain_command_line_loads_no_argparse():
+    """A plain run of each stream command and of ``evaluate`` loads none of argparse, gettext
+    and locale; ``--help`` still prints through argparse.
+
+    ``-S`` keeps out ``site``, whose ``.pth`` hooks may import them themselves.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    script = ("import sys, morfo.cli\n"
+              "code = morfo.cli.run(sys.argv[1:])\n"
+              "loaded = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
+              "print(sorted(loaded), file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    conll = str(FIXTURES / "sample.conll")
+    for argv in (["analyze"], ["lemmatize", "--format", "jsonl"], ["nominalize"],
+                 ["split-clitics", "--verbs-only"], ["evaluate", "--conll", conll]):
+        proc = subprocess.run([sys.executable, "-S", "-c", script, *argv], input=b"amo\n",
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, argv
+        assert proc.stderr.decode().splitlines()[-1] == "[]", argv
+        stdin = "" if argv[0] == "evaluate" else "amo\n"
+        assert proc.stdout.decode() == invoke(argv, stdin)[1]
+
+    proc = subprocess.run([sys.executable, "-S", "-c", script, "analyze", "--help"],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.startswith(b"usage: morfo analyze ")
+    assert "'argparse'" in proc.stderr.decode()
 
 
 def test_process_invalid_utf8_on_strict_stdin_exits_1():

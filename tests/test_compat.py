@@ -2,7 +2,9 @@
 and the value types."""
 
 import copy
+import io
 import pickle
+import shlex
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import morfo
 from morfo import (Animacy, CliticSplit, FeatureSet, Gender, LexEntry, Mood, MorphRule, Person,
                    Pos, Tense)
+from morfo.cli import run
 from morfo.rules import compile_stem_pattern, dump_rules
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -21,6 +24,30 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, str(README), "exec"), {})
     lemmas = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert lemmas == ["vaca"]
+
+
+def test_readme_command_line_examples_print_what_they_show():
+    """Each ``$ echo ... | morfo`` and ``$ printf ... | morfo`` example, run through ``run``.
+
+    The ``import-coes`` and ``evaluate`` examples pipe nothing in, and name
+    files the repository does not have, so they are not run.
+    """
+    section = README.read_text(encoding="utf-8").split("## Command-line usage", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for example in block.split("\n\n"):
+        command, *shown = example.strip("\n").split("\n")
+        producer, piped, consumer = command.removeprefix("$ ").partition(" | ")
+        if not piped:
+            continue
+        (program, text), argv = shlex.split(producer), shlex.split(consumer)
+        stdin = text + "\n" if program == "echo" else text.replace("\\n", "\n")
+        assert program in ("echo", "printf") and argv[0] == "morfo"
+        out = io.StringIO()
+        assert run(argv[1:], stdin=io.BytesIO(stdin.encode("utf-8")), stdout=out) == 0, command
+        assert out.getvalue().splitlines() == shown, command
+        commands.append(argv[1:])
+    assert commands == [["analyze"], ["lemmatize"], ["nominalize"], ["split-clitics"]]
 
 
 def test_every_exported_name_resolves():

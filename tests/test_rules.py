@@ -114,6 +114,13 @@ def test_expand_entry_no_flags(rule_table):
     assert expand_entry(LexEntry("qqq", ()), rule_table) == []
 
 
+def test_expand_entry_leaves_out_the_empty_form():
+    table = _table("V\ta\t\tverb\t\t\t\t\t\t", "V\ta\to\tverb\t\t\t\t\t\t")
+    assert apply_rule("a", table.rules[0]) == ""  # the whole root rewritten to nothing
+    assert [f.form for f in expand_entry(LexEntry("a", ("V",)), table)] == ["o"]
+    assert [f.form for f in expand_entry(LexEntry("ca", ("V",)), table)] == ["c", "co"]
+
+
 def test_expansion_is_deterministic(lexicon, rule_table):
     entry = LexEntry("amar", lexicon.flags["amar"])
     assert expand_entry(entry, rule_table) == expand_entry(entry, rule_table)
