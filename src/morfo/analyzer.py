@@ -8,19 +8,19 @@ a letter at a time, reaches every ending the word has and stops at the first
 suffix that no rule produces. A replaced part that holds a character class
 stands for every root tail of its length that it matches, so each candidate
 is one dictionary probe. When the lexicon holds that root with the rule's
-flag, a rule with a ``(?<=...)`` context is applied forward to confirm it;
-any other rule gives the word back from every such root, so it needs no
-check. Rules that replace a whole root (``ser`` -> ``fue``) need no special
-case. A reading whose lemma starts with a different letter from the word is
-labelled ``irregular_table``, every other one ``dictionary``. ``analyze``
-sorts the readings; ``preferred_analysis`` takes the least of them under its
-preference order, which is total, without sorting. When no reading exists, a
-single fallback analysis comes from an ordered table of word-ending defaults.
+flag, a rule with a ``(?<=...)`` context confirms it by testing its context
+on the end of the stem, the word less the morph ending; any other rule gives
+the word back from every such root, so it needs no check. Rules that replace
+a whole root (``ser`` -> ``fue``) need no special case. A reading whose lemma
+starts with a different letter from the word is labelled ``irregular_table``,
+every other one ``dictionary``. ``analyze`` sorts the readings;
+``preferred_analysis`` takes the least of them under its preference order,
+which is total, without sorting. When no reading exists, a single fallback
+analysis comes from an ordered table of word-ending defaults.
 """
 
 from __future__ import annotations
 
-import re
 from enum import Enum
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -28,7 +28,7 @@ from morfo.errors import warn
 from morfo.features import FeatureSet, Mood, Pos
 from morfo.lexicon import Lexicon, normalize
 from morfo.resources import read_table
-from morfo.rules import MorphRule, RuleTable, apply_rule
+from morfo.rules import MorphRule, RuleTable, ends_with
 
 
 class Provenance(str, Enum):
@@ -125,14 +125,14 @@ def _node(rules: Iterable[MorphRule], heads: Dict[tuple, List[str]]) -> tuple:
 
     Its heads are ``((head, ((flag, ((rule, check), ...)), ...)), ...)``: each
     literal root tail that some of ``rules`` replace, with those rules by
-    flag, in file order. ``check`` says whether a rule needs a forward
-    application to confirm a root: a head matches its rules' replaced parts,
-    so only a rule with a context can fail to give stem + morph ending back
-    from stem + head.
+    flag, in file order. ``check`` is a rule's context tests, which the end
+    of the stem must pass: a head matches its rules' replaced parts, so only
+    a rule with a context can fail to give stem + morph ending back from
+    stem + head.
     """
     by_head: Dict[str, Dict[str, list]] = {}
     for rule in rules:
-        check = rule.stem_ending.startswith("(?<=")
+        check = rule.tests[:len(rule.tests) - len(rule.replaced)]
         for head in heads[rule.replaced]:
             by_head.setdefault(head, {}).setdefault(rule.flag, []).append((rule, check))
     return tuple([(head, tuple([(flag, tuple(pairs)) for flag, pairs in by_flag.items()]))
@@ -158,11 +158,11 @@ class Analyzer:
         # that it matches, n its length. The roots are read once per distinct
         # n, and not at all when no replaced part holds a class.
         patterns = {rule.replaced for rule in rules.rules}
-        classed = [p for p in patterns if any(t.startswith("[") for t in p)]
+        classed = {p for p in patterns if any(type(t) is tuple for t in p)}
         root_tails = {n: {root[-n:] for root in lexicon.flags} for n in {len(p) for p in classed}}
-        heads = {p: ["".join(p)] for p in patterns}
+        heads = {p: ["".join(p)] for p in patterns if p not in classed}
         for p in classed:
-            heads[p] = sorted(filter(re.compile("".join(p)).fullmatch, root_tails[len(p)]))
+            heads[p] = sorted(tail for tail in root_tails[len(p)] if ends_with(tail, p))
         by_ending: Dict[str, List[MorphRule]] = {}
         for rule in rules.rules:
             by_ending.setdefault(rule.morph_ending, []).append(rule)
@@ -217,7 +217,7 @@ class Analyzer:
                     for flag, pairs in by_flag:
                         if flag in flags:
                             for rule, check in pairs:
-                                if not check or apply_rule(root, rule) == surface:
+                                if not check or ends_with(stem, check):
                                     out.append((root, rule))
             if not cut:
                 return out

@@ -25,7 +25,6 @@ from __future__ import annotations
 import gc
 import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, BinaryIO, Optional, Sequence, TextIO
 
@@ -34,7 +33,7 @@ from morfo.analyzer import Analyzer, Provenance, load_default_table
 from morfo.errors import LoadError
 from morfo.features import Pos
 from morfo.lexicon import load_cached_dictionary, normalize
-from morfo.rules import dump_rules, load_rules
+from morfo.rules import dump_rules, load_cached_rules
 
 if TYPE_CHECKING:
     import argparse
@@ -85,12 +84,12 @@ def _read(path, loader):
 
 
 def _load(name: str, override: Optional[str], loader):
-    return _read(resources.data_path(name, override), loader)
+    return _read(resources.data_file(name, override), loader)
 
 
 def build_analyzer(args) -> Analyzer:
     lexicon = _load(resources.DICTIONARY, args.dict, load_cached_dictionary)
-    rules = _load(resources.RULES, args.rules, load_rules)
+    rules = _load(resources.RULES, args.rules, load_cached_rules)
     defaults = _load(resources.DEFAULTS, args.defaults, load_default_table)
     return Analyzer(lexicon, rules, defaults)
 
@@ -209,7 +208,7 @@ def cmd_nominalize(args, stdin: BinaryIO, stdout: TextIO) -> int:
     try:
         nominalizer = Nominalizer(Lemmatizer(analyzer), nominal_flags)
     except LoadError as exc:  # a dictionary entry with two nominal flags
-        raise DataFileError(resources.data_path(resources.DICTIONARY, args.dict), exc) from exc
+        raise DataFileError(resources.data_file(resources.DICTIONARY, args.dict), exc) from exc
     return _stream(args, stdin, stdout, lambda token, _pos: nominalizer.nominalize(token),
                    tsv=lambda _token, nominal: nominal or "-",
                    jsonl=lambda token, nominal: {"surface": token, "nominal": nominal})
@@ -242,7 +241,8 @@ def cmd_import_coes(args, stdin: BinaryIO, stdout: TextIO) -> int:
     rows = _read(args.aff, parse) if args.aff is not None else parse(stdin)
     text = dump_rules(rows)
     if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.write(text)
     else:
         stdout.write(text)
     return EXIT_OK

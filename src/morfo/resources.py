@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import codecs
 import os
-from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from morfo.errors import LoadError
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 DATA_ENV = "MORFO_DATA"
 
@@ -36,20 +39,27 @@ READ_SIZE = 2048
 T = TypeVar("T")
 
 
-def data_path(name: str, override: Optional[str] = None) -> Path:
-    """Resolve a data file: explicit override > $MORFO_DATA dir > packaged data.
+def data_file(name: str, override: Optional[str] = None) -> str:
+    """Resolve a data file's path: explicit override > $MORFO_DATA dir > packaged data.
 
-    An override is used whenever it is given, even ``""``, which names no
+    An override is returned as it is given, even ``""``, which names no
     file; an empty ``$MORFO_DATA`` counts as unset.
     """
     if override is not None:
-        return Path(override)
+        return override
     env_dir = os.environ.get(DATA_ENV)
     if env_dir:
-        candidate = Path(env_dir) / name
-        if candidate.exists():
+        candidate = os.path.join(env_dir, name)
+        if os.path.exists(candidate):
             return candidate
-    return Path(__file__).parent / "data" / name
+    return os.path.join(os.path.dirname(__file__), "data", name)
+
+
+def data_path(name: str, override: Optional[str] = None) -> Path:
+    """``data_file(name, override)`` as a ``pathlib.Path``."""
+    from pathlib import Path  # only library callers need it; the CLI uses ``data_file``
+
+    return Path(data_file(name, override))
 
 
 def without_bom(first_block: bytes | str) -> bytes | str:

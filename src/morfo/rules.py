@@ -1,21 +1,25 @@
 """The morphological rule table: suffix substitutions with feature columns.
 
 ``load_rules`` reads the tab-separated table and ``dump_rules`` writes it.
+``load_cached_rules``, the CLI's loader, keeps each file's parsed table in
+the on-disk cache (``morfo.cache``) while the file and the parsing code are
+unchanged.
 
-A rule's stem-ending pattern is a restricted regular expression over the end
-of a root word: literal letters, character classes ``[...]``, negated classes
-``[^...]``, and an optional leading context marker ``(?<=...)`` whose match is
-kept rather than replaced. Nothing else (no alternation, no quantifiers), so
-every pattern has a fixed length and reverse application stays tractable.
+A rule's stem-ending pattern describes the last letters of a root word with
+one position test per letter: a literal letter, a character class ``[...]``
+or a negated class ``[^...]``. An optional leading context marker
+``(?<=...)`` holds the tests of letters that must be there but are kept
+rather than replaced. Nothing else (no alternation, no quantifiers), so every
+pattern has a fixed length and reverse application stays tractable.
 """
 
 from __future__ import annotations
 
-import re
-from functools import lru_cache, partial
+from functools import partial
 from itertools import count
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import BinaryIO, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
+from morfo import cache, features, resources
 from morfo.errors import warn
 from morfo.features import FeatureSet
 from morfo.lexicon import LexEntry
@@ -28,9 +32,9 @@ _FEATURE_COLUMNS = COLUMNS[3:]
 _CONTEXT_MARK = "(?<="
 
 
-def _tokenize(src: str, what: str) -> List[str]:
-    """Split a pattern body into single-character-match tokens."""
-    tokens = []
+def _tests(src: str, what: str) -> tuple:
+    """The position tests of a pattern body, one per letter it matches."""
+    tests = []
     i = 0
     while i < len(src):
         ch = src[i]
@@ -39,26 +43,23 @@ def _tokenize(src: str, what: str) -> List[str]:
             if j < 0:
                 raise ValueError(f"unclosed class in {what} {src!r}")
             inner = src[i + 1:j]
-            body = inner[1:] if inner.startswith("^") else inner
-            if not body or not all(c.isalpha() for c in body):
+            negated = inner.startswith("^")
+            letters = inner[1:] if negated else inner
+            if not letters or not all(c.isalpha() for c in letters):
                 raise ValueError(f"invalid class {src[i:j + 1]!r} in {what} {src!r}")
-            tokens.append(src[i:j + 1])
+            tests.append((letters, negated))
             i = j + 1
         elif ch.isalpha():
-            tokens.append(ch)
+            tests.append(ch)
             i += 1
         else:
             raise ValueError(f"unsupported character {ch!r} in {what} {src!r}")
-    return tokens
+    return tuple(tests)
 
 
-def _token_regex(token: str) -> str:
-    return token if token.startswith("[") else re.escape(token)
-
-
-@lru_cache(maxsize=1024)  # a rule table repeats few patterns many times
-def compile_stem_pattern(source: str) -> Tuple[tuple, "re.Pattern"]:
-    """Check ``source`` against the dialect; return its replaced tokens and its regex."""
+def parse_stem_pattern(source: str) -> Tuple[tuple, tuple]:
+    """Check ``source`` against the dialect; return (the tests of its replaced part, all its
+    tests, context first)."""
     src = source.strip()
     context_src = ""
     if src.startswith(_CONTEXT_MARK):
@@ -69,23 +70,40 @@ def compile_stem_pattern(source: str) -> Tuple[tuple, "re.Pattern"]:
         src = src[end + 1:]
         if _CONTEXT_MARK in src:
             raise ValueError(f"context marker must be leading and unique in {source!r}")
-    context = _tokenize(context_src, "context")
-    replaced = tuple(_tokenize(src, "pattern"))
-    regex = re.compile(
-        "".join(_token_regex(t) for t in context)
-        + "(" + "".join(_token_regex(t) for t in replaced) + ")$"
-    )
-    return replaced, regex
+    context = _tests(context_src, "context")
+    replaced = _tests(src, "pattern")
+    return replaced, context + replaced
+
+
+def ends_with(word: str, tests: tuple) -> bool:
+    """Whether the last ``len(tests)`` letters of ``word`` pass ``tests``, in order.
+
+    A test is a letter, passed by that letter alone, or a ``(letters,
+    negated)`` class, passed by a letter in ``letters`` or, when negated,
+    by one not in them. A word shorter than ``tests`` passes none.
+    """
+    start = len(word) - len(tests)
+    if start < 0:
+        return False
+    for letter, test in zip(word[start:], tests):
+        if type(test) is str:
+            if letter != test:
+                return False
+        elif (letter in test[0]) == test[1]:
+            return False
+    return True
 
 
 class MorphRule(NamedTuple):
     """One rule: on a root licensed by ``flag``, ``stem_ending`` becomes ``morph_ending``.
 
-    ``replaced`` holds the pattern tokens the rule swaps out (its context
-    excluded) and ``regex`` matches them at the end of a root. Build rules with
-    ``MorphRule.build``, which fills both in. ``line_no`` is the line the rule
-    was read from, 0 when none, and ``example`` the (root, form) pair of an
-    imported rule's comment, None when none. Equality compares every field.
+    ``tests`` holds the position tests (see ``ends_with``) of the letters
+    the stem-ending pattern matches at the end of a root, its context first,
+    and ``replaced`` the last of them, those of the letters the rule swaps
+    out. Build rules with ``MorphRule.build``, which fills both in.
+    ``line_no`` is the line the rule was read from, 0 when none, and
+    ``example`` the (root, form) pair of an imported rule's comment, None
+    when none. Equality compares every field.
     """
 
     rule_id: int
@@ -94,7 +112,7 @@ class MorphRule(NamedTuple):
     morph_ending: str
     features: FeatureSet
     replaced: tuple
-    regex: re.Pattern
+    tests: tuple
     line_no: int = 0
     example: Optional[Tuple[str, str]] = None
 
@@ -108,8 +126,8 @@ class MorphRule(NamedTuple):
         """
         if len(flag) != 1:
             raise ValueError(f"flag must be a single character, got {flag!r}")
-        replaced, regex = compile_stem_pattern(stem_ending)
-        return cls(rule_id, flag, stem_ending.strip(), morph_ending, features(), replaced, regex,
+        replaced, tests = parse_stem_pattern(stem_ending)
+        return cls(rule_id, flag, stem_ending.strip(), morph_ending, features(), replaced, tests,
                    line_no, example)
 
 
@@ -136,7 +154,7 @@ def load_rules(source: Iterable[bytes | str]) -> RuleTable:
     rule_ids = count(1)
     feature_sets: Dict[tuple, FeatureSet] = {}  # feature cells -> their FeatureSet
 
-    def features(row: Dict[str, str]) -> FeatureSet:
+    def features_of(row: Dict[str, str]) -> FeatureSet:
         cells = tuple(map(row.__getitem__, _FEATURE_COLUMNS))
         found = feature_sets.get(cells)
         if found is None:
@@ -145,9 +163,45 @@ def load_rules(source: Iterable[bytes | str]) -> RuleTable:
 
     def parse(row: Dict[str, str], line_no: int) -> MorphRule:
         return MorphRule.build(row["flag"], _dash(row["stem_ending"]), _dash(row["morph_ending"]),
-                               partial(features, row), next(rule_ids), line_no=line_no)
+                               partial(features_of, row), next(rule_ids), line_no=line_no)
 
     return RuleTable(read_table(source, COLUMNS, COLUMNS, parse))
+
+
+def _rows(table: RuleTable) -> list:
+    """``table`` as plain data: one row per rule, its features as their values."""
+    values: Dict[FeatureSet, tuple] = {}
+    rows = []
+    for rule in table.rules:
+        found = values.get(rule.features)
+        if found is None:
+            found = values[rule.features] = tuple(rule.features.as_dict().values())
+        rows.append((rule.rule_id, rule.flag, rule.stem_ending, rule.morph_ending, found,
+                     rule.replaced, rule.tests, rule.line_no))
+    return rows
+
+
+def _table(rows: list) -> RuleTable:
+    """The rule table whose ``_rows`` are ``rows``, with one ``FeatureSet`` per distinct values."""
+    feature_sets: Dict[tuple, FeatureSet] = {}
+    rules = []
+    for rule_id, flag, stem_ending, morph_ending, values, replaced, tests, line_no in rows:
+        found = feature_sets.get(values)
+        if found is None:
+            found = feature_sets[values] = FeatureSet.from_values(values)
+        rules.append(MorphRule(rule_id, flag, stem_ending, morph_ending, found, replaced, tests,
+                               line_no))
+    return RuleTable(rules)
+
+
+def load_cached_rules(stream: BinaryIO) -> RuleTable:
+    """``load_rules(stream)``, from the CLI's cache (``cache.load``) while it is current.
+
+    The entry holds one row per rule (``_rows``); its stamp covers this
+    module, ``resources`` and ``features``.
+    """
+    return cache.load(stream, "rules", (__file__, resources.__file__, features.__file__),
+                      load_rules, _rows, _table)
 
 
 def dump_rules(rules: Iterable[MorphRule]) -> str:
@@ -162,10 +216,9 @@ def dump_rules(rules: Iterable[MorphRule]) -> str:
 
 def apply_rule(root: str, rule: MorphRule) -> Optional[str]:
     """Apply one rule forward; None when the root's ending does not match."""
-    m = rule.regex.search(root)
-    if m is None:
+    if not ends_with(root, rule.tests):
         return None
-    return root[:m.start(1)] + rule.morph_ending
+    return root[:len(root) - len(rule.replaced)] + rule.morph_ending
 
 
 class ExpandedForm(NamedTuple):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morfo import cli, lexicon, resources
+from morfo import cache as data_cache, cli, lexicon, resources, rules as rules_module
 from morfo.analyzer import Analyzer
 from morfo.cli import run
 from morfo.features import Pos
@@ -180,8 +180,10 @@ def test_missing_dict_file_exits_2(capsys):
     ["evaluate", "--conll", ""], ["import-coes", "--aff", ""],
 ], ids=" ".join)
 def test_an_empty_path_is_a_load_error(argv, capsys):
+    """Every path option given ``""`` names the empty path, not the current directory."""
     assert invoke(argv, "amo\n") == (2, "")
-    assert capsys.readouterr().err.startswith("morfo: failed to load ")
+    assert capsys.readouterr().err == (
+        "morfo: failed to load : [Errno 2] No such file or directory: ''\n")
 
 
 def test_an_empty_out_path_cannot_be_written(capsys):
@@ -533,18 +535,31 @@ def test_latin1_data_file_names_the_line(tmp_path, capsys):
     assert f"failed to load {dictionary}: line 6: invalid UTF-8" in err and "Traceback" not in err
 
 
-# -- the dictionary cache ----------------------------------------------------
+# -- the data-file cache -----------------------------------------------------
 
 CACHE_DICTIONARY = "amar/VQ\nvaca/S\ncomer/V\n"
+CACHE_RULES = ("\t".join(COLUMNS) + "\n"
+               "V\t(?<=[r])\t\tverb\t\t\t\tinfinitive\t\t\n"
+               "V\tar\to\tverb\t\tsingular\tfirst\tindicative\tpresent\t\n"
+               "V\ter\temos\tverb\t\tplural\tfirst\tindicative\tpresent\t\n"
+               "S\t(?<=[aeiou])\ts\tnoun\t\tplural\t\t\t\t\n")
 CACHE_INPUT = "amo\nvacas\ncomemos\ncasa\tnoun\n"
 
 
-def _dictionary(tmp_path, text=CACHE_DICTIONARY, mtime_s=1_000_000_000):
-    """A dictionary file last modified at ``mtime_s``, long enough ago to be cached."""
-    path = tmp_path / "dictionary.txt"
+def _data_file(tmp_path, name, text, mtime_s=1_000_000_000):
+    """A data file last modified at ``mtime_s``, long enough ago to be cached."""
+    path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     os.utime(path, (mtime_s, mtime_s))
     return path
+
+
+def _dictionary(tmp_path, text=CACHE_DICTIONARY, mtime_s=1_000_000_000):
+    return _data_file(tmp_path, "dictionary.txt", text, mtime_s)
+
+
+def _rules(tmp_path, text=CACHE_RULES, mtime_s=1_000_000_000):
+    return _data_file(tmp_path, "rules.tsv", text, mtime_s)
 
 
 def _cached_run(argv, capsys, stdin_text=CACHE_INPUT):
@@ -553,8 +568,10 @@ def _cached_run(argv, capsys, stdin_text=CACHE_INPUT):
     return code, out, capsys.readouterr().err
 
 
-def _entries(cache_home):
-    return sorted((cache_home / "morfo").glob("*")) if (cache_home / "morfo").exists() else []
+def _entries(cache_home, kind="*"):
+    """The files in ``cache_home``'s entry directory whose names start with ``kind-``."""
+    directory = cache_home / "morfo"
+    return sorted(directory.glob(f"{kind}-*")) if directory.exists() else []
 
 
 @pytest.fixture
@@ -569,28 +586,32 @@ def _fail(_source):
 
 
 def test_second_run_is_served_from_the_cache(tmp_path, own_cache_home, monkeypatch, capsys):
-    path = _dictionary(tmp_path)
-    commands = [[command, "--dict", str(path)]
+    files = ["--dict", str(_dictionary(tmp_path)), "--rules", str(_rules(tmp_path))]
+    commands = [[command, *files]
                 for command in ("analyze", "lemmatize", "nominalize", "split-clitics")]
-    commands += [["analyze", "--dict", str(path), "--format", "jsonl"],
-                 ["evaluate", "--dict", str(path), "--conll", str(FIXTURES / "sample.conll")]]
+    commands += [["analyze", *files, "--format", "jsonl"],
+                 ["evaluate", *files, "--conll", str(FIXTURES / "sample.conll")]]
     monkeypatch.setenv("XDG_CACHE_HOME", "/dev/null")
     parsed = [_cached_run(argv, capsys) for argv in commands]
     assert parsed[0][0] == 0 and "carry flags with no rules (Q)" in parsed[0][2]
+    assert parsed[0][1].split("\n")[1].startswith("vacas\tvaca\tnoun\t-\tplural\t")
     monkeypatch.setenv("XDG_CACHE_HOME", str(own_cache_home))
     assert _cached_run(commands[0], capsys) == parsed[0]
-    assert [p.suffix for p in _entries(own_cache_home)] == [".marshal"]
+    assert [p.name.partition("-")[0] for p in _entries(own_cache_home)] == ["dictionary", "rules"]
     monkeypatch.setattr(lexicon, "load_dictionary", _fail)
+    monkeypatch.setattr(rules_module, "load_rules", _fail)
     assert [_cached_run(argv, capsys) for argv in commands] == parsed
 
 
 def test_an_edit_of_the_same_size_is_parsed_again(tmp_path, own_cache_home, capsys):
-    path = _dictionary(tmp_path)
-    argv = ["lemmatize", "--dict", str(path)]
+    argv = ["lemmatize", "--dict", str(_dictionary(tmp_path)), "--rules", str(_rules(tmp_path))]
     assert _cached_run(argv, capsys)[:2] == (0, "amar\nvaca\ncomer\ncasa\n")
     _dictionary(tmp_path, CACHE_DICTIONARY.replace("comer", "coser"), mtime_s=1_000_000_001)
     assert _cached_run(argv, capsys)[:2] == (0, "amar\nvaca\ncomemos\ncasa\n")
-    assert len(_entries(own_cache_home)) == 1  # the entry was replaced, not joined by another
+    _rules(tmp_path, CACHE_RULES.replace("\tar\to\t", "\tar\tu\t"), mtime_s=1_000_000_001)
+    assert _cached_run(argv, capsys)[:2] == (0, "amo\nvaca\ncomemos\ncasa\n")
+    # Each entry was replaced, not joined by another.
+    assert [len(_entries(own_cache_home, kind)) for kind in ("dictionary", "rules")] == [1, 1]
 
 
 def test_files_read_through_one_path_are_told_apart(tmp_path, own_cache_home, capsys):
@@ -610,26 +631,38 @@ def test_files_read_through_one_path_are_told_apart(tmp_path, own_cache_home, ca
     assert outputs == [(0, "amar\n", ""), (0, "amer\n", "")]
 
 
+def _other_format(data):
+    """``data`` with the cache format in its stamp, the first int it holds, raised by one."""
+    return data.replace(marshal.dumps(data_cache.CACHE_FORMAT, 2),
+                        marshal.dumps(data_cache.CACHE_FORMAT + 1, 2), 1)
+
+
 @pytest.mark.parametrize("damage", [
     lambda data: data[:len(data) // 2],  # truncated
-    lambda data: data[:-3],  # the end of the flags cut off
+    lambda data: data[:-3],  # the end of the data cut off
     lambda data: b"",
     lambda data: b"\x00garbage" * 50,
-    lambda data: data.replace(b"vaca", b"vacb"),  # a changed root
-    lambda data: data.replace(b"dictionary.txt", b"dictionarz.txt"),  # another path's stamp
-    lambda data: data.replace(b"\x01", b"\x02", 1),  # another format's stamp
+    lambda data: data.replace(b"vaca", b"vacb").replace(b"verb", b"verc"),  # changed data
+    lambda data: data.replace(b"/dictionary.txt", b"/dictionarz.txt").replace(
+        b"/rules.tsv", b"/rulez.tsv"),  # another path's stamp
+    _other_format,
 ])
 def test_a_damaged_entry_is_parsed_again_in_silence(damage, tmp_path, own_cache_home, capsys):
-    argv = ["analyze", "--dict", str(_dictionary(tmp_path))]
+    argv = ["analyze", "--dict", str(_dictionary(tmp_path)), "--rules", str(_rules(tmp_path))]
     expected = _cached_run(argv, capsys)
-    [entry] = _entries(own_cache_home)
-    entry.write_bytes(damage(entry.read_bytes()))
+    entries = _entries(own_cache_home)
+    assert len(entries) == 2
+    for entry in entries:
+        data = entry.read_bytes()
+        assert damage(data) != data
+        entry.write_bytes(damage(data))
     assert _cached_run(argv, capsys) == expected
-    assert _cached_run(argv, capsys) == expected  # from the entry the second run rewrote
+    assert _cached_run(argv, capsys) == expected  # from the entries the second run rewrote
+    assert _entries(own_cache_home) == entries
 
 
 def test_an_unusable_cache_changes_nothing_but_speed(tmp_path, monkeypatch, capsys):
-    argv = ["analyze", "--dict", str(_dictionary(tmp_path))]
+    argv = ["analyze", "--dict", str(_dictionary(tmp_path)), "--rules", str(_rules(tmp_path))]
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setenv("HOME", "/dev/null")  # a relative XDG_CACHE_HOME falls back to it
     expected = _cached_run(argv, capsys)
@@ -638,12 +671,14 @@ def test_an_unusable_cache_changes_nothing_but_speed(tmp_path, monkeypatch, caps
         assert _cached_run(argv, capsys) == expected
         assert _cached_run(["analyze"], capsys)[2] == ""
     entry_dir = tmp_path / "cache" / "morfo"
-    [entry] = entry_dir.iterdir()
-    entry.unlink()
-    entry.mkdir()  # an entry that cannot be read or replaced
+    entries = sorted(entry_dir.iterdir())
+    assert len(entries) == 2
+    for entry in entries:
+        entry.unlink()
+        entry.mkdir()  # an entry that cannot be read or replaced
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     assert _cached_run(argv, capsys) == expected
-    assert [p.name for p in entry_dir.iterdir()] == [entry.name]  # no temporary file left
+    assert sorted(entry_dir.iterdir()) == entries  # no temporary file left
 
 
 def test_a_malformed_dictionary_exits_2_and_stores_nothing(tmp_path, own_cache_home, capsys):
@@ -655,23 +690,35 @@ def test_a_malformed_dictionary_exits_2_and_stores_nothing(tmp_path, own_cache_h
     assert _entries(own_cache_home) == []
 
 
-def test_storing_an_entry_removes_those_of_dictionaries_that_are_gone(
-        tmp_path, own_cache_home, capsys):
+def test_a_malformed_rule_table_exits_2_and_stores_nothing(tmp_path, own_cache_home, capsys):
+    path = _rules(tmp_path, CACHE_RULES + "V\ta+r\to\tverb\t\t\t\t\t\t\n")
+    for _ in range(2):
+        assert _cached_run(["analyze", "--rules", str(path)], capsys) == (
+            2, "", f"morfo: failed to load {path}: line 6: unsupported character '+' in "
+                   "pattern 'a+r'\n")
+    assert _entries(own_cache_home, "rules") == []
+
+
+def test_storing_an_entry_removes_those_of_files_that_are_gone(tmp_path, own_cache_home, capsys):
     for name in ("gone", "kept", "new"):
         (tmp_path / name).mkdir()
     gone, kept, new = (_dictionary(tmp_path / name) for name in ("gone", "kept", "new"))
+    gone_rules = _rules(tmp_path / "gone")
     entries = []
-    for path in (gone, kept):
-        assert _cached_run(["lemmatize", "--dict", str(path)], capsys)[0] == 0
-        [entry] = set(_entries(own_cache_home)) - set(entries)
-        entries.append(entry)
-    gone_entry, kept_entry = entries
+    for argv in (["--dict", str(gone), "--rules", str(gone_rules)], ["--dict", str(kept)]):
+        assert _cached_run(["lemmatize", *argv], capsys)[0] == 0
+        entries.append(set(_entries(own_cache_home)) - set().union(*entries))
+    gone_entries, (kept_entry, packaged_rules_entry) = entries
+    assert {entry.name.partition("-")[0] for entry in gone_entries} == {"dictionary", "rules"}
     gone.unlink()
+    gone_rules.unlink()
     directory = own_cache_home / "morfo"
-    damaged = [directory / f"dictionary-0000000{n}.marshal" for n in range(3)]
+    damaged = [directory / f"{kind}-0000000{n}.marshal"
+               for n, kind in enumerate(["dictionary", "dictionary", "rules", "other"])]
     for path, data in zip(damaged, [b"\x00garbage", marshal.dumps(42),
-                                    marshal.dumps((1, "tag")) + b"payload"]):
+                                    marshal.dumps((1, "tag")) + b"payload", b""]):
         path.write_bytes(data)
+    gone_entry = min(gone_entries)
     temporary = directory / f"{gone_entry.name}.123.tmp"  # a concurrent writer's
     temporary.write_bytes(b"")
     orphan = directory / f"{kept_entry.name}.456.tmp"  # a writer's that died two days ago
@@ -683,56 +730,65 @@ def test_storing_an_entry_removes_those_of_dictionaries_that_are_gone(
     assert set(_entries(own_cache_home)) == before  # a run served from the cache removes nothing
     assert _cached_run(["lemmatize", "--dict", str(new)], capsys)[0] == 0
     [new_entry] = set(_entries(own_cache_home)) - before
-    assert set(_entries(own_cache_home)) == {kept_entry, temporary, new_entry}
+    assert set(_entries(own_cache_home)) == {kept_entry, packaged_rules_entry, temporary,
+                                             new_entry}
 
 
 def test_a_writer_killed_before_its_rename_leaves_a_file_a_later_store_removes(
-        tmp_path, own_cache_home, monkeypatch, capsys):
-    path = _dictionary(tmp_path)
-    script = ("import os, sys\n"
-              "from morfo import lexicon\n"
-              "os.replace = lambda *_args: os._exit(9)\n"
-              "with open(sys.argv[1], 'rb') as stream:\n"
-              "    lexicon.load_cached_dictionary(stream)\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
-           "XDG_CACHE_HOME": str(own_cache_home)}
-    child = subprocess.Popen([sys.executable, "-c", script, str(path)], stdout=subprocess.PIPE,
-                             stderr=subprocess.PIPE, env=env)
-    assert (child.communicate(timeout=60), child.returncode) == ((b"", b""), 9)
-    [temporary] = _entries(own_cache_home)
-    entry = temporary.with_name(temporary.name.removesuffix(f".{child.pid}.tmp"))
-    assert entry.name.endswith(".marshal")
-    argv = ["analyze", "--dict", str(path)]
-    monkeypatch.setenv("XDG_CACHE_HOME", "/dev/null")
-    uncached = _cached_run(argv, capsys)
-    assert uncached[0] == 0
-    monkeypatch.setenv("XDG_CACHE_HOME", str(own_cache_home))
-    assert _cached_run(argv, capsys) == uncached
-    assert _entries(own_cache_home) == [entry, temporary]  # too young to be an orphan
-    with monkeypatch.context() as patch:
-        patch.setattr(lexicon, "load_dictionary", _fail)
+        tmp_path, monkeypatch, capsys):
+    """For each kind of entry: a child killed between writing a temporary file and
+    renaming it leaves that file, which a store beside it removes once it is an orphan."""
+    for kind, option, path in (("dictionary", "--dict", _dictionary(tmp_path)),
+                               ("rules", "--rules", _rules(tmp_path))):
+        module = lexicon if kind == "dictionary" else rules_module
+        loader = "load_cached_dictionary" if kind == "dictionary" else "load_cached_rules"
+        cache_home = tmp_path / f"cache-{kind}"
+        script = ("import os, sys\n"
+                  f"from {module.__name__} import {loader}\n"
+                  "os.replace = lambda *_args: os._exit(9)\n"
+                  "with open(sys.argv[1], 'rb') as stream:\n"
+                  f"    {loader}(stream)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+               "XDG_CACHE_HOME": str(cache_home)}
+        child = subprocess.Popen([sys.executable, "-c", script, str(path)],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert (child.communicate(timeout=60), child.returncode) == ((b"", b""), 9)
+        [temporary] = _entries(cache_home)
+        entry = temporary.with_name(temporary.name.removesuffix(f".{child.pid}.tmp"))
+        assert entry.name.startswith(f"{kind}-") and entry.name.endswith(".marshal")
+        # The file of the other kind is a packaged one.
+        argv = ["analyze", option, str(path)]
+        monkeypatch.setenv("XDG_CACHE_HOME", "/dev/null")
+        uncached = _cached_run(argv, capsys)
+        assert uncached[0] == 0
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
         assert _cached_run(argv, capsys) == uncached
-    orphaned = time.time() - lexicon.ORPHAN_S - 60
-    os.utime(temporary, (orphaned, orphaned))
-    entry.unlink()  # so that the next run parses and stores again
-    assert _cached_run(argv, capsys) == uncached
-    assert _entries(own_cache_home) == [entry]
+        assert _entries(cache_home, kind) == [entry, temporary]  # too young to be an orphan
+        with monkeypatch.context() as patch:
+            patch.setattr(module, loader.replace("_cached", ""), _fail)
+            assert _cached_run(argv, capsys) == uncached
+        orphaned = time.time() - data_cache.ORPHAN_S - 60
+        os.utime(temporary, (orphaned, orphaned))
+        entry.unlink()  # so that the next run parses and stores again
+        assert _cached_run(argv, capsys) == uncached
+        assert _entries(cache_home, kind) == [entry]
 
 
 def test_every_command_closes_what_it_opens(tmp_path, own_cache_home):
     """Every file a command opens is closed before ``run`` returns.
 
     A process that owns its stdio freezes its objects, so it would not report
-    a file left open at exit; these runs are in-process. The first run with ``--dict`` parses and stores the dictionary, the later
-    ones load the entry, and the packaged dictionary takes both paths too.
+    a file left open at exit; these runs are in-process. The first run with
+    ``--dict`` and ``--rules`` parses and stores both files, the later ones
+    load their entries, and the packaged files take both paths too.
     """
-    path = str(_dictionary(tmp_path))
-    runs = [[command, "--dict", path]
+    files = ["--dict", str(_dictionary(tmp_path)), "--rules", str(_rules(tmp_path))]
+    runs = [[command, *files]
             for command in ("analyze", "lemmatize", "nominalize", "split-clitics")]
     runs += [["analyze"], ["split-clitics", "--format", "jsonl"],
              ["import-coes", "--aff", str(FIXTURES / "fig1.aff"), "--out",
-              str(tmp_path / "rules.tsv")],
-             ["evaluate", "--dict", path, "--conll", str(FIXTURES / "sample.conll")],
+              str(tmp_path / "imported.tsv")],
+             ["evaluate", *files, "--conll", str(FIXTURES / "sample.conll")],
              ["evaluate", "--conll", str(FIXTURES / "sample.conll")]]
     unraisable = []
     hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
@@ -745,45 +801,49 @@ def test_every_command_closes_what_it_opens(tmp_path, own_cache_home):
     finally:
         sys.unraisablehook = hook
     assert [str(u.exc_value) for u in unraisable] == []
-    assert (tmp_path / "rules.tsv").stat().st_size > 0
-    assert len(_entries(own_cache_home)) == 2
+    assert (tmp_path / "imported.tsv").stat().st_size > 0
+    assert len(_entries(own_cache_home)) == 4
 
 
 def test_process_runs_give_the_same_output_with_and_without_the_cache(tmp_path):
-    path = _dictionary(tmp_path)
-    argv = ["analyze", "--dict", str(path)]
+    argv = ["analyze", "--dict", str(_dictionary(tmp_path)), "--rules", str(_rules(tmp_path))]
     runs = [_run_module(argv, CACHE_INPUT.encode(), XDG_CACHE_HOME=cache_home)
             for cache_home in (str(tmp_path / "cache"), str(tmp_path / "cache"), "/dev/null")]
-    assert (tmp_path / "cache" / "morfo").is_dir()
+    assert len(list((tmp_path / "cache" / "morfo").iterdir())) == 2
     assert len({(p.returncode, p.stdout, p.stderr) for p in runs}) == 1
     assert runs[0].returncode == 0 and runs[0].stdout.decode() == invoke(argv, CACHE_INPUT)[1]
 
 
 def test_concurrent_processes_fill_one_cold_cache(tmp_path):
-    """Six children on one empty cache home, three per dictionary, each write what an
-    uncached run writes, and leave one entry per dictionary and no temporary file."""
-    paths = []
-    for name, text in (("one", CACHE_DICTIONARY), ("two", "amar/V\nvaca/S\ncasa/S\n")):
+    """Six children on one empty cache home, three per pair of dictionary and rule files,
+    each write what an uncached run writes, and leave one entry per file and no temporary
+    file."""
+    argvs, paths = [], []
+    for name, text, rule_text in (
+            ("one", CACHE_DICTIONARY, CACHE_RULES),
+            ("two", "amar/V\nvaca/S\ncasa/S\n", CACHE_RULES.replace("\ter\temos\t", "\tar\tan\t"))):
         (tmp_path / name).mkdir()
-        paths.append(_dictionary(tmp_path / name, text))
+        files = [_dictionary(tmp_path / name, text), _rules(tmp_path / name, rule_text)]
+        argvs.append(["analyze", "--dict", str(files[0]), "--rules", str(files[1])])
+        paths.append(files)
     cache_home = tmp_path / "cache"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
            "XDG_CACHE_HOME": str(cache_home)}
-    children = [subprocess.Popen([sys.executable, "-m", "morfo.cli", "analyze", "--dict",
-                                  str(path)], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+    children = [subprocess.Popen([sys.executable, "-m", "morfo.cli", *argv],
+                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                  stderr=subprocess.PIPE, env=env)
-                for path in paths * 3]
+                for argv in argvs * 3]
     runs = [(child.communicate(CACHE_INPUT.encode(), timeout=60), child.returncode)
             for child in children]
-    uncached = [_run_module(["analyze", "--dict", str(path)], CACHE_INPUT.encode(),
-                            XDG_CACHE_HOME="/dev/null") for path in paths]
+    uncached = [_run_module(argv, CACHE_INPUT.encode(), XDG_CACHE_HOME="/dev/null")
+                for argv in argvs]
     assert uncached[0].stdout != uncached[1].stdout
     assert runs == [((p.stdout, p.stderr), p.returncode) for p in uncached * 3]
     assert uncached[0].returncode == 0
-    entries = _entries(cache_home)
-    assert [entry for entry in entries if entry.suffix == ".tmp"] == []
-    assert sorted(marshal.loads(entry.read_bytes())[2] for entry in entries
-                  if entry.match("dictionary-*.marshal")) == sorted(map(str, paths))
+    assert [entry for entry in _entries(cache_home) if entry.suffix == ".tmp"] == []
+    for kind, files in zip(("dictionary", "rules"), zip(*paths)):
+        assert sorted(marshal.loads(entry.read_bytes())[2]
+                      for entry in _entries(cache_home, kind)) == sorted(map(str, files))
 
 
 def test_evaluate_ignores_byte_order_mark(tmp_path):
@@ -1018,15 +1078,15 @@ def test_import_and_a_quiet_run_load_no_dataclasses_inspect_or_logging(tmp_path)
 
 
 def test_a_plain_command_line_loads_no_argparse():
-    """A plain run of each stream command and of ``evaluate`` loads none of argparse, gettext
-    and locale; ``--help`` still prints through argparse.
+    """A plain run of each stream command and of ``evaluate`` loads none of argparse, gettext,
+    locale and pathlib; ``--help`` still prints through argparse.
 
     ``-S`` keeps out ``site``, whose ``.pth`` hooks may import them themselves.
     """
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     script = ("import sys, morfo.cli\n"
               "code = morfo.cli.run(sys.argv[1:])\n"
-              "loaded = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
+              "loaded = {'argparse', 'gettext', 'locale', 'pathlib'} & set(sys.modules)\n"
               "print(sorted(loaded), file=sys.stderr)\n"
               "sys.exit(code)\n")
     conll = str(FIXTURES / "sample.conll")

@@ -13,7 +13,7 @@ import morfo
 from morfo import (Animacy, CliticSplit, FeatureSet, Gender, LexEntry, Mood, MorphRule, Person,
                    Pos, Tense)
 from morfo.cli import run
-from morfo.rules import compile_stem_pattern, dump_rules
+from morfo.rules import dump_rules, parse_stem_pattern
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -55,10 +55,10 @@ def test_every_exported_name_resolves():
 
 
 def _rule(pattern="ar", **changes):
-    """A rule whose ``replaced`` and ``regex`` come from ``pattern``."""
-    replaced, regex = compile_stem_pattern(pattern)
+    """A rule whose ``replaced`` and ``tests`` come from ``pattern``."""
+    replaced, tests = parse_stem_pattern(pattern)
     values = dict(rule_id=1, flag="V", stem_ending="ar", morph_ending="o",
-                  features=FeatureSet(pos=Pos.VERB), replaced=replaced, regex=regex)
+                  features=FeatureSet(pos=Pos.VERB), replaced=replaced, tests=tests)
     return MorphRule(**{**values, **changes})
 
 
@@ -67,7 +67,8 @@ def _rule(pattern="ar", **changes):
 _VALUES = {
     FeatureSet: (dict(pos=Pos.VERB, mood=Mood.INDICATIVE), "tense", Tense.PRESENT),
     MorphRule: (dict(rule_id=1, flag="V", stem_ending="ar", morph_ending="o",
-                     features=FeatureSet(pos=Pos.VERB), replaced=("a", "r"), regex=None),
+                     features=FeatureSet(pos=Pos.VERB), replaced=("a", "r"),
+                     tests=("a", "r")),
                 "morph_ending", "as"),
     LexEntry: (dict(root="amar", flags=("V",)), "flags", ("V", "N")),
     CliticSplit: (dict(verb_part="da", clitics=("me",),
@@ -96,11 +97,11 @@ def test_morph_rule_equality_compares_every_field():
     rule = _rule()
     assert (rule.line_no, rule.example) == (0, None)
     assert rule == _rule() and hash(rule) == hash(_rule())
-    # Other replaced tokens and regex, line, example or id each make another rule.
+    # Other replaced and position tests, line, example or id each make another rule.
     for changes in (dict(pattern="er"), dict(line_no=7), dict(example=("amar", "amo"))):
         assert rule != _rule(**changes)
     assert rule != _rule(rule_id=2)
-    # dump_rules writes none of replaced, regex, line_no and example.
+    # dump_rules writes none of replaced, tests, line_no and example.
     moved = _rule(pattern="er", line_no=7, example=("amar", "amo"))
     assert dump_rules([rule]) == dump_rules([moved])
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morfo import lexicon as lexicon_module, resources
+from morfo import cache, lexicon as lexicon_module, resources
 from morfo.errors import LoadError
 from morfo.lexicon import LexEntry, Lexicon, load_cached_dictionary, load_dictionary, normalize
 
@@ -108,7 +108,7 @@ def test_load_matches_reference_parse(lines, newline):
 
 def _settled(path):
     """Date ``path`` back past the cache's settling time, as a file not edited of late."""
-    old = os.stat(path).st_mtime_ns - 2 * lexicon_module.SETTLE_NS
+    old = os.stat(path).st_mtime_ns - 2 * cache.SETTLE_NS
     os.utime(path, ns=(old, old))
 
 
@@ -150,7 +150,8 @@ def test_cached_load_equals_a_fresh_parse(lines, newline):
         assert list(loaded.flags.items()) == list(fresh.flags.items())
 
 
-@pytest.mark.parametrize("change", ["lexicon.py", "resources.py", "cache tag", "format"])
+@pytest.mark.parametrize("change", ["lexicon.py", "resources.py", "cache.py", "cache tag",
+                                    "format"])
 def test_new_parsing_code_or_interpreter_parses_again(change, tmp_path, monkeypatch):
     path = tmp_path / "dictionary.txt"
     path.write_text("amar/V\nvaca/S\n", encoding="utf-8")
@@ -159,9 +160,10 @@ def test_new_parsing_code_or_interpreter_parses_again(change, tmp_path, monkeypa
     if change == "cache tag":
         monkeypatch.setattr(sys.implementation, "cache_tag", "other-311")
     elif change == "format":
-        monkeypatch.setattr(lexicon_module, "CACHE_FORMAT", lexicon_module.CACHE_FORMAT + 1)
+        monkeypatch.setattr(cache, "CACHE_FORMAT", cache.CACHE_FORMAT + 1)
     else:  # the same module, at another size and time
-        module = lexicon_module if change == "lexicon.py" else resources
+        module = {"lexicon.py": lexicon_module, "resources.py": resources,
+                  "cache.py": cache}[change]
         edited = tmp_path / change
         edited.write_text(Path(module.__file__).read_text(encoding="utf-8") + "\n", encoding="utf-8")
         monkeypatch.setattr(module, "__file__", str(edited))
@@ -202,16 +204,16 @@ def test_streams_that_are_not_regular_files_are_parsed(tmp_path, monkeypatch):
         writer.join(timeout=30)
     assert not writer.is_alive()
     assert load_cached_dictionary(io.BytesIO(b"mar/S\n")) == load_dictionary(["mar/S"])
-    assert not os.path.exists(lexicon_module.cache_dir())
+    assert not os.path.exists(cache.cache_dir())
 
 
 def test_cache_dir_follows_xdg_cache_home(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    assert lexicon_module.cache_dir() == str(tmp_path / "morfo")
+    assert cache.cache_dir() == str(tmp_path / "morfo")
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
     for unset in ("", "relative/cache"):
         monkeypatch.setenv("XDG_CACHE_HOME", unset)
-        assert lexicon_module.cache_dir() == str(tmp_path / "home" / ".cache" / "morfo")
+        assert cache.cache_dir() == str(tmp_path / "home" / ".cache" / "morfo")
 
 
 def test_lexicon_api():

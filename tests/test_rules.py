@@ -1,16 +1,30 @@
 import io
+import os
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from morfo import cache, features, resources, rules as rules_module
+from morfo.analyzer import Analyzer
+from morfo.coes_import import import_rules
 from morfo.errors import LoadError
 from morfo.features import FeatureSet, Mood, Number, Person, Pos, Tense
-from morfo.lexicon import LexEntry
+from morfo.lexicon import LexEntry, Lexicon
 from morfo.rules import (
+    MorphRule,
+    RuleTable,
     apply_rule,
-    compile_stem_pattern,
+    dump_rules,
     expand_entry,
+    load_cached_rules,
     load_rules,
+    parse_stem_pattern,
 )
+from morfo.resources import data_path
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 HEADER = "flag\tstem ending\tmorph ending\tpos\tgender\tnumber\tperson\tmood\ttense\tanimate"
 
@@ -84,7 +98,7 @@ def test_whole_root_replacement():
 def test_pattern_dialect_rejects_everything_else():
     for bad in ("a*r", "(ar)", "a|o", "[ar", "(?<=[a])x(?<=[b])", "a.r", "[]er"):
         with pytest.raises(ValueError):
-            compile_stem_pattern(bad)
+            parse_stem_pattern(bad)
 
 
 def test_by_flag_buckets_preserve_file_order(rule_table):
@@ -133,3 +147,116 @@ def test_rules_carry_the_line_they_were_read_from():
                                    "S\t-\ts\tnoun\t\t\t\t\t\t\n"))
     assert [(rule.rule_id, rule.line_no) for rule in table.rules] == [(1, 4), (2, 6)]
     assert _rule("ar", "o").line_no == 2
+
+
+# Letters of the random patterns and roots: a few plain ones and every
+# accented letter the seed data uses.
+MATCH_ALPHABET = "aenrsáéíóúñ"
+_match_token = st.one_of(
+    st.sampled_from(MATCH_ALPHABET),
+    st.builds(lambda negated, letters: "[" + "^" * negated + "".join(sorted(letters)) + "]",
+              st.booleans(), st.sets(st.sampled_from(MATCH_ALPHABET), min_size=1, max_size=3)))
+
+
+def _old_regex(context, replaced):
+    """The regex a pattern of these tokens once compiled to: the context, then the
+    replaced part as group 1, at the end of the root."""
+    def body(tokens):
+        return "".join(t if t.startswith("[") else re.escape(t) for t in tokens)
+    return re.compile(body(context) + "(" + body(replaced) + ")$")
+
+
+@settings(max_examples=300, deadline=None)
+@given(context=st.lists(_match_token, max_size=2), marker=st.booleans(),
+       replaced=st.lists(_match_token, max_size=3),
+       morph_ending=st.text(alphabet=MATCH_ALPHABET, max_size=3),
+       roots=st.lists(st.text(alphabet=MATCH_ALPHABET, min_size=1, max_size=6), min_size=1,
+                      max_size=12, unique=True))
+def test_position_tests_match_as_the_old_regex(context, marker, replaced, morph_ending, roots):
+    """``apply_rule`` agrees with a search of the regex the pattern once compiled to, and
+    the analyzer's context check agrees with ``apply_rule`` on every candidate root."""
+    marked = marker or context
+    stem_ending = (f"(?<={''.join(context)})" if marked else "") + "".join(replaced)
+    rule = MorphRule.build("V", stem_ending, morph_ending, FeatureSet, rule_id=1)
+    regex = _old_regex(context, replaced)
+    for root in roots:
+        match = regex.search(root)
+        expected = None if match is None else root[:match.start(1)] + morph_ending
+        assert apply_rule(root, rule) == expected, root
+    analyzer = Analyzer(Lexicon(dict.fromkeys(roots, ("V",))), RuleTable([rule]), [])
+    # Every word that strips to a candidate root: a root less a tail that
+    # the replaced part matches, plus the morph ending.
+    tail = _old_regex([], replaced)
+    surfaces = {root[:len(root) - len(replaced)] + morph_ending for root in roots
+                if tail.search(root)}
+    for surface in surfaces - {""}:
+        assert sorted(analyzer._readings(surface)) == sorted(
+            (root, rule) for root in roots if apply_rule(root, rule) == surface), surface
+
+
+# -- the rules cache ----------------------------------------------------------
+
+
+def _settled_copy(tmp_path, data: bytes):
+    """A rule file holding ``data``, dated back past the cache's settling time."""
+    path = tmp_path / "rules.tsv"
+    path.write_bytes(data)
+    old = os.stat(path).st_mtime_ns - 2 * cache.SETTLE_NS
+    os.utime(path, ns=(old, old))
+    return path
+
+
+def _load_cached(path):
+    with open(path, "rb") as stream:
+        return load_cached_rules(stream)
+
+
+def _fail(_source):
+    raise AssertionError("parsed, not loaded from the cache")
+
+
+@pytest.mark.parametrize("source", ["seed", "fig1.aff"])
+def test_cached_rules_equal_a_fresh_parse(source, tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    if source == "seed":
+        data = data_path("rules.tsv").read_bytes()
+    else:
+        with open(FIXTURES / source, "rb") as stream:
+            data = dump_rules(import_rules(stream)).encode("utf-8")
+    fresh = load_rules(io.BytesIO(data))
+    path = _settled_copy(tmp_path, data)
+    first = _load_cached(path)
+    with monkeypatch.context() as patch:
+        patch.setattr(rules_module, "load_rules", _fail)
+        cached = _load_cached(path)
+    for loaded in (first, cached):
+        assert loaded.rules == fresh.rules
+        assert (loaded.by_flag, loaded.by_id) == (fresh.by_flag, fresh.by_id)
+        # Equal features are one FeatureSet, as load_rules makes them.
+        assert (len({id(rule.features) for rule in loaded.rules})
+                == len({rule.features for rule in fresh.rules}))
+    assert dump_rules(cached.rules) == dump_rules(fresh.rules)
+
+
+@pytest.mark.parametrize("change", ["rules.py", "resources.py", "features.py", "cache.py",
+                                    "format"])
+def test_new_rule_parsing_code_parses_the_table_again(change, tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    path = _settled_copy(tmp_path, (HEADER + "\nV\t(?<=[^cg])er\to\tverb\t\t\t\t\t\t\n").encode())
+    expected = _load_cached(path).rules
+    if change == "format":
+        monkeypatch.setattr(cache, "CACHE_FORMAT", cache.CACHE_FORMAT + 1)
+    else:  # the same module, at another size and time
+        module = {"rules.py": rules_module, "resources.py": resources, "features.py": features,
+                  "cache.py": cache}[change]
+        edited = tmp_path / change
+        edited.write_text(Path(module.__file__).read_text(encoding="utf-8") + "\n",
+                          encoding="utf-8")
+        monkeypatch.setattr(module, "__file__", str(edited))
+    parses = []
+    monkeypatch.setattr(rules_module, "load_rules",
+                        lambda source: parses.append(source) or load_rules(source))
+    assert _load_cached(path).rules == expected
+    assert len(parses) == 1
+    assert _load_cached(path).rules == expected  # from the entry that parse replaced
+    assert len(parses) == 1
