@@ -153,11 +153,9 @@ def _remove_stale(entry: str) -> None:
         elif name.endswith(".marshal"):
             try:
                 with open(path, "rb") as stream:
-                    data = stream.read()
+                    stamp = marshal.load(stream)  # the payload after the stamp is not read
             except OSError:
                 continue
-            try:
-                stamp = marshal.loads(data)  # the payload after the stamp is not decoded
             except (EOFError, ValueError, TypeError):
                 stamp = None
             cached = stamp[2] if type(stamp) is tuple and len(stamp) > 2 else None

@@ -50,7 +50,8 @@ _PERSON_CYCLE = (
     (Person.THIRD, Number.PLURAL),
 )
 
-_FLAG_HEADER = re.compile(r"^flag\s+\*?(\S)\s*:\s*(.*)$", re.IGNORECASE)
+# The whole flag token, so that a flag of several characters fails at its rules.
+_FLAG_HEADER = re.compile(r"^flag\s+\*?(\S+?)\s*:\s*(.*)$", re.IGNORECASE)
 _SECTION = re.compile(r"^(prefixes|suffixes)\s*(#.*)?$", re.IGNORECASE)
 # A quote or tilde that starts no escape matches the last alternative alone.
 _ESCAPE = re.compile(r"'([aeiouAEIOUnN])|~([nN])|['~]")

@@ -3,10 +3,11 @@
 ``blocks`` is the one reader of input. From a binary or text stream it
 reads about ``READ_SIZE`` bytes (or characters) at a time, completes a line
 that the read cut short with ``readline``, and drops a byte-order mark from
-the first block only; the CLI's stream commands read stdin with it. Any
-other iterable is read an item at a time. ``line_blocks`` decodes each block
-once and splits it into lines; ``lines``, ``data_lines`` and ``read_table``
-build on it, and ``load_dictionary`` reads its blocks directly.
+the first block only; the CLI's stream commands read stdin with it and
+split its blocks into ``bytes`` lines themselves. Any other iterable is read
+an item at a time. ``line_blocks`` decodes each block once and splits it
+into lines; ``lines``, ``data_lines`` and ``read_table`` build on it, and
+``load_dictionary`` reads its blocks directly.
 """
 
 from __future__ import annotations
@@ -62,19 +63,6 @@ def data_path(name: str, override: Optional[str] = None) -> Path:
     return Path(data_file(name, override))
 
 
-def without_bom(first_block: bytes | str) -> bytes | str:
-    """``first_block`` less a leading byte-order mark; a source's later blocks keep theirs."""
-    return first_block.removeprefix(codecs.BOM_UTF8 if isinstance(first_block, bytes) else "\ufeff")
-
-
-def decode(line: bytes | str) -> str:
-    """``line`` without its LF or CRLF ending; ``bytes`` are decoded as UTF-8.
-
-    Raises ``UnicodeDecodeError`` for ``bytes`` that are not UTF-8.
-    """
-    return (line.decode("utf-8") if isinstance(line, bytes) else line).rstrip("\r\n")
-
-
 def _reads(stream) -> Iterator[bytes | str]:
     """Whole lines of ``stream``, about ``READ_SIZE`` at a time."""
     # read1 returns what one read gives, so a line typed at a terminal is
@@ -90,15 +78,16 @@ def _reads(stream) -> Iterator[bytes | str]:
 
 
 def blocks(source: Iterable[bytes | str]) -> Iterator[bytes | str]:
-    """Blocks of whole lines, the first ``without_bom``: reads of a stream, else ``source``'s items.
+    """Blocks of whole lines: reads of a stream, else ``source``'s items.
 
     A stream's block ends with an LF unless it ends the stream. Each item of
-    any other iterable is a block of its own, usually one line.
+    any other iterable is a block of its own, usually one line. The first
+    block loses a leading byte-order mark; later blocks keep theirs.
     """
     chunks = _reads(source) if hasattr(source, "read") else iter(source)
     first = next(chunks, None)
     if first is not None:
-        yield without_bom(first)
+        yield first.removeprefix(codecs.BOM_UTF8 if isinstance(first, bytes) else "\ufeff")
         yield from chunks
 
 
@@ -106,17 +95,23 @@ def line_blocks(source: Iterable[bytes | str]) -> Iterator[Tuple[int, List[str]]
     """``(number of its first line, its lines)`` for every one of ``blocks(source)``.
 
     A ``bytes`` block is decoded as UTF-8 at once. Lines lose their LF or
-    CRLF ending. A line that does not decode raises ``LoadError`` naming it.
+    CRLF ending. A line that does not decode raises ``LoadError`` naming it,
+    once the lines before it in its block are yielded, so that a fault in
+    one of those is found first.
     """
     line_no = 1
     for block in blocks(source):
+        error = None
         if isinstance(block, bytes):
             try:
                 text = block.decode("utf-8")
             except UnicodeDecodeError as exc:
                 # An LF never falls inside a UTF-8 sequence, so the bad one is on this line.
-                bad_line_no = line_no + block.count(b"\n", 0, exc.start)
-                raise LoadError("invalid UTF-8", bad_line_no) from None
+                end = block.rfind(b"\n", 0, exc.start) + 1
+                error = LoadError("invalid UTF-8", line_no + block.count(b"\n", 0, end))
+                if not end:
+                    raise error from None
+                text = block[:end].decode("utf-8")
         else:
             text = block
         split = text.split("\n")
@@ -126,6 +121,8 @@ def line_blocks(source: Iterable[bytes | str]) -> Iterator[Tuple[int, List[str]]
             split = [line.rstrip("\r") for line in split]
         yield line_no, split
         line_no += len(split)
+        if error is not None:
+            raise error
 
 
 def lines(source: Iterable[bytes | str]) -> Iterator[Tuple[int, str]]:

@@ -212,22 +212,18 @@ PARSER_CASES = [["--help"], *([command, "--help"] for command in cli._COMMANDS),
 
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
-def test_the_parser_for_one_command_prints_what_the_full_parser_prints(argv, monkeypatch,
-                                                                        capsys):
-    def outcome():
-        code, out = invoke(argv)
-        captured = capsys.readouterr()
-        return code, out, captured.out, captured.err
-
-    chosen = outcome()
-    assert chosen[2] or chosen[3]
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-    assert outcome() == chosen
+def test_help_and_usage_errors_are_printed_without_a_traceback(argv, capsys):
+    code, out = invoke(argv)
+    captured = capsys.readouterr()
+    assert out == "" and "Traceback" not in captured.out + captured.err
+    if code == 0:
+        assert captured.out.startswith("usage: morfo") and captured.err == ""
+    else:
+        assert code == 1 and "error:" in captured.err and captured.out == ""
 
 
 def _argparse_result(argv):
-    """``vars`` of what the full parser returns for ``argv``, or ``None`` where it exits."""
+    """``vars`` of what argparse returns for ``argv``, or ``None`` where it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return vars(cli.build_parser().parse_args(argv))
@@ -300,13 +296,6 @@ def test_help_holds_no_developer_notes(capsys):
     text = capsys.readouterr().out
     assert text.startswith("usage: morfo ")
     assert "resources." not in text and "CACHE_SIZE" not in text
-
-
-def test_the_parser_for_one_command_knows_no_other(capsys):
-    assert cli.build_parser().parse_args(["lemmatize"]).command == "lemmatize"
-    with pytest.raises(SystemExit):
-        cli.build_parser("analyze").parse_args(["lemmatize"])
-    assert "invalid choice: 'lemmatize'" in capsys.readouterr().err
 
 
 def test_unknown_pos_tag_exits_1(capsys):
@@ -1179,6 +1168,13 @@ def test_repeated_runs_print_each_warning_once_to_the_current_stderr(capsys):
         assert invoke(["import-coes"], "prefixes\n") == (0, "\t".join(COLUMNS) + "\n")
         assert capsys.readouterr().err == (
             "morfo: line 1: prefixes section skipped; only suffix rules are imported\n")
+
+
+def test_import_coes_warns_of_the_lines_before_an_invalid_utf8_line(capsys):
+    assert invoke(["import-coes"], "prefixes\n\udcff\n") == (1, "")
+    assert capsys.readouterr().err.splitlines() == [
+        "morfo: line 1: prefixes section skipped; only suffix rules are imported",
+        "morfo: line 2: invalid UTF-8"]
 
 
 def test_console_script_is_installed():

@@ -100,6 +100,15 @@ def test_unparseable_rule_warns_and_continues(capsys):
     assert "line 4: removed ending '[ae]r' is not a string of letters; row skipped" in err
 
 
+def test_a_flag_of_several_characters_warns_at_each_of_its_rules(capsys):
+    source = "suffixes\nflag *A:\nR > -R, O\nflag *BC:\nR > -R, S\nR > -R, N\n"
+    rows = import_rules(io.StringIO(source))
+    assert [(r.flag, r.morph_ending) for r in rows] == [("A", "o")]
+    assert capsys.readouterr().err.splitlines() == [
+        f"morfo: line {n}: flag must be a single character, got 'BC'; row skipped"
+        for n in (5, 6)]
+
+
 def test_no_keyword_section_leaves_features_blank():
     source = "flag *X: # seccion sin pistas\n    A > B\n"
     rows = import_rules(io.StringIO(source))

@@ -99,9 +99,11 @@ _VALID = {
 }
 
 # Files that fail in a later block: (loader, text, message, line). "\udce9" stands for
-# the byte 0xE9, which is not UTF-8, so that text is given to bytes sources only.
+# the byte 0xE9, which is not UTF-8, so that text is given to bytes sources only. In
+# a file with two faults, the first is named whichever block the second falls in.
 _INVALID = [
     (load_dictionary, "amar/V\nvaca/S\n" + _LONG + "/S\ncaf\udce9/S\nmesa/S\n", "invalid UTF-8", 4),
+    (load_dictionary, "amar/V\n/S\ncaf\udce9/S\n", "empty root", 2),
     (load_dictionary, "amar/V\nvaca/S\n" + _LONG + "/S\namar/V9\n",
      "invalid flag character '9' in 'amar/V9'", 4),
     (load_rules,
@@ -115,6 +117,8 @@ _INVALID = [
      "invalid UTF-8", 4),
     (load_default_table, _DEFAULTS_HEADER + "\n*\tnoun\n" + _LONG + "\tnoun\n\tnoun\n",
      "empty ending cell (use '*' for the catch-all row)", 4),
+    (load_default_table, _DEFAULTS_HEADER + "\n*\tnoun\n\tnoun\nñ\udce9\tnoun\n",
+     "empty ending cell (use '*' for the catch-all row)", 3),
     (load_pronoun_table,
      _PRONOUNS_HEADER + "\nme\tfirst\tsingular\t\n\n\n\ufeffnos\tfirst\t\udce9\t\n",
      "invalid UTF-8", 5),
