@@ -145,8 +145,9 @@ class Analyzer:
     Construction builds a trie of the rules' morph endings, reversed, whose
     nodes hold the literal root tails the rules replace, and indexes the
     default table by ending; it does not expand the lexicon. A lookup walks
-    the trie from the end of the word and changes no state, so an analyzer
-    may be shared between threads.
+    the trie from the end of the word and changes no state but the parts a
+    lexicon loaded from the cache builds as they are first probed, which is
+    safe across threads, so an analyzer may be shared between threads.
     """
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable, defaults: List[DefaultRow]):
@@ -156,7 +157,8 @@ class Analyzer:
         # Every literal root tail a replaced part stands for: the part itself
         # when it is all letters; else each n-letter tail of a lexicon root
         # that it matches, n its length. The roots are read once per distinct
-        # n, and not at all when no replaced part holds a class.
+        # n, and not at all when no replaced part holds a class; reading them
+        # builds the whole of a lexicon loaded in parts.
         patterns = {rule.replaced for rule in rules.rules}
         classed = {p for p in patterns if any(type(t) is tuple for t in p)}
         root_tails = {n: {root[-n:] for root in lexicon.flags} for n in {len(p) for p in classed}}
@@ -190,11 +192,12 @@ class Analyzer:
 
     def _warn_unknown_flags(self) -> None:
         known = set(self.rules.by_flag)
-        # Roots share flag tuples, so each distinct tuple is checked once.
-        bad = {flags for flags in set(self.lexicon.flags.values()) if not known.issuperset(flags)}
+        # Each distinct flag tuple is checked once, with the count of its roots.
+        bad = [(flags, count) for flags, count, _ in self.lexicon.flag_table()
+               if not known.issuperset(flags)]
         if bad:
-            entries = sum(flags in bad for flags in self.lexicon.flags.values())
-            unknown = set().union(*bad)
+            entries = sum(count for _, count in bad)
+            unknown = set().union(*(flags for flags, _ in bad))
             warn(f"{entries} dictionary entries carry flags with no rules "
                  f"({', '.join(sorted(unknown - known))}); those flags are skipped")
 
@@ -203,7 +206,7 @@ class Analyzer:
     def _readings(self, surface: str) -> List[Tuple[str, MorphRule]]:
         """Every (root, rule) pair of the lexicon whose forward application gives ``surface``."""
         out = []
-        root_flags = self.lexicon.flags
+        probe = self.lexicon.get
         heads, children = self._trie
         cut = len(surface)
         while True:
@@ -211,7 +214,7 @@ class Analyzer:
                 stem = surface[:cut]
                 for head, by_flag in heads:
                     root = stem + head
-                    flags = root_flags.get(root)
+                    flags = probe(root)
                     if flags is None:
                         continue
                     for flag, pairs in by_flag:

@@ -51,7 +51,7 @@ _PERSON_CYCLE = (
 )
 
 # The whole flag token, so that a flag of several characters fails at its rules.
-_FLAG_HEADER = re.compile(r"^flag\s+\*?(\S+?)\s*:\s*(.*)$", re.IGNORECASE)
+_FLAG_HEADER = re.compile(r"^flag\s+(?:\*\s*)?(\S+?)\s*:\s*(.*)$", re.IGNORECASE)
 _SECTION = re.compile(r"^(prefixes|suffixes)\s*(#.*)?$", re.IGNORECASE)
 # A quote or tilde that starts no escape matches the last alternative alone.
 _ESCAPE = re.compile(r"'([aeiouAEIOUnN])|~([nN])|['~]")

@@ -670,6 +670,43 @@ def test_an_unusable_cache_changes_nothing_but_speed(tmp_path, monkeypatch, caps
     assert sorted(entry_dir.iterdir()) == entries  # no temporary file left
 
 
+def _parsed_then_cached_runs(argv, cache_home, monkeypatch, capsys, stdin_text=CACHE_INPUT):
+    """(run with no cache, first cached run, run served from the entry in parts)."""
+    monkeypatch.setattr(lexicon, "WHOLE_BELOW", 0)
+    monkeypatch.setenv("XDG_CACHE_HOME", "/dev/null")
+    runs = [_cached_run(argv, capsys, stdin_text)]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+    runs.append(_cached_run(argv, capsys, stdin_text))
+    assert len(_entries(cache_home, "dictionary")) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(lexicon, "load_dictionary", _fail)
+        runs.append(_cached_run(argv, capsys, stdin_text))
+    return runs
+
+
+def test_unknown_flags_warn_alike_from_a_dictionary_loaded_in_parts(tmp_path, own_cache_home,
+                                                                    monkeypatch, capsys):
+    # Unknown flags in roots of several parts, none of them the first part.
+    text = "amar/V\nzumbar/VQ\nvaca/S\nzorro/SW\nabeja/SQW\nvaso/SQ\nzumo/SW\n"
+    argv = ["analyze", "--dict", str(_dictionary(tmp_path, text)), "--rules", str(_rules(tmp_path))]
+    runs = _parsed_then_cached_runs(argv, own_cache_home, monkeypatch, capsys)
+    assert runs[0][2] == ("morfo: 5 dictionary entries carry flags with no rules (Q, W); "
+                          "those flags are skipped\n")
+    assert runs[1] == runs[2] == runs[0]
+
+
+def test_the_nominal_flag_lint_names_the_first_entry_in_file_order_from_parts(
+        tmp_path, own_cache_home, monkeypatch, capsys):
+    # The first bad entry, zumbar, is in the second part; the first part,
+    # of bañar, holds a later bad entry.
+    dictionary = _dictionary(tmp_path, "bañar/V\nzumbar/VCN\nbailar/VNC\n")
+    runs = _parsed_then_cached_runs(["nominalize", "--dict", str(dictionary)], own_cache_home,
+                                    monkeypatch, capsys, "bailar\n")
+    assert runs[0] == (2, "", f"morfo: failed to load {dictionary}: entry 'zumbar' carries "
+                              "multiple nominalization flags: CN\n")
+    assert runs[1] == runs[2] == runs[0]
+
+
 def test_a_malformed_dictionary_exits_2_and_stores_nothing(tmp_path, own_cache_home, capsys):
     path = _dictionary(tmp_path, "amar/V\nvaca/S9\n")
     for _ in range(2):

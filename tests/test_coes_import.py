@@ -109,6 +109,14 @@ def test_a_flag_of_several_characters_warns_at_each_of_its_rules(capsys):
         for n in (5, 6)]
 
 
+def test_a_space_after_the_star_still_starts_a_flag_block(capsys):
+    source = "suffixes\nflag *A:\nR > -R, O\nflag * B:\nR > -R, S\n"
+    rows = import_rules(io.StringIO(source))
+    assert [(r.flag, r.stem_ending, r.morph_ending) for r in rows] == [("A", "r", "o"),
+                                                                      ("B", "r", "s")]
+    assert capsys.readouterr().err == ""
+
+
 def test_no_keyword_section_leaves_features_blank():
     source = "flag *X: # seccion sin pistas\n    A > B\n"
     rows = import_rules(io.StringIO(source))

@@ -10,8 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from morfo import cache, lexicon as lexicon_module, resources
+from morfo.analyzer import Analyzer, load_default_table
+from morfo.clitics import CliticSplitter, load_pronoun_table
+from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
 from morfo.errors import LoadError
 from morfo.lexicon import LexEntry, Lexicon, load_cached_dictionary, load_dictionary, normalize
+from morfo.rules import expand_entry, load_rules
 
 
 def test_load_single_entry():
@@ -150,6 +154,67 @@ def test_cached_load_equals_a_fresh_parse(lines, newline):
         assert list(loaded.flags.items()) == list(fresh.flags.items())
 
 
+def test_cached_load_equals_a_fresh_parse_when_loaded_in_parts(monkeypatch):
+    monkeypatch.setattr(lexicon_module, "WHOLE_BELOW", 0)
+    test_cached_load_equals_a_fresh_parse()
+
+
+def _packaged_lines(name):
+    return resources.data_path(name).read_text(encoding="utf-8").splitlines()
+
+
+# Seed entries, and roots of one and two letters and with accented or
+# decomposed first letters; ``ir`` and ``ser`` have whole-root rules, whose
+# stem is empty.
+_SEED_LINES = [line for line in _packaged_lines("dictionary.txt") if not line.startswith("#")]
+_ODD_LINES = ["ir/G", "ser/B", "a/S", "ñu/S", "él/S", "Ávila/S", "A\u0301guila/S",
+              "e\u0301xito/S", "Ñandú/S", "ocio/S", "oír/V"]
+# A replaced part headed by a class stands for root tails, which the
+# analyzer reads from every root, and so builds the whole lexicon.
+_CLASS_RULE = "V\t[aeií]r\taste\tverb\t\tsingular\tsecond\tindicative\tpast\t"
+
+
+def _stack(lexicon, rules):
+    """(analyze, lemmatize, nominalize, split-clitics) of one word over ``lexicon``."""
+    analyzer = Analyzer(lexicon, rules, load_default_table(_packaged_lines("defaults.tsv")))
+    lemmatizer = Lemmatizer(analyzer)
+    nominalizer = Nominalizer(lemmatizer, load_nominal_flags(_packaged_lines("nominal_flags.txt")))
+    splitter = CliticSplitter(analyzer, load_pronoun_table(_packaged_lines("pronouns.tsv")))
+    return lambda word: (analyzer.analyze(word), lemmatizer.lemmatize(word),
+                         nominalizer.nominalize(word), splitter.split_clitics(word))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(_SEED_LINES), min_size=1, max_size=25, unique=True),
+       st.lists(st.sampled_from(_ODD_LINES), max_size=5),
+       st.randoms(use_true_random=False), st.booleans(),
+       st.lists(st.text(alphabet="aeioóucdlmnrsñé\u0301", min_size=1, max_size=7), max_size=30))
+def test_a_lexicon_loaded_in_parts_answers_as_the_parsed_one(seed_lines, odd_lines, rng,
+                                                             class_rule, strings):
+    lines = seed_lines + odd_lines
+    rng.shuffle(lines)
+    rule_lines = _packaged_lines("rules.tsv") + ([_CLASS_RULE] if class_rule else [])
+    rules = load_rules(rule_lines)
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", directory)
+        patch.setattr(lexicon_module, "WHOLE_BELOW", 0)
+        path = Path(directory) / "dictionary.txt"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        _settled(path)
+        parsed = _load_file(path)
+        parts = _load_file(path)
+    whole, partial = _stack(parsed, rules), _stack(parts, rules)
+    assert (parts._parts is None) == class_rule  # else the probes below build the parts
+    forms = [form for entry in parsed for form, _, _ in expand_entry(entry, rules)]
+    words = forms + [unicodedata.normalize("NFD", form) for form in forms]
+    words += [form + "lo" for form in forms] + strings
+    for word in words:
+        assert partial(word) == whole(word), word
+    assert parts == parsed
+    assert list(parts.flags.items()) == list(parsed.flags.items())
+    assert parts.flag_table() == parsed.flag_table()
+
+
 @pytest.mark.parametrize("change", ["lexicon.py", "resources.py", "cache.py", "cache tag",
                                     "format"])
 def test_new_parsing_code_or_interpreter_parses_again(change, tmp_path, monkeypatch):
@@ -173,6 +238,61 @@ def test_new_parsing_code_or_interpreter_parses_again(change, tmp_path, monkeypa
     assert _load_file(path) == expected
     assert len(parses) == 1
     assert _load_file(path) == expected  # from the entry that parse replaced
+    assert len(parses) == 1
+
+
+def test_threads_probing_a_lexicon_in_parts_find_every_root(tmp_path, monkeypatch):
+    """Probes beside other threads' part builds, and one whole build, miss no root."""
+    path = tmp_path / "dictionary.txt"
+    path.write_text("\n".join(_SEED_LINES), encoding="utf-8")
+    _settled(path)
+    expected = _load_file(path).flags
+    monkeypatch.setattr(lexicon_module, "WHOLE_BELOW", 0)
+    missed = []
+
+    def probe(lexicon, roots):
+        missed.extend(root for root in roots if lexicon.get(root) != expected[root])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            lexicon = _load_file(path)
+            roots = list(expected)
+            threads = [threading.Thread(target=probe, args=(lexicon, roots[n::3] + roots[:n:-1]))
+                       for n in range(6)]
+            threads.append(threading.Thread(target=lambda: lexicon.flags))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert list(lexicon.flags.items()) == list(expected.items())
+    finally:
+        sys.setswitchinterval(interval)
+    assert missed == []
+
+
+@pytest.mark.parametrize("stored", [
+    {"amar": ("V",)},  # the map as one dict, as the entry held it before it was split
+    ({}, {}, []),
+    ([], [], []),
+    ([], {}, {}),
+    ([], {}),
+])
+def test_an_entry_of_another_layout_is_parsed_again(stored, tmp_path, monkeypatch):
+    path = tmp_path / "dictionary.txt"
+    path.write_text("amar/V\n", encoding="utf-8")
+    _settled(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lexicon_module, "_to_data", lambda _lexicon: stored)
+        assert _load_file(path) == load_dictionary(["amar/V"])
+    parses = []
+    monkeypatch.setattr(lexicon_module, "load_dictionary",
+                        lambda source: parses.append(source) or load_dictionary(source))
+    assert _load_file(path) == load_dictionary(["amar/V"])
+    assert len(parses) == 1
+    assert _load_file(path).get("amar") == ("V",)  # from the entry that parse replaced
     assert len(parses) == 1
 
 
