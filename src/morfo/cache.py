@@ -19,7 +19,7 @@ from typing import BinaryIO, Callable, Optional, Sequence, Tuple, TypeVar
 
 #: Part of every cache stamp; a new value makes every existing entry stale.
 #: Change it whenever the layout of an entry or of any kind's data changes.
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 #: A file modified less than this many nanoseconds ago is parsed but not
 #: cached: a second edit of the same size could fall within the file

@@ -2,8 +2,8 @@
 
 The on-disk format is one entry per line, ``word`` or ``word/FLAGS``, where
 FLAGS is a run of single-letter rule codes. ``#`` lines are comments and blank
-lines are ignored. Entries are NFC-normalized and lowercased, and kept in the
-order of their first line; nothing is sorted.
+lines are ignored. Entries are NFC-normalized and lowercased; a parsed
+dictionary keeps them in the order of their first line, and nothing is sorted.
 
 ``load_cached_dictionary`` is the CLI's loader: it keeps each file's parsed
 roots in the on-disk cache (``morfo.cache``) and reuses them while the file
@@ -11,8 +11,9 @@ and the parsing code are unchanged. The entry holds the roots in parts, one
 per first two letters, and a lexicon loaded from it builds each part when a
 lookup first probes a root of that part, so a short run over a large
 dictionary loads only the parts it reaches. A dictionary of fewer than
-``WHOLE_BELOW`` roots is built whole at once. ``load_dictionary`` itself
-keeps no state and writes nothing.
+``WHOLE_BELOW`` roots is built whole at once. The map of a lexicon loaded
+from the cache is in no set order. ``load_dictionary`` itself keeps no state
+and writes nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import marshal
 import unicodedata
 from collections import Counter
-from itertools import islice
 from typing import BinaryIO, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from morfo import cache, resources
@@ -56,51 +56,31 @@ class LexEntry(NamedTuple):
 class Lexicon:
     """Immutable map of roots to flag tuples.
 
-    ``flags`` maps each root to its flags (for a loaded file, in the order of
-    each root's first line); roots with equal flags may share one tuple. The
-    dict given is kept, not copied, so it must not change afterwards.
-    Iterating makes a ``LexEntry`` named tuple, (root, flags), per root.
-    ``get(root)`` is the flags of one root, or None; it is how lookups probe
-    the lexicon.
+    ``flags`` maps each root to its flags; roots with equal flags may share
+    one tuple. The dict given is kept, not copied, so it must not change
+    afterwards. Iterating makes a ``LexEntry`` named tuple, (root, flags),
+    per root. ``get(root)`` is the flags of one root, or None; it is how
+    lookups probe the lexicon.
 
-    A lexicon loaded from the cache (``load_cached_dictionary``) may hold its
-    roots in parts not yet built: ``get`` builds the part of a root it does
-    not find, and reading ``flags``, iterating or comparing builds the whole
-    map, in file order.
+    A parsed lexicon (``load_dictionary``) keeps the order of each root's
+    first line. A lexicon loaded from the cache (``load_cached_dictionary``)
+    may hold parts of its roots not yet built: ``get`` builds the part of a
+    root it does not find, and reading ``flags``, iterating or comparing
+    builds every part left. Its map is in no set order.
     """
 
     def __init__(self, flags: Dict[str, tuple]):
         self._flags = flags
         self.get = flags.get
         self._table: Optional[List[Tuple[tuple, int, str]]] = None
-        # While the map is partial: the marshalled part of every root prefix,
-        # the file order as (prefix, root count) runs, and the parts not yet
-        # built into ``_flags``.
-        self._parts: Optional[Dict[str, bytes]] = None
-        self._runs: list = []
-        self._pending: Dict[str, bytes] = {}
-
-    @classmethod
-    def _in_parts(cls, table: List[Tuple[tuple, int, str]], parts: Dict[str, bytes],
-                  runs: list) -> Lexicon:
-        """A lexicon whose parts are built as ``get`` first probes them (see ``_to_data``).
-
-        One of fewer than ``WHOLE_BELOW`` roots is built whole at once.
-        """
-        lexicon = cls({})
-        lexicon._table = table
-        lexicon._parts = parts
-        lexicon._runs = runs
-        lexicon._pending = dict(parts)
-        lexicon.get = lexicon._probe
-        if sum(count for _, count, _ in table) < WHOLE_BELOW:
-            lexicon._build_whole()
-        return lexicon
+        # Root prefix -> the marshalled part of its roots, for each part not
+        # yet built into ``_flags``.
+        self._unbuilt: Dict[str, bytes] = {}
 
     @property
     def flags(self) -> Dict[str, tuple]:
-        if self._parts is not None:
-            self._build_whole()
+        for prefix in list(self._unbuilt):
+            self._build(prefix)
         return self._flags
 
     def __len__(self) -> int:
@@ -123,35 +103,25 @@ class Lexicon:
         return self._table
 
     def _probe(self, root: str) -> Optional[tuple]:
-        """``get`` while some parts are not built: a miss builds the part of ``root``.
-
-        A part is added to the map before it leaves ``_pending``, and a miss
-        looks again once ``_pending`` is read, so a probe finds its root
-        while another thread builds the root's part or the whole map.
-        """
+        """``get`` while some parts are not built: a miss builds the part of ``root``."""
         flags = self._flags.get(root)
         if flags is None:
-            prefix = root[:2]
-            part = self._pending.get(prefix)
-            if part is not None:
-                self._flags.update(marshal.loads(part))
-                self._pending.pop(prefix, None)
-                if not self._pending:
-                    self.get = self._flags.get
+            self._build(root[:2])
             flags = self._flags.get(root)
         return flags
 
-    def _build_whole(self) -> None:
-        """Build every part into one map in file order, and drop the parts."""
-        items = {prefix: iter(marshal.loads(part).items()) for prefix, part in self._parts.items()}
-        flags: Dict[str, tuple] = {}
-        for prefix, count in self._runs:
-            flags.update(islice(items[prefix], count))
-        self._flags = flags
-        self.get = flags.get
-        self._parts = None
-        self._runs = []
-        self._pending = {}
+    def _build(self, prefix: str) -> None:
+        """Add the part of ``prefix`` to the map unless it is built, then drop it.
+
+        The part joins the map before it leaves ``_unbuilt``, so a probe
+        finds its root while another thread builds the root's part.
+        """
+        part = self._unbuilt.get(prefix)
+        if part is not None:
+            self._flags.update(marshal.loads(part))
+            self._unbuilt.pop(prefix, None)
+            if not self._unbuilt:
+                self.get = self._flags.get
 
 
 def _check_line(line: str, line_no: int) -> None:
@@ -196,30 +166,32 @@ def load_dictionary(source: Iterable[bytes | str]) -> Lexicon:
 
 
 def _to_data(lexicon: Lexicon) -> tuple:
-    """The cache entry of ``lexicon``: (flag table, prefix -> marshalled part, file-order runs).
+    """The cache entry of ``lexicon``: (flag table, prefix -> marshalled part).
 
     A part is the dict of the roots that start with one prefix, their first
-    two letters, in file order. The runs give the prefix of each stretch of
-    roots in file order and its length.
+    two letters.
     """
     parts: Dict[str, Dict[str, tuple]] = {}
-    runs: list = []
     for root, flags in lexicon.flags.items():
-        prefix = root[:2]
-        parts.setdefault(prefix, {})[root] = flags
-        if runs and runs[-1][0] == prefix:
-            runs[-1][1] += 1
-        else:
-            runs.append([prefix, 1])
-    return (lexicon.flag_table(), {prefix: marshal.dumps(part) for prefix, part in parts.items()},
-            runs)
+        parts.setdefault(root[:2], {})[root] = flags
+    return lexicon.flag_table(), {prefix: marshal.dumps(part) for prefix, part in parts.items()}
 
 
 def _from_data(data: tuple) -> Lexicon:
-    table, parts, runs = data
-    if type(table) is not list or type(parts) is not dict or type(runs) is not list:
+    """A lexicon whose parts are built as ``get`` first probes them.
+
+    One of fewer than ``WHOLE_BELOW`` roots is built whole at once.
+    """
+    table, parts = data
+    if type(table) is not list or type(parts) is not dict:
         raise TypeError("not a dictionary entry")
-    return Lexicon._in_parts(table, parts, runs)
+    lexicon = Lexicon({})
+    lexicon._table = table
+    lexicon._unbuilt = parts
+    lexicon.get = lexicon._probe
+    if sum(count for _, count, _ in table) < WHOLE_BELOW:
+        lexicon.flags  # builds every part
+    return lexicon
 
 
 def load_cached_dictionary(stream: BinaryIO) -> Lexicon:

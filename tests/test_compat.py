@@ -3,8 +3,11 @@ and the value types."""
 
 import copy
 import io
+import os
 import pickle
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,6 +51,21 @@ def test_readme_command_line_examples_print_what_they_show():
         assert out.getvalue().splitlines() == shown, command
         commands.append(argv[1:])
     assert commands == [["analyze"], ["lemmatize"], ["nominalize"], ["split-clitics"]]
+
+
+def test_every_module_loads_only_the_standard_library():
+    """Importing each module of ``morfo``, with no ``site``, loads nothing from outside the stdlib."""
+    script = ("import importlib, pkgutil, sys, morfo\n"
+              "for module in pkgutil.iter_modules(morfo.__path__, 'morfo.'):\n"
+              "    importlib.import_module(module.name)\n"
+              "print(*sorted({name.partition('.')[0] for name in sys.modules}))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(morfo.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    names = proc.stdout.split()
+    assert "morfo" in names
+    assert [name for name in names
+            if name not in {"morfo", "__main__"} and name not in sys.stdlib_module_names] == []
 
 
 def test_every_exported_name_resolves():

@@ -1,10 +1,12 @@
 import io
+import marshal
 import os
 import sys
 import tempfile
 import threading
 import unicodedata
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -151,7 +153,6 @@ def test_cached_load_equals_a_fresh_parse(lines, newline):
             cached = _load_file(path)
     for loaded in (first, cached):
         assert loaded == fresh
-        assert list(loaded.flags.items()) == list(fresh.flags.items())
 
 
 def test_cached_load_equals_a_fresh_parse_when_loaded_in_parts(monkeypatch):
@@ -204,14 +205,13 @@ def test_a_lexicon_loaded_in_parts_answers_as_the_parsed_one(seed_lines, odd_lin
         parsed = _load_file(path)
         parts = _load_file(path)
     whole, partial = _stack(parsed, rules), _stack(parts, rules)
-    assert (parts._parts is None) == class_rule  # else the probes below build the parts
+    assert (not parts._unbuilt) == class_rule  # else the probes below build the parts
     forms = [form for entry in parsed for form, _, _ in expand_entry(entry, rules)]
     words = forms + [unicodedata.normalize("NFD", form) for form in forms]
     words += [form + "lo" for form in forms] + strings
     for word in words:
         assert partial(word) == whole(word), word
     assert parts == parsed
-    assert list(parts.flags.items()) == list(parsed.flags.items())
     assert parts.flag_table() == parsed.flag_table()
 
 
@@ -241,11 +241,51 @@ def test_new_parsing_code_or_interpreter_parses_again(change, tmp_path, monkeypa
     assert len(parses) == 1
 
 
-def test_threads_probing_a_lexicon_in_parts_find_every_root(tmp_path, monkeypatch):
-    """Probes beside other threads' part builds, and one whole build, miss no root."""
+def _seed_file(tmp_path):
+    """The packaged dictionary's entries, written to a settled file under ``tmp_path``."""
     path = tmp_path / "dictionary.txt"
     path.write_text("\n".join(_SEED_LINES), encoding="utf-8")
     _settled(path)
+    return path
+
+
+def _part_loads(monkeypatch):
+    """The list of every part ``morfo.lexicon`` unmarshals from now on."""
+    loads = []
+    monkeypatch.setattr(lexicon_module, "marshal", SimpleNamespace(
+        dumps=marshal.dumps, loads=lambda data: loads.append(data) or marshal.loads(data)))
+    return loads
+
+
+def test_each_part_is_unmarshalled_at_most_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(lexicon_module, "WHOLE_BELOW", 0)
+    path = _seed_file(tmp_path)
+    parsed = _load_file(path)  # and stored
+    lexicon = _load_file(path)
+    loads = _part_loads(monkeypatch)
+    roots = list(parsed.flags)[::40]
+    probed = roots + [root + "zz" for root in roots] + roots
+    assert [lexicon.get(word) for word in probed] == [parsed.get(word) for word in probed]
+    assert len(loads) == len({root[:2] for root in roots})
+    assert lexicon == parsed
+    assert len(lexicon) == len(parsed)  # reads the built map again
+    assert len(loads) == len(lexicon_module._to_data(parsed)[1])
+
+
+def test_building_the_stack_over_a_lexicon_in_parts_builds_no_part(tmp_path, monkeypatch):
+    """The analyzer's and derivers' construction reads the flag table, not the roots."""
+    monkeypatch.setattr(lexicon_module, "WHOLE_BELOW", 0)
+    path = _seed_file(tmp_path)
+    _load_file(path)
+    lexicon = _load_file(path)
+    loads = _part_loads(monkeypatch)
+    _stack(lexicon, load_rules(_packaged_lines("rules.tsv")))
+    assert loads == []
+
+
+def test_threads_probing_a_lexicon_in_parts_find_every_root(tmp_path, monkeypatch):
+    """Probes beside other threads' part builds, and one build of every part, miss no root."""
+    path = _seed_file(tmp_path)
     expected = _load_file(path).flags
     monkeypatch.setattr(lexicon_module, "WHOLE_BELOW", 0)
     missed = []
@@ -267,7 +307,7 @@ def test_threads_probing_a_lexicon_in_parts_find_every_root(tmp_path, monkeypatc
             for thread in threads:
                 thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in threads)
-            assert list(lexicon.flags.items()) == list(expected.items())
+            assert lexicon.flags == expected
     finally:
         sys.setswitchinterval(interval)
     assert missed == []
@@ -278,7 +318,9 @@ def test_threads_probing_a_lexicon_in_parts_find_every_root(tmp_path, monkeypatc
     ({}, {}, []),
     ([], [], []),
     ([], {}, {}),
-    ([], {}),
+    ([], []),
+    # (flag table, prefix -> marshalled part, file-order runs): the layout of format 3
+    ([(("V",), 1, "amar")], {"am": marshal.dumps({"amar": ("V",)})}, [["am", 1]]),
 ])
 def test_an_entry_of_another_layout_is_parsed_again(stored, tmp_path, monkeypatch):
     path = tmp_path / "dictionary.txt"
