@@ -15,7 +15,8 @@ import stat
 import sys
 import time
 from binascii import crc32
-from typing import BinaryIO, Callable, Optional, Sequence, Tuple, TypeVar
+from collections.abc import Callable, Sequence
+from io import BufferedIOBase
 
 #: Part of every cache stamp; a new value makes every existing entry stale.
 #: Change it whenever the layout of an entry or of any kind's data changes.
@@ -31,10 +32,7 @@ SETTLE_NS = 2_000_000_000
 #: milliseconds), and the next store beside it removes it.
 ORPHAN_S = 3600
 
-T = TypeVar("T")
-
-
-def cache_dir() -> Optional[str]:
+def cache_dir() -> str | None:
     """``$XDG_CACHE_HOME/morfo``, else ``~/.cache/morfo``; None when the home is unknown.
 
     A relative ``XDG_CACHE_HOME`` is ignored, as the XDG base directory
@@ -48,8 +46,8 @@ def cache_dir() -> Optional[str]:
     return os.path.join(base, "morfo")
 
 
-def _key(stream: BinaryIO, kind: str,
-         code: Sequence[str]) -> Optional[Tuple[str, bytes, bool]]:
+def _key(stream: BufferedIOBase, kind: str,
+         code: Sequence[str]) -> tuple[str, bytes, bool] | None:
     """(entry path, stamp, settled) for the ``kind`` file ``stream``; None if it is not cached.
 
     The stamp holds the file's absolute path, device and inode (so that
@@ -81,7 +79,7 @@ def _key(stream: BinaryIO, kind: str,
     return os.path.join(directory, name), marshal.dumps(stamp, 2), settled
 
 
-def _read_entry(entry: str, stamp: bytes, from_data: Callable[[object], T]) -> Optional[T]:
+def _read_entry(entry: str, stamp: bytes, from_data: Callable[[object], object]) -> object:
     """``from_data`` of the data stored in ``entry`` under ``stamp``; None unless it is intact.
 
     An entry is ``stamp``, the CRC-32 of the marshalled data (4 bytes, big
@@ -169,8 +167,9 @@ def _remove_stale(entry: str) -> None:
                 pass
 
 
-def load(stream: BinaryIO, kind: str, code: Sequence[str], parse: Callable[[BinaryIO], T],
-         to_data: Callable[[T], object], from_data: Callable[[object], T]) -> T:
+def load(stream: BufferedIOBase, kind: str, code: Sequence[str],
+         parse: Callable[[BufferedIOBase], object], to_data: Callable[[object], object],
+         from_data: Callable[[object], object]) -> object:
     """``parse(stream)`` for a file opened by path, from the cache while it is current.
 
     ``to_data`` turns what ``parse`` returns into plain data that ``marshal``

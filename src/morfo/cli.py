@@ -9,12 +9,13 @@ when a line repeats; this changes speed only. The analyzer keeps no results.
 
 Warnings print to stderr as ``morfo: [<file>: ]<message>`` (``errors.warn``).
 Start-up is kept short: importing this module loads none of ``dataclasses``,
-``logging`` and ``argparse``. A well-formed command line is parsed from the
-option table (``_parse_plain``), so its run loads no ``argparse``, nor the
-``gettext`` and ``locale`` that argparse loads. Any other goes to the one
-argparse parser (``build_parser``), which prints help, usage and errors and
-parses the rarer forms, such as abbreviations and ``--name=value``. A run
-loads ``json`` only for ``--format jsonl``, and the derivers, clitic
+``logging``, ``argparse``, ``enum``, ``typing`` and ``re``. A well-formed
+command line is parsed from the option table (``_parse_plain``), so its run
+loads no ``argparse``, nor the ``gettext`` and ``locale`` that argparse loads.
+Any other goes to the one argparse parser (``build_parser``), which prints
+help, usage and errors and parses the rarer forms, such as abbreviations and
+``--name=value``. A run loads ``json`` (and with it ``re`` and ``enum``) only
+for ``--format jsonl``, and the derivers, clitic
 splitter, COES importer and CoNLL evaluator only for the commands that use
 them, so ``analyze`` loads none of the four. ``_DESCRIPTION`` gives the
 exit codes.
@@ -25,18 +26,16 @@ from __future__ import annotations
 import gc
 import os
 import sys
+from collections.abc import Sequence
+from io import BufferedIOBase, TextIOBase
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, BinaryIO, Optional, Sequence, TextIO
 
 from morfo import errors, resources
-from morfo.analyzer import Analyzer, Provenance, load_default_table
+from morfo.analyzer import Analyzer, load_default_table
 from morfo.errors import LoadError
 from morfo.features import Pos
 from morfo.lexicon import load_cached_dictionary, normalize
 from morfo.rules import dump_rules, load_cached_rules
-
-if TYPE_CHECKING:
-    import argparse
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,9 +59,8 @@ _DESCRIPTION = ("Rule-based Spanish morphology from a root dictionary and a suff
                 "write one line per token. Exit codes: 0 success, 1 usage, input or output "
                 "error, 2 data-file load error.")
 
-#: Input pos tag -> its ``Pos``, and ``Provenance`` -> its output text.
+#: Input pos tag -> its ``Pos``.
 _POS_TAGS = {pos.value: pos for pos in Pos}
-_PROVENANCE_TEXT = {p: p.value for p in Provenance}
 
 
 class DataFileError(Exception):
@@ -82,7 +80,7 @@ def _read(path, loader):
         errors.loading = None
 
 
-def _load(name: str, override: Optional[str], loader):
+def _load(name: str, override: str | None, loader):
     return _read(resources.data_file(name, override), loader)
 
 
@@ -97,7 +95,7 @@ class _BadLine(Exception):
     """A stdin line that is not ``token[<TAB>pos]`` text; ``_stream`` adds its number."""
 
 
-def _stream(args, stdin: BinaryIO, stdout: TextIO, result, tsv, jsonl) -> int:
+def _stream(args, stdin: BufferedIOBase, stdout: TextIOBase, result, tsv, jsonl) -> int:
     """Write one rendered line per ``token`` or ``token<TAB>pos`` line of ``stdin``.
 
     ``result(token, pos_hint)`` computes a token's value; ``tsv(token, value)``
@@ -166,25 +164,20 @@ def _stream(args, stdin: BinaryIO, stdout: TextIO, result, tsv, jsonl) -> int:
     return EXIT_OK
 
 
-def _cell(value) -> str:
-    return value.value if value is not None else "-"
-
-
-def cmd_analyze(args, stdin: BinaryIO, stdout: TextIO) -> int:
+def cmd_analyze(args, stdin: BufferedIOBase, stdout: TextIOBase) -> int:
     feature_cells = {}  # FeatureSet -> its six TSV cells, joined
 
     def tsv(_token, a):
         f = a.features
         cells = feature_cells.get(f)
         if cells is None:
-            cells = feature_cells[f] = "\t".join([
-                _cell(f.pos), _cell(f.gender), _cell(f.number), _cell(f.person), _cell(f.mood),
-                _cell(f.tense)])
-        return "\t".join([a.surface, a.lemma, cells, _PROVENANCE_TEXT[a.provenance]])
+            # Every field but animate; a value is its own text.
+            cells = feature_cells[f] = "\t".join([value or "-" for value in f[:6]])
+        return "\t".join([a.surface, a.lemma, cells, a.provenance])
 
     def jsonl(_token, a):
         record = {"surface": a.surface, "lemma": a.lemma, **a.features.as_dict(),
-                  "provenance": _PROVENANCE_TEXT[a.provenance]}
+                  "provenance": a.provenance.value}
         del record["animate"]
         return record
 
@@ -192,7 +185,7 @@ def cmd_analyze(args, stdin: BinaryIO, stdout: TextIO) -> int:
                    tsv=tsv, jsonl=jsonl)
 
 
-def cmd_lemmatize(args, stdin: BinaryIO, stdout: TextIO) -> int:
+def cmd_lemmatize(args, stdin: BufferedIOBase, stdout: TextIOBase) -> int:
     from morfo.derivers import Lemmatizer
 
     return _stream(args, stdin, stdout, Lemmatizer(build_analyzer(args)).lemmatize,
@@ -200,7 +193,7 @@ def cmd_lemmatize(args, stdin: BinaryIO, stdout: TextIO) -> int:
                    jsonl=lambda token, lemma: {"surface": token, "lemma": lemma})
 
 
-def cmd_nominalize(args, stdin: BinaryIO, stdout: TextIO) -> int:
+def cmd_nominalize(args, stdin: BufferedIOBase, stdout: TextIOBase) -> int:
     from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
 
     analyzer = build_analyzer(args)
@@ -214,7 +207,7 @@ def cmd_nominalize(args, stdin: BinaryIO, stdout: TextIO) -> int:
                    jsonl=lambda token, nominal: {"surface": token, "nominal": nominal})
 
 
-def cmd_split_clitics(args, stdin: BinaryIO, stdout: TextIO) -> int:
+def cmd_split_clitics(args, stdin: BufferedIOBase, stdout: TextIOBase) -> int:
     from morfo.clitics import CliticSplit, CliticSplitter, load_pronoun_table
 
     analyzer = build_analyzer(args)
@@ -231,7 +224,7 @@ def cmd_split_clitics(args, stdin: BinaryIO, stdout: TextIO) -> int:
                    jsonl=lambda _token, s: {"verb_part": s.verb_part, "clitics": list(s.clitics)})
 
 
-def cmd_import_coes(args, stdin: BinaryIO, stdout: TextIO) -> int:
+def cmd_import_coes(args, stdin: BufferedIOBase, stdout: TextIOBase) -> int:
     from morfo.coes_import import import_rules
 
     def parse(stream):
@@ -248,7 +241,7 @@ def cmd_import_coes(args, stdin: BinaryIO, stdout: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args, stdin: BinaryIO, stdout: TextIO) -> int:
+def cmd_evaluate(args, stdin: BufferedIOBase, stdout: TextIOBase) -> int:
     from morfo.conll_eval import (
         evaluate_features,
         evaluate_lemmas,
@@ -312,7 +305,7 @@ _COMMANDS = {
 }
 
 
-def _parse_plain(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+def _parse_plain(argv: Sequence[str]) -> SimpleNamespace | None:
     """What ``build_parser().parse_args(argv)`` returns, if ``argv`` uses only the plain forms;
     else ``None``.
 
@@ -352,8 +345,8 @@ def _parse_plain(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     return SimpleNamespace(command=argv[0], **values)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built from ``_OPTIONS`` and ``_COMMANDS``.
+def build_parser():
+    """The CLI's ``argparse.ArgumentParser``, built from ``_OPTIONS`` and ``_COMMANDS``.
 
     ``run`` uses it only for a command line that ``_parse_plain`` declines.
     """
@@ -373,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: Sequence[str], stdin: BinaryIO = None, stdout: TextIO = None) -> int:
+def run(argv: Sequence[str], stdin: BufferedIOBase = None, stdout: TextIOBase = None) -> int:
     """Run the command in ``argv`` on ``stdin`` and ``stdout``; return its exit code.
 
     ``stdin`` defaults to the process's stdin (as bytes) and ``stdout`` to its

@@ -9,7 +9,8 @@ dictionary verb in one of the three hosting moods.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from morfo.analyzer import Analyzer, Provenance
 from morfo.errors import LoadError
@@ -30,14 +31,14 @@ def strip_stress_accents(text: str) -> str:
 _PRONOUN_COLUMNS = ("pronoun", "person", "number", "gender")
 
 
-def _parse_pronoun(row: Dict[str, str], _line_no: int) -> Tuple[str, FeatureSet]:
+def _parse_pronoun(row: dict[str, str], _line_no: int) -> tuple[str, FeatureSet]:
     pronoun = normalize(row["pronoun"])
     if not pronoun:
         raise ValueError("empty pronoun cell")
     return pronoun, FeatureSet.from_cells({**row, "pos": "pronoun"})
 
 
-def load_pronoun_table(source: Iterable[bytes | str]) -> Dict[str, FeatureSet]:
+def load_pronoun_table(source: Iterable[bytes | str]) -> dict[str, FeatureSet]:
     """Load the clitic pronoun TSV: pronoun, person, number, gender."""
     table = dict(read_table(source, _PRONOUN_COLUMNS, _PRONOUN_COLUMNS, _parse_pronoun))
     if not table:
@@ -45,13 +46,11 @@ def load_pronoun_table(source: Iterable[bytes | str]) -> Dict[str, FeatureSet]:
     return table
 
 
-class CliticSplit(NamedTuple):
+class CliticSplit(namedtuple("CliticSplit", "verb_part clitics pronoun_features")):
     """A token as ``verb_part`` plus 0, 1 or 2 ``clitics`` in surface order, with a
     ``FeatureSet`` per clitic in ``pronoun_features``."""
 
-    verb_part: str
-    clitics: tuple
-    pronoun_features: tuple
+    __slots__ = ()
 
     @property
     def is_split(self) -> bool:
@@ -59,7 +58,7 @@ class CliticSplit(NamedTuple):
 
 
 class CliticSplitter:
-    def __init__(self, analyzer: Analyzer, pronoun_table: Dict[str, FeatureSet]):
+    def __init__(self, analyzer: Analyzer, pronoun_table: dict[str, FeatureSet]):
         self.analyzer = analyzer
         self.pronouns = dict(pronoun_table)
         # longest first so that e.g. -los wins over -os
@@ -97,6 +96,6 @@ class CliticSplitter:
         return CliticSplit(surface, (), ())
 
     @staticmethod
-    def _verb_variants(base: str) -> List[str]:
+    def _verb_variants(base: str) -> list[str]:
         plain = strip_stress_accents(base)
         return [base] if plain == base else [base, plain]

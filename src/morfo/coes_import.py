@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from collections.abc import Iterable, Sequence
 
 from morfo.errors import warn
 from morfo.features import FeatureSet, Mood, Number, Person, Tense
@@ -62,7 +62,7 @@ def _unescape(text: str) -> str:
     return _ESCAPE.sub(lambda m: _ACCENTS.get(m.group(1) or m.group(2), m.group()), text)
 
 
-def convert_accents(text: str, line_no: Optional[int] = None) -> str:
+def convert_accents(text: str, line_no: int | None = None) -> str:
     """Convert COES quote/tilde accent notation to real accented characters.
 
     A quote or tilde that starts no escape is kept, with a warning that names
@@ -90,14 +90,14 @@ def _hints_from_comment(comment: str) -> dict:
     return hints
 
 
-def _parse_example(comment: str) -> Optional[Tuple[str, str]]:
+def _parse_example(comment: str) -> tuple[str, str] | None:
     words = _unescape(comment).lower().split()
     if len(words) == 2 and all(w.isalpha() for w in words):
         return words[0], words[1]
     return None
 
 
-def _stem_and_ending(rule_text: str, line_no: int) -> Tuple[str, str]:
+def _stem_and_ending(rule_text: str, line_no: int) -> tuple[str, str]:
     """The stem-ending pattern and morph ending of ``PATTERN > [-REMOVED,] ADDED``.
 
     What the pattern matches before REMOVED becomes the kept context.
@@ -124,7 +124,7 @@ def import_rules(
     aff_source: Iterable[bytes | str],
     skip_flags: Sequence[str] = (),
     infer_person: bool = False,
-) -> List[MorphRule]:
+) -> list[MorphRule]:
     """Parse an affix file into TSV-ready rows; unparseable lines warn and are skipped.
 
     Only suffix rules are imported: an Ispell ``prefixes`` section is skipped
@@ -132,12 +132,12 @@ def import_rules(
 
     An example comment that its rule does not reproduce is warned of.
     """
-    skip: Set[str] = set(skip_flags)
-    rows: List[MorphRule] = []
-    flag: Optional[str] = None
+    skip: set[str] = set(skip_flags)
+    rows: list[MorphRule] = []
+    flag: str | None = None
     in_prefixes = False
     hints: dict = {}
-    block: List[int] = []  # indices into rows for the current hint block
+    block: list[int] = []  # indices into rows for the current hint block
 
     def close_block():
         if infer_person and block and hints and "number" not in hints:
@@ -197,7 +197,7 @@ def import_rules(
     return rows
 
 
-def check_examples(rows: Iterable[MorphRule]) -> List[Tuple[MorphRule, Optional[str]]]:
+def check_examples(rows: Iterable[MorphRule]) -> list[tuple[MorphRule, str | None]]:
     """Every rule whose example comment it does not reproduce, with what it produced."""
     return [(row, got) for row in rows
             if row.example and (got := apply_rule(row.example[0], row)) != row.example[1]]

@@ -11,7 +11,8 @@ excludes surface forms ending in the common past-participle suffixes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from morfo.analyzer import Analyzer
 from morfo.derivers import Lemmatizer
@@ -35,10 +36,9 @@ def participle_filter(form: str) -> bool:
     return normalize(form).endswith(PARTICIPLE_SUFFIXES)
 
 
-class FeatureMapping(NamedTuple):
-    """Corpus-specific POS tags and FEAT key=value pairs mapped onto our enums."""
-    pos_map: Dict[str, Pos]
-    feat_map: Dict[str, Tuple[str, str]]
+#: Corpus-specific POS tags and FEAT key=value pairs mapped onto our feature values:
+#: ``pos_map`` maps a tag to its ``Pos``, and ``feat_map`` a pair to (field, value text).
+FeatureMapping = namedtuple("FeatureMapping", "pos_map feat_map")
 
 
 def load_mapping(source: Iterable[bytes | str]) -> FeatureMapping:
@@ -68,12 +68,8 @@ def load_mapping(source: Iterable[bytes | str]) -> FeatureMapping:
     return mapping
 
 
-class TokenRecord(NamedTuple):
-    form: str
-    gold_lemma: str
-    gold_pos: Optional[Pos]
-    gold_features: FeatureSet
-    is_predicate: bool
+#: One CoNLL token; ``gold_pos`` is None for a tag the mapping does not name.
+TokenRecord = namedtuple("TokenRecord", "form gold_lemma gold_pos gold_features is_predicate")
 
 
 def _strip_sense(sense: str) -> str:
@@ -81,13 +77,13 @@ def _strip_sense(sense: str) -> str:
     return lemma if dot else sense
 
 
-def parse_conll(source: Iterable[bytes | str], mapping: FeatureMapping) -> List[TokenRecord]:
+def parse_conll(source: Iterable[bytes | str], mapping: FeatureMapping) -> list[TokenRecord]:
     """Parse CoNLL-2009 rows into records; one warning counts the FEAT values with no mapping.
 
     A row with too few columns, a non-numeric ID, an empty or blank FORM or
     invalid gold features raises ``LoadError`` naming its line.
     """
-    records: List[TokenRecord] = []
+    records: list[TokenRecord] = []
     unmapped = 0
     for line_no, line in lines(source):
         if not line.strip():
@@ -103,7 +99,7 @@ def parse_conll(source: Iterable[bytes | str], mapping: FeatureMapping) -> List[
         if not form.strip():
             raise LoadError("empty FORM", line_no)
         feat_string = cols[_COL_FEAT]
-        feat_values: Dict[str, str] = {}
+        feat_values: dict[str, str] = {}
         if feat_string not in ("_", ""):
             for pair in feat_string.split("|"):
                 hit = mapping.feat_map.get(pair)
@@ -132,10 +128,8 @@ def parse_conll(source: Iterable[bytes | str], mapping: FeatureMapping) -> List[
 
 # -- metrics ------------------------------------------------------------------
 
-class FeatureScore(NamedTuple):
-    correct: int
-    gold_count: int
-    pred_count: int
+class FeatureScore(namedtuple("FeatureScore", "correct gold_count pred_count")):
+    __slots__ = ()
 
     @property
     def precision(self) -> float:
@@ -151,16 +145,15 @@ class FeatureScore(NamedTuple):
         return 2 * p * r / (p + r) if p + r else 0.0
 
 
-class LemmaScore(NamedTuple):
-    total: int
-    correct: int
+class LemmaScore(namedtuple("LemmaScore", "total correct")):
+    __slots__ = ()
 
     @property
     def ratio(self) -> float:
         return self.correct / self.total if self.total else 0.0
 
 
-def evaluate_features(records: Iterable[TokenRecord], analyzer: Analyzer) -> Dict[str, FeatureScore]:
+def evaluate_features(records: Iterable[TokenRecord], analyzer: Analyzer) -> dict[str, FeatureScore]:
     """Per-feature precision/recall counts over verb/noun/adjective tokens, then their total."""
     counts = {name: [0, 0, 0] for name in SCORED_FEATURES}  # correct, gold, predicted
     for record in records:
@@ -184,7 +177,7 @@ def evaluate_lemmas(
     records: Iterable[TokenRecord],
     lemmatizer: Lemmatizer,
     filter_on_lemma: bool = False,
-) -> Tuple[LemmaScore, LemmaScore]:
+) -> tuple[LemmaScore, LemmaScore]:
     """Lemma accuracy over verbal predicates: (all, participle-filtered)."""
     total = correct = kept = kept_correct = 0
     for record in records:
@@ -199,7 +192,7 @@ def evaluate_lemmas(
     return LemmaScore(total, correct), LemmaScore(kept, kept_correct)
 
 
-def render_text(features: Dict[str, FeatureScore], lemmas: Tuple[LemmaScore, LemmaScore]) -> str:
+def render_text(features: dict[str, FeatureScore], lemmas: tuple[LemmaScore, LemmaScore]) -> str:
     """The report as two tables: each feature's scores, then lemma accuracy (all, filtered)."""
     every, kept = lemmas
     rows = [f"{'Feature':>8}  {'Precision':>9}  {'Recall':>9}  {'F-score':>9}"]
@@ -215,7 +208,7 @@ def render_text(features: Dict[str, FeatureScore], lemmas: Tuple[LemmaScore, Lem
     ])
 
 
-def render_kv(features: Dict[str, FeatureScore], lemmas: Tuple[LemmaScore, LemmaScore]) -> str:
+def render_kv(features: dict[str, FeatureScore], lemmas: tuple[LemmaScore, LemmaScore]) -> str:
     """The report as ``key=value`` lines: each feature in ``features``' order, then the lemmas."""
     rows = []
     for name, score in features.items():

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set
+from collections.abc import Iterable
 
 from morfo.analyzer import Analyzer
 from morfo.errors import LoadError
@@ -11,9 +11,9 @@ from morfo.resources import data_lines
 from morfo.rules import apply_rule
 
 
-def load_nominal_flags(source: Iterable[bytes | str]) -> Set[str]:
+def load_nominal_flags(source: Iterable[bytes | str]) -> set[str]:
     """Read the nominal-derivation flag manifest: one flag character per line."""
-    flags: Set[str] = set()
+    flags: set[str] = set()
     for line_no, line in data_lines(source):
         flag = line.strip()
         if len(flag) != 1:
@@ -28,7 +28,7 @@ class Lemmatizer:
     def __init__(self, analyzer: Analyzer):
         self.analyzer = analyzer
 
-    def lemmatize(self, word: str, pos_hint: Optional[Pos] = None) -> str:
+    def lemmatize(self, word: str, pos_hint: Pos | None = None) -> str:
         """The preferred analysis's lemma; the word itself when only the fallback applies."""
         return self.analyzer.preferred_analysis(word, pos_hint).lemma
 
@@ -36,7 +36,7 @@ class Lemmatizer:
 class Nominalizer:
     """Converts a verb (conjugated or infinitive) to its flagged nominal form."""
 
-    def __init__(self, lemmatizer: Lemmatizer, nominal_flags: Set[str]):
+    def __init__(self, lemmatizer: Lemmatizer, nominal_flags: set[str]):
         self.lemmatizer = lemmatizer
         self.analyzer = lemmatizer.analyzer
         self.nominal_flags = set(nominal_flags)
@@ -54,7 +54,7 @@ class Nominalizer:
                     f"{''.join(licensed)}"
                 )
 
-    def nominalize(self, verb: str) -> Optional[str]:
+    def nominalize(self, verb: str) -> str | None:
         """The rule-specified nominal form, or None when no such form is on record."""
         infinitive = self.lemmatizer.lemmatize(verb, Pos.VERB)
         flags = [f for f in self.analyzer.lexicon.get(infinitive) or ()

@@ -1,12 +1,50 @@
-"""Morphological feature values and the feature bundle attached to rules and analyses."""
+"""Morphological feature values and the feature bundle attached to rules and analyses.
+
+Each feature's values are a kind (``Pos``, ``Gender``, ...): a ``str``
+subclass whose members are its only instances, one per value, each equal to
+its text. ``Pos.VERB == "verb"``, ``Pos("verb") is Pos.VERB`` and
+``Pos.VERB.value`` is the plain ``str`` ``"verb"``. Iterating a kind gives
+its members in the order the class declares them. Copying or pickling a
+member gives the member back.
+"""
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 
-class Pos(str, Enum):
+class _KindType(type):
+    """The type of a kind: each upper-case attribute of the class body becomes a member."""
+
+    def __init__(cls, name, bases, namespace):
+        super().__init__(name, bases, namespace)
+        cls._members = {}
+        for key, text in namespace.items():
+            if key.isupper():
+                member = str.__new__(cls, text)
+                member.value = text
+                cls._members[text] = member
+                setattr(cls, key, member)
+
+    def __call__(cls, text):
+        """The member whose text is ``text``; ValueError when there is none."""
+        try:
+            return cls._members[text]
+        except (KeyError, TypeError):
+            raise ValueError(f"{text!r} is not a valid {cls.__name__}") from None
+
+    def __iter__(cls):
+        return iter(cls._members.values())
+
+
+class Kind(str, metaclass=_KindType):
+    """A member of a kind of value; ``value`` is its text as a plain ``str``."""
+
+    def __reduce__(self):
+        return type(self), (self.value,)
+
+
+class Pos(Kind):
     VERB = "verb"
     NOUN = "noun"
     ADJECTIVE = "adjective"
@@ -14,23 +52,23 @@ class Pos(str, Enum):
     OTHER = "other"
 
 
-class Gender(str, Enum):
+class Gender(Kind):
     MALE = "male"
     FEMALE = "female"
 
 
-class Number(str, Enum):
+class Number(Kind):
     SINGULAR = "singular"
     PLURAL = "plural"
 
 
-class Person(str, Enum):
+class Person(Kind):
     FIRST = "first"
     SECOND = "second"
     THIRD = "third"
 
 
-class Mood(str, Enum):
+class Mood(Kind):
     INFINITIVE = "infinitive"
     INDICATIVE = "indicative"
     SUBJUNCTIVE = "subjunctive"
@@ -39,7 +77,7 @@ class Mood(str, Enum):
     GERUND = "gerund"
 
 
-class Tense(str, Enum):
+class Tense(Kind):
     PRESENT = "present"
     PAST = "past"
     FUTURE = "future"
@@ -47,12 +85,13 @@ class Tense(str, Enum):
     IMPERFECT = "imperfect"
 
 
-class Animacy(str, Enum):
+class Animacy(Kind):
     ANIMATE = "animate"
     INANIMATE = "inanimate"
 
 
-_FIELD_ENUMS = {
+#: Each field of a ``FeatureSet``, in order, and the kind of its values.
+_FIELD_KINDS = {
     "pos": Pos,
     "gender": Gender,
     "number": Number,
@@ -70,16 +109,10 @@ _VERBAL_FIELDS = ("mood", "tense")
 _GENDERED_POS = (Pos.NOUN, Pos.ADJECTIVE, Pos.PRONOUN)
 
 
-class FeatureSet(NamedTuple):
+class FeatureSet(namedtuple("FeatureSet", _FIELD_KINDS, defaults=(None,) * len(_FIELD_KINDS))):
     """A bundle of morphological feature values; every field may be unset (None)."""
 
-    pos: Optional[Pos] = None
-    gender: Optional[Gender] = None
-    number: Optional[Number] = None
-    person: Optional[Person] = None
-    mood: Optional[Mood] = None
-    tense: Optional[Tense] = None
-    animate: Optional[Animacy] = None
+    __slots__ = ()
 
     def validate(self) -> None:
         """Enforce pos-conditional constraints; raises ValueError on violation."""
@@ -97,24 +130,24 @@ class FeatureSet(NamedTuple):
         return {name: (value.value if value else None) for name, value in zip(self._fields, self)}
 
     @classmethod
-    def from_values(cls, values) -> "FeatureSet":
+    def from_values(cls, values) -> FeatureSet:
         """Build from every field's value, in field order, as ``as_dict`` gives them."""
-        return cls._make([None if value is None else enum_cls(value)
-                          for enum_cls, value in zip(_FIELD_ENUMS.values(), values, strict=True)])
+        return cls._make([None if value is None else kind(value)
+                          for kind, value in zip(_FIELD_KINDS.values(), values, strict=True)])
 
     @classmethod
-    def from_cells(cls, cells: dict) -> "FeatureSet":
+    def from_cells(cls, cells: dict) -> FeatureSet:
         """Build from a mapping of column name to cell text.
 
         Empty cells and "-" mean unset. Unknown values raise ValueError.
         """
         values = {}
-        for name, enum_cls in _FIELD_ENUMS.items():
+        for name, kind in _FIELD_KINDS.items():
             raw = (cells.get(name) or "").strip()
             if raw in ("", "-"):
                 continue
             try:
-                values[name] = enum_cls(raw.lower())
+                values[name] = kind(raw.lower())
             except ValueError:
                 raise ValueError(f"invalid {name} value {raw!r}") from None
         fs = cls(**values)

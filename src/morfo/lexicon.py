@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import marshal
 import unicodedata
-from collections import Counter
-from typing import BinaryIO, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator
+from io import BufferedIOBase
 
 from morfo import cache, resources
 from morfo.errors import LoadError
@@ -43,11 +44,10 @@ def normalize(word: str) -> str:
     return lower if lower.isascii() else unicodedata.normalize("NFC", lower)
 
 
-class LexEntry(NamedTuple):
+class LexEntry(namedtuple("LexEntry", "root flags")):
     """A root and its flags: ordered, duplicate-free single-letter codes."""
 
-    root: str
-    flags: tuple
+    __slots__ = ()
 
     def to_line(self) -> str:
         return self.root + ("/" + "".join(self.flags) if self.flags else "")
@@ -69,16 +69,16 @@ class Lexicon:
     builds every part left. Its map is in no set order.
     """
 
-    def __init__(self, flags: Dict[str, tuple]):
+    def __init__(self, flags: dict[str, tuple]):
         self._flags = flags
         self.get = flags.get
-        self._table: Optional[List[Tuple[tuple, int, str]]] = None
+        self._table: list[tuple[tuple, int, str]] | None = None
         # Root prefix -> the marshalled part of its roots, for each part not
         # yet built into ``_flags``.
-        self._unbuilt: Dict[str, bytes] = {}
+        self._unbuilt: dict[str, bytes] = {}
 
     @property
-    def flags(self) -> Dict[str, tuple]:
+    def flags(self) -> dict[str, tuple]:
         for prefix in list(self._unbuilt):
             self._build(prefix)
         return self._flags
@@ -92,7 +92,7 @@ class Lexicon:
     def __eq__(self, other) -> bool:
         return isinstance(other, Lexicon) and self.flags == other.flags
 
-    def flag_table(self) -> List[Tuple[tuple, int, str]]:
+    def flag_table(self) -> list[tuple[tuple, int, str]]:
         """(flags, root count, first root) per distinct flag tuple, in the order of first roots."""
         if self._table is None:
             flags = self.flags
@@ -102,7 +102,7 @@ class Lexicon:
             self._table = [(f, count, first[f]) for f, count in counts.items()]
         return self._table
 
-    def _probe(self, root: str) -> Optional[tuple]:
+    def _probe(self, root: str) -> tuple | None:
         """``get`` while some parts are not built: a miss builds the part of ``root``."""
         flags = self._flags.get(root)
         if flags is None:
@@ -140,9 +140,9 @@ def _check_line(line: str, line_no: int) -> None:
 
 def load_dictionary(source: Iterable[bytes | str]) -> Lexicon:
     """Load a dictionary stream, merging duplicate roots by flag-set union."""
-    merged: Dict[str, tuple] = {}
+    merged: dict[str, tuple] = {}
     # Flag text -> its duplicate-free tuple, one object per distinct tuple.
-    shared: Dict[str, tuple] = {}
+    shared: dict[str, tuple] = {}
     for first_line_no, block in resources.line_blocks(source):
         for line_no, line in enumerate(block, first_line_no):
             line = line.strip()
@@ -171,7 +171,7 @@ def _to_data(lexicon: Lexicon) -> tuple:
     A part is the dict of the roots that start with one prefix, their first
     two letters.
     """
-    parts: Dict[str, Dict[str, tuple]] = {}
+    parts: dict[str, dict[str, tuple]] = {}
     for root, flags in lexicon.flags.items():
         parts.setdefault(root[:2], {})[root] = flags
     return lexicon.flag_table(), {prefix: marshal.dumps(part) for prefix, part in parts.items()}
@@ -194,7 +194,7 @@ def _from_data(data: tuple) -> Lexicon:
     return lexicon
 
 
-def load_cached_dictionary(stream: BinaryIO) -> Lexicon:
+def load_cached_dictionary(stream: BufferedIOBase) -> Lexicon:
     """``load_dictionary(stream)``, from the CLI's cache (``cache.load``) while it is current.
 
     The entry holds the roots by prefix (``_to_data``), with the flag table,

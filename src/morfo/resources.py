@@ -14,13 +14,9 @@ from __future__ import annotations
 
 import codecs
 import os
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, TypeVar)
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from morfo.errors import LoadError
-
-if TYPE_CHECKING:
-    from pathlib import Path
 
 DATA_ENV = "MORFO_DATA"
 
@@ -37,10 +33,7 @@ CONLL_MAPPING = "conll_mapping.tsv"
 #: the 8 KiB output buffer and 794 with 8 KiB reads.
 READ_SIZE = 2048
 
-T = TypeVar("T")
-
-
-def data_file(name: str, override: Optional[str] = None) -> str:
+def data_file(name: str, override: str | None = None) -> str:
     """Resolve a data file's path: explicit override > $MORFO_DATA dir > packaged data.
 
     An override is returned as it is given, even ``""``, which names no
@@ -56,7 +49,7 @@ def data_file(name: str, override: Optional[str] = None) -> str:
     return os.path.join(os.path.dirname(__file__), "data", name)
 
 
-def data_path(name: str, override: Optional[str] = None) -> Path:
+def data_path(name: str, override: str | None = None):
     """``data_file(name, override)`` as a ``pathlib.Path``."""
     from pathlib import Path  # only library callers need it; the CLI uses ``data_file``
 
@@ -91,7 +84,7 @@ def blocks(source: Iterable[bytes | str]) -> Iterator[bytes | str]:
         yield from chunks
 
 
-def line_blocks(source: Iterable[bytes | str]) -> Iterator[Tuple[int, List[str]]]:
+def line_blocks(source: Iterable[bytes | str]) -> Iterator[tuple[int, list[str]]]:
     """``(number of its first line, its lines)`` for every one of ``blocks(source)``.
 
     A ``bytes`` block is decoded as UTF-8 at once. Lines lose their LF or
@@ -125,13 +118,13 @@ def line_blocks(source: Iterable[bytes | str]) -> Iterator[Tuple[int, List[str]]
             raise error
 
 
-def lines(source: Iterable[bytes | str]) -> Iterator[Tuple[int, str]]:
+def lines(source: Iterable[bytes | str]) -> Iterator[tuple[int, str]]:
     """Yield ``(line_no, line)`` for every line of ``line_blocks(source)``."""
     for first_line_no, block in line_blocks(source):
         yield from enumerate(block, first_line_no)
 
 
-def data_lines(source: Iterable[bytes | str]) -> Iterator[Tuple[int, str]]:
+def data_lines(source: Iterable[bytes | str]) -> Iterator[tuple[int, str]]:
     """``lines(source)`` without blank and ``#`` lines."""
     for line_no, line in lines(source):
         stripped = line.lstrip()
@@ -143,8 +136,8 @@ def read_table(
     source: Iterable[bytes | str],
     columns: Sequence[str],
     required: Sequence[str],
-    parse_row: Callable[[Dict[str, str], int], T],
-) -> List[T]:
+    parse_row: Callable[[dict[str, str], int], object],
+) -> list:
     """Parse a tab-separated table with a header row, one ``parse_row(row, line_no)`` per row.
 
     Header names are matched case-insensitively, with spaces read as ``_``,
@@ -153,8 +146,8 @@ def read_table(
     every column, stripped, with ``""`` for cells the row or the header lacks;
     a ``ValueError`` it raises becomes a ``LoadError`` naming the row's line.
     """
-    header: Optional[List[str]] = None
-    out: List[T] = []
+    header: list[str] | None = None
+    out = []
     for line_no, line in data_lines(source):
         cells = line.split("\t")
         if header is None:

@@ -15,9 +15,11 @@ pattern has a fixed length and reverse application stays tractable.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from functools import partial
+from io import BufferedIOBase
 from itertools import count
-from typing import BinaryIO, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from morfo import cache, features, resources
 from morfo.errors import warn
@@ -57,7 +59,7 @@ def _tests(src: str, what: str) -> tuple:
     return tuple(tests)
 
 
-def parse_stem_pattern(source: str) -> Tuple[tuple, tuple]:
+def parse_stem_pattern(source: str) -> tuple[tuple, tuple]:
     """Check ``source`` against the dialect; return (the tests of its replaced part, all its
     tests, context first)."""
     src = source.strip()
@@ -94,7 +96,8 @@ def ends_with(word: str, tests: tuple) -> bool:
     return True
 
 
-class MorphRule(NamedTuple):
+class MorphRule(namedtuple("MorphRule", "rule_id flag stem_ending morph_ending features replaced "
+                                        "tests line_no example", defaults=(0, None))):
     """One rule: on a root licensed by ``flag``, ``stem_ending`` becomes ``morph_ending``.
 
     ``tests`` holds the position tests (see ``ends_with``) of the letters
@@ -106,20 +109,12 @@ class MorphRule(NamedTuple):
     when none. Equality compares every field.
     """
 
-    rule_id: int
-    flag: str
-    stem_ending: str
-    morph_ending: str
-    features: FeatureSet
-    replaced: tuple
-    tests: tuple
-    line_no: int = 0
-    example: Optional[Tuple[str, str]] = None
+    __slots__ = ()
 
     @classmethod
     def build(cls, flag: str, stem_ending: str, morph_ending: str,
               features: Callable[[], FeatureSet], rule_id: int = 0, line_no: int = 0,
-              example: Optional[Tuple[str, str]] = None) -> "MorphRule":
+              example: tuple[str, str] | None = None) -> MorphRule:
         """A rule, ``features()`` called last.
 
         A bad flag, pattern or feature set raises ValueError, checked in that order.
@@ -134,9 +129,9 @@ class MorphRule(NamedTuple):
 class RuleTable:
     """Rules in file order, bucketed by flag."""
 
-    def __init__(self, rules: List[MorphRule]):
+    def __init__(self, rules: list[MorphRule]):
         self.rules = list(rules)
-        self.by_flag: Dict[str, List[MorphRule]] = {}
+        self.by_flag: dict[str, list[MorphRule]] = {}
         for rule in self.rules:
             self.by_flag.setdefault(rule.flag, []).append(rule)
         self.by_id = {r.rule_id: r for r in self.rules}
@@ -152,16 +147,16 @@ def _dash(cell: str) -> str:
 def load_rules(source: Iterable[bytes | str]) -> RuleTable:
     """Load the tab-separated rule table; raises LoadError naming the bad row."""
     rule_ids = count(1)
-    feature_sets: Dict[tuple, FeatureSet] = {}  # feature cells -> their FeatureSet
+    feature_sets: dict[tuple, FeatureSet] = {}  # feature cells -> their FeatureSet
 
-    def features_of(row: Dict[str, str]) -> FeatureSet:
+    def features_of(row: dict[str, str]) -> FeatureSet:
         cells = tuple(map(row.__getitem__, _FEATURE_COLUMNS))
         found = feature_sets.get(cells)
         if found is None:
             found = feature_sets[cells] = FeatureSet.from_cells(row)
         return found
 
-    def parse(row: Dict[str, str], line_no: int) -> MorphRule:
+    def parse(row: dict[str, str], line_no: int) -> MorphRule:
         return MorphRule.build(row["flag"], _dash(row["stem_ending"]), _dash(row["morph_ending"]),
                                partial(features_of, row), next(rule_ids), line_no=line_no)
 
@@ -170,7 +165,7 @@ def load_rules(source: Iterable[bytes | str]) -> RuleTable:
 
 def _rows(table: RuleTable) -> list:
     """``table`` as plain data: one row per rule, its features as their values."""
-    values: Dict[FeatureSet, tuple] = {}
+    values: dict[FeatureSet, tuple] = {}
     rows = []
     for rule in table.rules:
         found = values.get(rule.features)
@@ -183,7 +178,7 @@ def _rows(table: RuleTable) -> list:
 
 def _table(rows: list) -> RuleTable:
     """The rule table whose ``_rows`` are ``rows``, with one ``FeatureSet`` per distinct values."""
-    feature_sets: Dict[tuple, FeatureSet] = {}
+    feature_sets: dict[tuple, FeatureSet] = {}
     rules = []
     for rule_id, flag, stem_ending, morph_ending, values, replaced, tests, line_no in rows:
         found = feature_sets.get(values)
@@ -194,7 +189,7 @@ def _table(rows: list) -> RuleTable:
     return RuleTable(rules)
 
 
-def load_cached_rules(stream: BinaryIO) -> RuleTable:
+def load_cached_rules(stream: BufferedIOBase) -> RuleTable:
     """``load_rules(stream)``, from the CLI's cache (``cache.load``) while it is current.
 
     The entry holds one row per rule (``_rows``); its stamp covers this
@@ -214,26 +209,24 @@ def dump_rules(rules: Iterable[MorphRule]) -> str:
     return "\n".join(out) + "\n"
 
 
-def apply_rule(root: str, rule: MorphRule) -> Optional[str]:
+def apply_rule(root: str, rule: MorphRule) -> str | None:
     """Apply one rule forward; None when the root's ending does not match."""
     if not ends_with(root, rule.tests):
         return None
     return root[:len(root) - len(rule.replaced)] + rule.morph_ending
 
 
-class ExpandedForm(NamedTuple):
-    form: str
-    rule_id: int
-    features: FeatureSet
+#: A form that a rule makes from a root.
+ExpandedForm = namedtuple("ExpandedForm", "form rule_id features")
 
 
-def expand_entry(entry: LexEntry, table: RuleTable) -> List[ExpandedForm]:
+def expand_entry(entry: LexEntry, table: RuleTable) -> list[ExpandedForm]:
     """All forms produced by the entry's licensed rules, in flag then rule order.
 
     A rule that would rewrite the whole root to nothing produces no form: no
     lookup can reach the empty word.
     """
-    out: List[ExpandedForm] = []
+    out: list[ExpandedForm] = []
     for flag in entry.flags:
         bucket = table.by_flag.get(flag)
         if bucket is None:

@@ -1105,23 +1105,25 @@ def test_import_and_a_quiet_run_load_no_dataclasses_inspect_or_logging(tmp_path)
 
 def test_a_plain_command_line_loads_no_argparse():
     """A plain run of each stream command and of ``evaluate`` loads none of argparse, gettext,
-    locale and pathlib; ``--help`` still prints through argparse.
+    locale and pathlib, nor enum, typing and re; ``--help`` still prints through argparse.
 
+    ``--format jsonl`` loads ``json``, whose decoder loads ``re``, and ``re`` loads ``enum``.
     ``-S`` keeps out ``site``, whose ``.pth`` hooks may import them themselves.
     """
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     script = ("import sys, morfo.cli\n"
               "code = morfo.cli.run(sys.argv[1:])\n"
-              "loaded = {'argparse', 'gettext', 'locale', 'pathlib'} & set(sys.modules)\n"
-              "print(sorted(loaded), file=sys.stderr)\n"
+              "loaded = {'argparse', 'gettext', 'locale', 'pathlib', 'enum', 'typing', 're'}\n"
+              "print(sorted(loaded & set(sys.modules)), file=sys.stderr)\n"
               "sys.exit(code)\n")
     conll = str(FIXTURES / "sample.conll")
-    for argv in (["analyze"], ["lemmatize", "--format", "jsonl"], ["nominalize"],
+    for argv in (["analyze"], ["lemmatize"], ["lemmatize", "--format", "jsonl"], ["nominalize"],
                  ["split-clitics", "--verbs-only"], ["evaluate", "--conll", conll]):
         proc = subprocess.run([sys.executable, "-S", "-c", script, *argv], input=b"amo\n",
                               capture_output=True, env=env)
         assert proc.returncode == 0, argv
-        assert proc.stderr.decode().splitlines()[-1] == "[]", argv
+        loaded = "['enum', 're']" if "jsonl" in argv else "[]"
+        assert proc.stderr.decode().splitlines()[-1] == loaded, argv
         stdin = "" if argv[0] == "evaluate" else "amo\n"
         assert proc.stdout.decode() == invoke(argv, stdin)[1]
 

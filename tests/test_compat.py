@@ -5,6 +5,7 @@ import copy
 import io
 import os
 import pickle
+import re
 import shlex
 import subprocess
 import sys
@@ -13,10 +14,14 @@ from pathlib import Path
 import pytest
 
 import morfo
-from morfo import (Animacy, CliticSplit, FeatureSet, Gender, LexEntry, Mood, MorphRule, Person,
-                   Pos, Tense)
+from morfo import (Analyzer, Animacy, CliticSplit, FeatureSet, Gender, LexEntry, Mood, MorphRule,
+                   Number, Person, Pos, Provenance, Tense, load_default_table, load_dictionary,
+                   load_pronoun_table)
+from morfo import rules as rules_module
 from morfo.cli import run
-from morfo.rules import dump_rules, parse_stem_pattern
+from morfo.conll_eval import load_mapping
+from morfo.resources import data_path
+from morfo.rules import dump_rules, load_cached_rules, parse_stem_pattern
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -145,3 +150,86 @@ def test_value_types_copy_and_pickle(value):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
         assert twin.__reduce__() == value.__reduce__()
+
+
+#: Each kind of value, with its members' texts in declaration order.
+_KINDS = {
+    Pos: ("verb", "noun", "adjective", "pronoun", "other"),
+    Gender: ("male", "female"),
+    Number: ("singular", "plural"),
+    Person: ("first", "second", "third"),
+    Mood: ("infinitive", "indicative", "subjunctive", "imperative", "participle", "gerund"),
+    Tense: ("present", "past", "future", "conditional", "imperfect"),
+    Animacy: ("animate", "inanimate"),
+    Provenance: ("dictionary", "default_fallback", "irregular_table"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_KINDS), ids=lambda kind: kind.__name__)
+def test_a_kind_iterates_its_members_in_declaration_order(kind):
+    members = list(kind)
+    assert [member.value for member in members] == list(_KINDS[kind])
+    for member in members:
+        assert type(member) is kind and isinstance(member, str)
+        assert type(member.value) is str and member == member.value and str(member) == member.value
+        assert kind(member.value) is member and kind(member) is member
+        assert getattr(kind, member.value.upper()) is member
+    assert hash(Pos.VERB) == hash("verb") and f"{Pos.VERB}" == "verb"
+
+
+@pytest.mark.parametrize("text", ["Verb", "VERB", "", None, ["verb"], Mood.GERUND])
+def test_a_kind_called_with_no_members_text_names_the_kind(text):
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(text))} is not a valid Pos$"):
+        Pos(text)
+
+
+@pytest.mark.parametrize("member", [member for kind in _KINDS for member in kind])
+def test_a_copied_or_pickled_member_is_the_member(member):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(member, protocol)) is member
+    assert copy.copy(member) is member and copy.deepcopy(member) is member
+    features = FeatureSet(Pos.VERB, mood=Mood.GERUND)
+    assert pickle.loads(pickle.dumps(features)).mood is Mood.GERUND
+    assert copy.deepcopy(features).pos is Pos.VERB
+
+
+def _own_members(values) -> bool:
+    """Whether every value set in each of ``values``, a feature set, is its kind's member."""
+    kinds = list(_KINDS)[:len(FeatureSet._fields)]
+    return all(value is None or kind(value.value) is value
+               for features in values for kind, value in zip(kinds, features, strict=True))
+
+
+def test_loaders_give_the_kinds_own_members(tmp_path, monkeypatch):
+    rules_tsv = tmp_path / "rules.tsv"
+    rules_tsv.write_bytes(data_path("rules.tsv").read_bytes())
+    os.utime(rules_tsv, (1_000_000_000, 1_000_000_000))  # long enough ago to be cached
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    with open(rules_tsv, "rb") as stream:
+        parsed = load_cached_rules(stream)
+
+    def not_parsed(_stream):
+        raise AssertionError("parsed, not loaded from the cache")
+
+    monkeypatch.setattr(rules_module, "load_rules", not_parsed)
+    with open(rules_tsv, "rb") as stream:
+        cached = load_cached_rules(stream)
+    assert cached.rules == parsed.rules and len(cached) > 100
+    for table in (parsed, cached):
+        assert _own_members(rule.features for rule in table.rules)
+
+    with open(data_path("defaults.tsv"), "rb") as stream:
+        defaults = load_default_table(stream)
+    assert _own_members(row.features for row in defaults)
+    with open(data_path("pronouns.tsv"), "rb") as stream:
+        pronouns = load_pronoun_table(stream)
+    assert _own_members(pronouns.values())
+    assert {features.pos for features in pronouns.values()} == {Pos.PRONOUN}
+    with open(data_path("conll_mapping.tsv"), "rb") as stream:
+        mapping = load_mapping(stream)
+    assert mapping.pos_map and all(Pos(pos.value) is pos for pos in mapping.pos_map.values())
+    with open(data_path("dictionary.txt"), "rb") as stream:
+        analyzer = Analyzer(load_dictionary(stream), cached, defaults)
+    readings = [analyzer.preferred_analysis(word) for word in ("amo", "xyzzy", "fue")]
+    assert all(a.provenance is p for a, p in zip(readings, Provenance, strict=True))
+    assert _own_members(a.features for a in readings)
