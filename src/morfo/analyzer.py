@@ -13,10 +13,13 @@ on the end of the stem, the word less the morph ending; any other rule gives
 the word back from every such root, so it needs no check. Rules that replace
 a whole root (``ser`` -> ``fue``) need no special case. A reading whose lemma
 starts with a different letter from the word is labelled ``irregular_table``,
-every other one ``dictionary``. ``analyze`` sorts the readings;
-``preferred_analysis`` takes the least of them under its preference order,
-which is total, without sorting. When no reading exists, a single fallback
-analysis comes from an ordered table of word-ending defaults.
+every other one ``dictionary``. ``analyze`` sorts the readings. The
+preferred reading is the least of them under a preference order, which is
+total, so it is taken without sorting; one step, ``Analyzer._preferred``,
+picks it and labels its provenance, as a plain tuple. ``preferred_analysis``
+wraps that tuple in an ``Analysis``, and the CLI's ``analyze`` renders it as
+it is. When no reading exists, a single fallback analysis comes from an
+ordered table of word-ending defaults.
 """
 
 from __future__ import annotations
@@ -260,10 +263,6 @@ class Analyzer:
                 return catch_all
         return _UNSET
 
-    def _fallback_analysis(self, surface: str, pos_hint: Pos | None) -> Analysis:
-        return Analysis(surface, surface, None, self._default_features(surface, pos_hint),
-                        _FALLBACK)
-
     # -- public API -----------------------------------------------------------
 
     def analyze(self, word: str, pos_hint: Pos | None = None) -> list[Analysis]:
@@ -276,7 +275,8 @@ class Analyzer:
         surface = normalize(word)
         readings = self._kept(surface, pos_hint)
         if not readings:
-            return [self._fallback_analysis(surface, pos_hint)]
+            return [Analysis(surface, surface, None, self._default_features(surface, pos_hint),
+                             _FALLBACK)]
         if len(readings) > 1:
             first = surface[0]
             readings.sort(key=lambda r: (1, r[0], r[1].rule_id) if r[0][0] == first
@@ -289,16 +289,27 @@ class Analyzer:
         For a word ending in -o, -a, -os or -as, noun readings come first and
         participle readings last. Then the lower rule id wins, then the lemma
         that sorts first. A fallback analysis is always the only one. The
-        readings are not sorted: this order is total, so the least of them is
-        the answer.
+        reading is picked by ``_preferred``, the one step that picks it and
+        labels its provenance.
         """
         surface = normalize(word)
+        return Analysis(surface, *self._preferred(surface, pos_hint))
+
+    def _preferred(self, surface: str, pos_hint: Pos | None) -> tuple:
+        """``(lemma, rule_id, features, provenance)`` of the preferred reading of
+        ``surface``, a word already normalized; ``rule_id`` is None for a fallback.
+
+        The readings are not sorted: the preference order is total, so the
+        least of them is the answer. The CLI's ``analyze`` renders this tuple
+        as it is, with no ``Analysis`` built.
+        """
         readings = self._kept(surface, pos_hint)
         if not readings:
-            return self._fallback_analysis(surface, pos_hint)
+            return surface, None, self._default_features(surface, pos_hint), _FALLBACK
         if len(readings) == 1:
             root, rule = readings[0]
         else:
             root, rule = min(readings, key=_rank_nominal if surface.endswith(_NOMINAL_ENDINGS)
                              else _rank)
-        return _analysis(surface, root, rule)
+        return (root, rule.rule_id, rule.features,
+                _DICTIONARY if root[0] == surface[0] else _IRREGULAR)

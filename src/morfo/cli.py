@@ -3,9 +3,14 @@ clitic splitting, rule-file import, and CoNLL evaluation over stdin/stdout.
 
 The stream commands read stdin in blocks of whole lines (``resources.blocks``,
 the reader the data-file loaders use too), split them as bytes, and write
-each block's output at once. For one run they keep the output of recently
-seen input lines, up to 8,192 (twice ``CACHE_SIZE``), and write it again
-when a line repeats; this changes speed only. The analyzer keeps no results.
+each block's output at once. Each command picks its output format once and
+hands ``_stream`` one function that gives a token's finished line. For
+``analyze`` that function renders the plain tuple of
+``Analyzer._preferred``, the step that also gives ``preferred_analysis`` its
+reading and provenance, so no ``Analysis`` is built for a line. For one run
+the commands keep the output of recently seen input lines, up to 8,192
+(twice ``CACHE_SIZE``), and write it again when a line repeats; this changes
+speed only. The analyzer keeps no results.
 
 Warnings print to stderr as ``morfo: [<file>: ]<message>`` (``errors.warn``).
 Start-up is kept short: importing this module loads none of ``dataclasses``,
@@ -50,7 +55,11 @@ EXIT_DATA = 2
 #: at 5,120 and 17.39 MB (+9.8%) at 8,192. On seed 7, a
 #: ``functools.lru_cache(8192)`` in place of the two generations missed
 #: 30,936 lines instead of 41,388, but peaked 2.7 MB higher (max of 8 runs)
-#: and was no faster (median wall 0.512 s against 0.458 s).
+#: and was no faster (median wall 0.512 s against 0.458 s). On seed 3, an
+#: ``OrderedDict`` LRU of 8,192 lines missed 31,040 lines instead of 41,653
+#: (seed 1: 30,705 instead of 41,250), but peaked 2.0 MB higher (17.92 MB
+#: against 15.92 MB, +12.6%, max of 8 runs) and was no faster (median wall
+#: 0.279 s against 0.278 s), so the two generations stay.
 CACHE_SIZE = 4096
 
 #: What ``morfo --help`` says above the commands.
@@ -95,27 +104,25 @@ class _BadLine(Exception):
     """A stdin line that is not ``token[<TAB>pos]`` text; ``_stream`` adds its number."""
 
 
-def _stream(args, stdin: BufferedIOBase, stdout: TextIOBase, result, tsv, jsonl) -> int:
-    """Write one rendered line per ``token`` or ``token<TAB>pos`` line of ``stdin``.
+def _json_encoder():
+    """``encode(record)``: the record as one line of JSON text, non-ASCII kept."""
+    import json  # only --format jsonl needs it
 
-    ``result(token, pos_hint)`` computes a token's value; ``tsv(token, value)``
-    renders it as a line, and ``jsonl(token, value)`` as a record that is
-    written as one JSON line. Lines are read in ``resources.blocks``, and
-    each block's output is written at once. The text written for a
-    raw line is kept in a young dict of up to ``CACHE_SIZE`` lines; a full
-    young dict becomes the old one, and a line found only there moves back to
-    the young one. On a bad line, the output of every line before it is
-    written, and the error names it.
+    return json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _stream(stdin: BufferedIOBase, stdout: TextIOBase, render) -> int:
+    """Write one line per ``token`` or ``token<TAB>pos`` line of ``stdin``.
+
+    ``render(token, pos_hint)`` is a command's finished output line for a
+    token, its newline included: the command picks its format once, so a
+    computed line costs one call here. Lines are read in ``resources.blocks``,
+    and each block's output is written at once. The text written for a raw
+    line is kept in a young dict of up to ``CACHE_SIZE`` lines; a full young
+    dict becomes the old one, and a line found only there moves back to the
+    young one. On a bad line, the output of every line before it is written,
+    and the error names it.
     """
-    if args.format == "jsonl":
-        import json  # only --format jsonl needs it
-
-        encode = json.JSONEncoder(ensure_ascii=False).encode
-
-        def render(token, value):
-            return encode(jsonl(token, value))
-    else:
-        render = tsv
 
     def output(raw: bytes) -> str:
         try:
@@ -133,7 +140,7 @@ def _stream(args, stdin: BufferedIOBase, stdout: TextIOBase, result, tsv, jsonl)
                 raise _BadLine(f"unknown pos tag {pos_text!r}")
         elif not token:
             return ""
-        return render(token, result(token, pos_hint)) + "\n"
+        return render(token, pos_hint)
 
     cache_size = CACHE_SIZE
     young, old = {}, {}
@@ -165,32 +172,43 @@ def _stream(args, stdin: BufferedIOBase, stdout: TextIOBase, result, tsv, jsonl)
 
 
 def cmd_analyze(args, stdin: BufferedIOBase, stdout: TextIOBase) -> int:
-    feature_cells = {}  # FeatureSet -> its six TSV cells, joined
+    # The preferred reading as a plain tuple: no Analysis is built for a line.
+    preferred = build_analyzer(args)._preferred
+    if args.format == "jsonl":
+        encode = _json_encoder()
 
-    def tsv(_token, a):
-        f = a.features
-        cells = feature_cells.get(f)
-        if cells is None:
-            # Every field but animate; a value is its own text.
-            cells = feature_cells[f] = "\t".join([value or "-" for value in f[:6]])
-        return "\t".join([a.surface, a.lemma, cells, a.provenance])
+        def render(token, pos_hint):
+            surface = normalize(token)
+            lemma, _rule_id, features, provenance = preferred(surface, pos_hint)
+            record = {"surface": surface, "lemma": lemma, **features.as_dict(),
+                      "provenance": provenance.value}
+            del record["animate"]
+            return encode(record) + "\n"
+    else:
+        feature_cells = {}  # FeatureSet -> its six TSV cells, joined
 
-    def jsonl(_token, a):
-        record = {"surface": a.surface, "lemma": a.lemma, **a.features.as_dict(),
-                  "provenance": a.provenance.value}
-        del record["animate"]
-        return record
+        def render(token, pos_hint):
+            surface = normalize(token)
+            lemma, _rule_id, features, provenance = preferred(surface, pos_hint)
+            cells = feature_cells.get(features)
+            if cells is None:
+                # Every field but animate; a value is its own text.
+                cells = feature_cells[features] = "\t".join([value or "-"
+                                                             for value in features[:6]])
+            return "\t".join([surface, lemma, cells, provenance]) + "\n"
 
-    return _stream(args, stdin, stdout, build_analyzer(args).preferred_analysis,
-                   tsv=tsv, jsonl=jsonl)
+    return _stream(stdin, stdout, render)
 
 
 def cmd_lemmatize(args, stdin: BufferedIOBase, stdout: TextIOBase) -> int:
     from morfo.derivers import Lemmatizer
 
-    return _stream(args, stdin, stdout, Lemmatizer(build_analyzer(args)).lemmatize,
-                   tsv=lambda _token, lemma: lemma,
-                   jsonl=lambda token, lemma: {"surface": token, "lemma": lemma})
+    lemmatize = Lemmatizer(build_analyzer(args)).lemmatize
+    if args.format == "jsonl":
+        encode = _json_encoder()
+        return _stream(stdin, stdout, lambda token, pos_hint: encode(
+            {"surface": token, "lemma": lemmatize(token, pos_hint)}) + "\n")
+    return _stream(stdin, stdout, lambda token, pos_hint: lemmatize(token, pos_hint) + "\n")
 
 
 def cmd_nominalize(args, stdin: BufferedIOBase, stdout: TextIOBase) -> int:
@@ -199,29 +217,34 @@ def cmd_nominalize(args, stdin: BufferedIOBase, stdout: TextIOBase) -> int:
     analyzer = build_analyzer(args)
     nominal_flags = _load(resources.NOMINAL_FLAGS, args.nominal_flags, load_nominal_flags)
     try:
-        nominalizer = Nominalizer(Lemmatizer(analyzer), nominal_flags)
+        nominalize = Nominalizer(Lemmatizer(analyzer), nominal_flags).nominalize
     except LoadError as exc:  # a dictionary entry with two nominal flags
         raise DataFileError(resources.data_file(resources.DICTIONARY, args.dict), exc) from exc
-    return _stream(args, stdin, stdout, lambda token, _pos: nominalizer.nominalize(token),
-                   tsv=lambda _token, nominal: nominal or "-",
-                   jsonl=lambda token, nominal: {"surface": token, "nominal": nominal})
+    if args.format == "jsonl":
+        encode = _json_encoder()
+        return _stream(stdin, stdout, lambda token, _pos: encode(
+            {"surface": token, "nominal": nominalize(token)}) + "\n")
+    return _stream(stdin, stdout, lambda token, _pos: (nominalize(token) or "-") + "\n")
 
 
 def cmd_split_clitics(args, stdin: BufferedIOBase, stdout: TextIOBase) -> int:
-    from morfo.clitics import CliticSplit, CliticSplitter, load_pronoun_table
+    from morfo.clitics import CliticSplitter, load_pronoun_table
 
     analyzer = build_analyzer(args)
     pronouns = _load(resources.PRONOUNS, args.pronouns, load_pronoun_table)
-    splitter = CliticSplitter(analyzer, pronouns)
+    split_clitics = CliticSplitter(analyzer, pronouns).split_clitics
+    encode = _json_encoder() if args.format == "jsonl" else None
 
-    def split(token, pos_hint) -> CliticSplit:
+    def render(token, pos_hint):
         if args.verbs_only and pos_hint not in (None, Pos.VERB):
-            return CliticSplit(normalize(token), (), ())
-        return splitter.split_clitics(token)
+            verb_part, clitics = normalize(token), ()
+        else:
+            verb_part, clitics, _pronouns = split_clitics(token)
+        if encode is None:
+            return "\t".join([verb_part, *clitics]) + "\n"
+        return encode({"verb_part": verb_part, "clitics": list(clitics)}) + "\n"
 
-    return _stream(args, stdin, stdout, split,
-                   tsv=lambda _token, s: "\t".join([s.verb_part, *s.clitics]),
-                   jsonl=lambda _token, s: {"verb_part": s.verb_part, "clitics": list(s.clitics)})
+    return _stream(stdin, stdout, render)
 
 
 def cmd_import_coes(args, stdin: BufferedIOBase, stdout: TextIOBase) -> int:

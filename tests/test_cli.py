@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import unicodedata
 import warnings
 from functools import cache
 from pathlib import Path
@@ -490,12 +491,14 @@ def test_byte_order_mark_is_dropped_from_line_1_only(monkeypatch):
 
 
 def test_analyzer_value_errors_are_not_reported_as_bad_lines(monkeypatch):
-    def fail(self, token, pos_hint=None):
+    def fail(self, surface, pos_hint):
         raise ValueError("analyzer fault")
 
-    monkeypatch.setattr(Analyzer, "preferred_analysis", fail)
-    with pytest.raises(ValueError, match="analyzer fault"):
-        invoke(["analyze"], "amo\n")
+    # The step that analyze calls for each computed line, in either format.
+    monkeypatch.setattr(Analyzer, "_preferred", fail)
+    for fmt in ("tsv", "jsonl"):
+        with pytest.raises(ValueError, match="analyzer fault"):
+            invoke(["analyze", "--format", fmt], "amo\n")
 
 
 def test_data_file_not_utf8_exits_2(tmp_path, capsys):
@@ -1020,6 +1023,92 @@ def test_process_output_equals_in_process_output(generation_set):
         assert (proc.returncode, proc.stderr) == (code, b"") == (0, b"")
         assert proc.stdout.decode("utf-8") == expected
         assert len(proc.stdout) > 64 * 1024
+
+
+def _rendered_analysis(analyzer, token, pos_hint, fmt):
+    """``analyze``'s line for ``token``, rendered from ``preferred_analysis`` as an
+    ``Analysis``: the TSV cells, ``-`` for an unset feature, or the JSON record."""
+    a = analyzer.preferred_analysis(token, pos_hint)
+    features = a.features.as_dict()
+    del features["animate"]
+    if fmt == "tsv":
+        return "\t".join([a.surface, a.lemma, *(value or "-" for value in features.values()),
+                          a.provenance.value]) + "\n"
+    return json.dumps({"surface": a.surface, "lemma": a.lemma, **features,
+                       "provenance": a.provenance.value}, ensure_ascii=False) + "\n"
+
+
+def _analyze_matches_preferred_analysis(analyzer, items):
+    """``analyze`` writes, in both formats and with the line cache at 1 and at its
+    real size, the rendering of ``preferred_analysis`` for each (token, pos hint)."""
+    text = "".join(token + ("\t" + pos_hint if pos_hint else "") + "\n"
+                   for token, pos_hint in items)
+    for fmt in ("tsv", "jsonl"):
+        expected = "".join(_rendered_analysis(analyzer, token, pos_hint, fmt)
+                           for token, pos_hint in items)
+        for cache_size in (1, cli.CACHE_SIZE):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "CACHE_SIZE", cache_size)
+                assert invoke(["analyze", "--format", fmt], text) == (0, expected), (
+                    fmt, cache_size)
+
+
+def _seed_analyze_items(analyzer, generation_set):
+    """(token, pos hint) over every seed generated form: bare, hinted with each
+    pos of its readings and with one pos it lacks; lowercase, capitalised and
+    both in NFD; then irregular forms and tokens that are not alphabetic."""
+    items = []
+    for form in sorted({form for _root, form, _rule, _features in generation_set}):
+        poses = sorted({a.features.pos for a in analyzer.analyze(form)} - {None})
+        lacking = next(pos for pos in Pos if pos not in poses)
+        spellings = {form, form.capitalize()}
+        spellings |= {unicodedata.normalize("NFD", spelling) for spelling in spellings}
+        items += [(spelling, hint) for spelling in sorted(spellings)
+                  for hint in (None, *poses, lacking)]
+    items += [(token, hint) for token in ("fue", "Fue", "fui", "fuimos", "fue1", "1fue", "fu-e",
+                                          "123", ",", "¿qué?", "e-mail", "o'clock", "amo.", "x")
+              for hint in (None, "verb", "noun")]
+    assert any(analyzer.preferred_analysis(token).provenance == "irregular_table"
+               for token, _hint in items)
+    return items
+
+
+def test_analyze_renders_preferred_analysis_of_every_seed_form(analyzer, generation_set):
+    """The plain tuple that ``analyze`` renders gives the same line, in both
+    formats, as the ``Analysis`` of ``preferred_analysis``: every reading,
+    provenance and fallback of the seed data, through both cache sizes."""
+    items = _seed_analyze_items(analyzer, generation_set)
+    provenances = {analyzer.preferred_analysis(token, hint).provenance for token, hint in items}
+    assert provenances == {"dictionary", "irregular_table", "default_fallback"}
+    _analyze_matches_preferred_analysis(analyzer, items)
+
+
+@settings(max_examples=100, deadline=None)
+@given(items=st.lists(st.tuples(
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\t\n"),
+            min_size=1, max_size=12).map(str.strip).filter(bool),
+    st.sampled_from([None, *(pos.value for pos in Pos)])), max_size=20))
+def test_analyze_renders_preferred_analysis_of_random_strings(analyzer, items):
+    _analyze_matches_preferred_analysis(analyzer, items)
+
+
+def test_process_jsonl_records_agree_with_tsv_lines(analyzer, generation_set):
+    """A ``--format jsonl`` child on real pipes writes, for each seed form, the
+    record whose fields are the cells of that form's TSV line."""
+    items = _seed_analyze_items(analyzer, generation_set)
+    text = "".join(token + ("\t" + hint if hint else "") + "\n" for token, hint in items)
+    code, tsv = invoke(["analyze"], text)
+    proc = _run_module(["analyze", "--format", "jsonl"], text.encode("utf-8"))
+    assert (code, proc.returncode, proc.stderr) == (0, 0, b"")
+    records = proc.stdout.decode("utf-8").splitlines()
+    lines = tsv.splitlines()
+    assert len(records) == len(lines) == len(items)
+    fields = ("surface", "lemma", "pos", "gender", "number", "person", "mood", "tense",
+              "provenance")
+    for record, line in zip(records, lines):
+        record = json.loads(record)
+        assert list(record) == list(fields)
+        assert [record[field] or "-" for field in fields] == line.split("\t")
 
 
 def test_process_answers_a_typed_line_before_end_of_input():
