@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from morfo.analyzer import Analyzer, Provenance
+from morfo.analyzer import Analyzer
 from morfo.errors import LoadError
 from morfo.features import FeatureSet, Mood, Pos
 from morfo.lexicon import normalize
@@ -67,12 +67,9 @@ class CliticSplitter:
     def _validates_as_host(self, verb_part: str) -> bool:
         if not verb_part:
             return False
-        for analysis in self.analyzer.analyze(verb_part, pos_hint=Pos.VERB):
-            if analysis.provenance is Provenance.DEFAULT_FALLBACK:
-                continue
-            if analysis.features.mood in HOST_MOODS:
-                return True
-        return False
+        # De-accenting can leave a vowel before a combining mark, which is not NFC.
+        readings = self.analyzer._kept(normalize(verb_part), Pos.VERB)
+        return any(rule.features.mood in HOST_MOODS for _, rule in readings)
 
     def _candidates(self, token: str):
         """Candidate (base, clitics) splits, longer clitic sequences first."""

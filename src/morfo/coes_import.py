@@ -2,9 +2,10 @@
 
 The source layout is ``flag *X:`` section headers followed by rule lines of
 the form ``PATTERN > -REMOVED, ADDED`` or ``PATTERN > ADDED``, with ``#``
-comments. Accents use the single-quote notation ('a for á); ñ may appear as
-~n or 'n. Mood/tense/number hints are recognized from the nearest preceding
-comment; every other feature cell is left blank for hand completion.
+comments; a header may carry one rule after its colon. Accents use the
+single-quote notation ('a for á); ñ may appear as ~n or 'n. Mood/tense/number
+hints are recognized from the nearest preceding comment; every other feature
+cell is left blank for hand completion.
 """
 
 from __future__ import annotations
@@ -163,9 +164,11 @@ def import_rules(
         header = _FLAG_HEADER.match(line)
         if header:
             close_block()
-            flag = header.group(1)
-            hints = _hints_from_comment(header.group(2))
-            continue
+            flag, line, hints = header.group(1), header.group(2), {}
+            if ">" not in line.partition("#")[0]:
+                hints = _hints_from_comment(line)
+                continue
+            # A rule on the header line reads as if it stood on the next line.
         rule_text, _, comment = line.partition("#")
         rule_text, comment = rule_text.strip(), comment.strip()
         if ">" not in rule_text:

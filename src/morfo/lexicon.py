@@ -10,8 +10,10 @@ roots in the on-disk cache (``morfo.cache``) and reuses them while the file
 and the parsing code are unchanged. The entry holds the roots in parts, one
 per first two letters, and a lexicon loaded from it builds each part when a
 lookup first probes a root of that part, so a short run over a large
-dictionary loads only the parts it reaches. A dictionary of fewer than
-``WHOLE_BELOW`` roots is built whole at once. The map of a lexicon loaded
+dictionary loads only the parts it reaches. While parts are unbuilt, each
+probe is a Python call; once those probes outnumber the roots still unbuilt,
+every part left is built, so a long run pays no more in such calls than the
+rest would cost to build (the rent-or-buy rule). The map of a lexicon loaded
 from the cache is in no set order. ``load_dictionary`` itself keeps no state
 and writes nothing.
 """
@@ -26,12 +28,6 @@ from io import BufferedIOBase
 
 from morfo import cache, resources
 from morfo.errors import LoadError
-
-#: A cached dictionary of fewer roots than this is built whole when it is
-#: loaded. A lexicon built part by part answers each probe through a Python
-#: call until every part is loaded, which costs more over a long run on a
-#: small dictionary than building the few parts at once.
-WHOLE_BELOW = 5_000
 
 
 def normalize(word: str) -> str:
@@ -65,8 +61,8 @@ class Lexicon:
     A parsed lexicon (``load_dictionary``) keeps the order of each root's
     first line. A lexicon loaded from the cache (``load_cached_dictionary``)
     may hold parts of its roots not yet built: ``get`` builds the part of a
-    root it does not find, and reading ``flags``, iterating or comparing
-    builds every part left. Its map is in no set order.
+    root it does not find (``_probe``), and reading ``flags``, iterating or
+    comparing builds every part left. Its map is in no set order.
     """
 
     def __init__(self, flags: dict[str, tuple]):
@@ -76,6 +72,8 @@ class Lexicon:
         # Root prefix -> the marshalled part of its roots, for each part not
         # yet built into ``_flags``.
         self._unbuilt: dict[str, bytes] = {}
+        # The lexicon's roots less the probes made through ``_probe``.
+        self._budget = 0
 
     @property
     def flags(self) -> dict[str, tuple]:
@@ -103,7 +101,11 @@ class Lexicon:
         return self._table
 
     def _probe(self, root: str) -> tuple | None:
-        """``get`` while some parts are not built: a miss builds the part of ``root``."""
+        """``get`` while some parts are not built: a miss builds the part of ``root``, and
+        once the probes made through here outnumber the roots unbuilt, every part left."""
+        self._budget -= 1
+        if self._budget < len(self._flags):  # the probes outnumber the roots left
+            self.flags  # builds every part left
         flags = self._flags.get(root)
         if flags is None:
             self._build(root[:2])
@@ -178,9 +180,8 @@ def _to_data(lexicon: Lexicon) -> tuple:
 
 
 def _from_data(data: tuple) -> Lexicon:
-    """A lexicon whose parts are built as ``get`` first probes them.
-
-    One of fewer than ``WHOLE_BELOW`` roots is built whole at once.
+    """A lexicon whose parts are built as ``get`` first probes them, and all at
+    once when the probes outnumber the roots left unbuilt (``Lexicon._probe``).
     """
     table, parts = data
     if type(table) is not list or type(parts) is not dict:
@@ -188,9 +189,8 @@ def _from_data(data: tuple) -> Lexicon:
     lexicon = Lexicon({})
     lexicon._table = table
     lexicon._unbuilt = parts
+    lexicon._budget = sum(count for _, count, _ in table)
     lexicon.get = lexicon._probe
-    if sum(count for _, count, _ in table) < WHOLE_BELOW:
-        lexicon.flags  # builds every part
     return lexicon
 
 

@@ -675,7 +675,6 @@ def test_an_unusable_cache_changes_nothing_but_speed(tmp_path, monkeypatch, caps
 
 def _parsed_then_cached_runs(argv, cache_home, monkeypatch, capsys, stdin_text=CACHE_INPUT):
     """(run with no cache, first cached run, run served from the entry in parts)."""
-    monkeypatch.setattr(lexicon, "WHOLE_BELOW", 0)
     monkeypatch.setenv("XDG_CACHE_HOME", "/dev/null")
     runs = [_cached_run(argv, capsys, stdin_text)]
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))

@@ -281,3 +281,27 @@ def test_infer_person_output_is_unchanged():
         "S\t(?<=[aeiouáéó])\ts\t\t\tplural\t\t\t\t",
         "S\t(?<=[úídjlmry])\tes\t\t\tplural\t\t\t\t",
     ]
+
+
+def test_a_rule_on_its_flag_header_line_reads_as_if_on_the_next_line(capsys):
+    one_line = ("flag *B: ser > -ser, fue  # ser fue\n"
+                "flag *V: # presente\n"
+                "ar > -ar, o\n"
+                "flag *S: [aeiou] > s  # vaca vacas\n")
+    two_lines = ("flag *B:\n"
+                 "ser > -ser, fue  # ser fue\n"
+                 "flag *V: # presente\n"
+                 "ar > -ar, o\n"
+                 "flag *S:\n"
+                 "[aeiou] > s  # vaca vacas\n")
+    rows = import_rules(io.StringIO(one_line))
+    expected = import_rules(io.StringIO(two_lines))
+    assert dump_rules(rows) == dump_rules(expected)
+    assert [row.example for row in rows] == [row.example for row in expected]
+    assert [row.line_no for row in rows] == [1, 3, 4]
+    assert dump_rules(rows).splitlines()[1:] == [
+        "B\tser\tfue\t\t\t\t\t\t\t",
+        "V\tar\to\t\t\t\t\t\tpresent\t",
+        "S\t(?<=[aeiou])\ts\t\t\t\t\t\t\t",
+    ]
+    assert capsys.readouterr().err == ""

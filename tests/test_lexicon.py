@@ -1,6 +1,7 @@
 import io
 import marshal
 import os
+import random
 import sys
 import tempfile
 import threading
@@ -155,11 +156,6 @@ def test_cached_load_equals_a_fresh_parse(lines, newline):
         assert loaded == fresh
 
 
-def test_cached_load_equals_a_fresh_parse_when_loaded_in_parts(monkeypatch):
-    monkeypatch.setattr(lexicon_module, "WHOLE_BELOW", 0)
-    test_cached_load_equals_a_fresh_parse()
-
-
 def _packaged_lines(name):
     return resources.data_path(name).read_text(encoding="utf-8").splitlines()
 
@@ -198,7 +194,6 @@ def test_a_lexicon_loaded_in_parts_answers_as_the_parsed_one(seed_lines, odd_lin
     rules = load_rules(rule_lines)
     with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", directory)
-        patch.setattr(lexicon_module, "WHOLE_BELOW", 0)
         path = Path(directory) / "dictionary.txt"
         path.write_text("\n".join(lines), encoding="utf-8")
         _settled(path)
@@ -258,7 +253,6 @@ def _part_loads(monkeypatch):
 
 
 def test_each_part_is_unmarshalled_at_most_once(tmp_path, monkeypatch):
-    monkeypatch.setattr(lexicon_module, "WHOLE_BELOW", 0)
     path = _seed_file(tmp_path)
     parsed = _load_file(path)  # and stored
     lexicon = _load_file(path)
@@ -272,9 +266,54 @@ def test_each_part_is_unmarshalled_at_most_once(tmp_path, monkeypatch):
     assert len(loads) == len(lexicon_module._to_data(parsed)[1])
 
 
+def test_probes_that_outnumber_the_roots_left_build_every_part(tmp_path, monkeypatch):
+    path = _seed_file(tmp_path)
+    parsed = _load_file(path)  # and stored
+    lexicon = _load_file(path)
+    loads = _part_loads(monkeypatch)
+    for root in list(parsed.flags)[::40]:  # builds the parts of these roots
+        assert lexicon.get(root) == parsed.get(root)
+    left = len(parsed) - len(lexicon._flags)
+    assert lexicon._unbuilt and left > 0
+    probes = 0
+    while lexicon._unbuilt and probes <= left:
+        # Distinct roots that no part holds: no root starts with a digit.
+        assert lexicon.get(f"{probes}x") is None
+        probes += 1
+    assert not lexicon._unbuilt
+    assert lexicon.get == lexicon.flags.get  # the map's own, with no Python call per probe
+    assert len(loads) == len(set(loads)) == len(lexicon_module._to_data(parsed)[1])
+    assert lexicon == parsed
+
+
+def test_a_short_run_over_a_large_dictionary_leaves_most_parts_unbuilt(tmp_path):
+    """The probes of a short run stay far below the roots left, so the bound builds nothing."""
+    rng = random.Random(7)
+    seed = [line for line in _SEED_LINES if "/" in line and line.index("/") > 4]
+    lines = {}
+    while len(lines) < 20_000:  # seed roots with new interiors, as the benchmark's are
+        root, flags = rng.choice(seed).split("/")
+        interior = "".join(rng.choices("abcdefghijlmnoprstuvz", k=rng.randint(1, 4)))
+        lines[root[0] + interior + root[-2:]] = flags
+    path = tmp_path / "dictionary.txt"
+    path.write_text("".join(f"{root}/{flags}\n" for root, flags in lines.items()),
+                    encoding="utf-8")
+    _settled(path)
+    parsed = _load_file(path)  # and stored
+    lexicon = _load_file(path)
+    rules = load_rules(_packaged_lines("rules.tsv"))
+    analyzer = Analyzer(lexicon, rules, load_default_table(_packaged_lines("defaults.tsv")))
+    parts = len(lexicon._unbuilt)
+    words = [form for entry in rng.sample(list(parsed), 50)
+             for form, _, _ in expand_entry(entry, rules)[:3]]
+    for word in words:
+        analyzer.preferred_analysis(word)
+    assert parts > 400
+    assert len(lexicon._unbuilt) > parts / 2
+
+
 def test_building_the_stack_over_a_lexicon_in_parts_builds_no_part(tmp_path, monkeypatch):
     """The analyzer's and derivers' construction reads the flag table, not the roots."""
-    monkeypatch.setattr(lexicon_module, "WHOLE_BELOW", 0)
     path = _seed_file(tmp_path)
     _load_file(path)
     lexicon = _load_file(path)
@@ -283,11 +322,11 @@ def test_building_the_stack_over_a_lexicon_in_parts_builds_no_part(tmp_path, mon
     assert loads == []
 
 
-def test_threads_probing_a_lexicon_in_parts_find_every_root(tmp_path, monkeypatch):
-    """Probes beside other threads' part builds, and one build of every part, miss no root."""
+def test_threads_probing_a_lexicon_in_parts_find_every_root(tmp_path):
+    """Probes beside other threads' part builds, and beside the builds of every part that
+    ``flags`` and the probe bound start, miss no root."""
     path = _seed_file(tmp_path)
     expected = _load_file(path).flags
-    monkeypatch.setattr(lexicon_module, "WHOLE_BELOW", 0)
     missed = []
 
     def probe(lexicon, roots):
