@@ -3,23 +3,24 @@
 A word is recognised the way Ispell and Hunspell recognise one: for every
 suffix of the word that some rule produces (its morph ending), the rest of
 the word plus the part that rule replaced is a candidate root. The morph
-endings are held reversed in a trie, so one walk from the end of the word,
-a letter at a time, reaches every ending the word has and stops at the first
-suffix that no rule produces. A replaced part that holds a character class
-stands for every root tail of its length that it matches, so each candidate
-is one dictionary probe. When the lexicon holds that root with the rule's
-flag, a rule with a ``(?<=...)`` context confirms it by testing its context
-on the end of the stem, the word less the morph ending; any other rule gives
-the word back from every such root, so it needs no check. Rules that replace
-a whole root (``ser`` -> ``fue``) need no special case. A reading whose lemma
+endings and the endings of the default table are held reversed in one trie,
+so one walk from the end of the word, a letter at a time, reaches every
+ending the word has and stops at the first suffix that is part of neither.
+A replaced part that holds a character class stands for every root tail of
+its length that it matches, so each candidate is one dictionary probe. When
+the lexicon holds that root with the rule's flag, a rule with a ``(?<=...)``
+context confirms it by testing its context on the end of the stem, the word
+less the morph ending; any other rule gives the word back from every such
+root, so it needs no check. Rules that replace a whole root (``ser`` ->
+``fue``) need no special case. A reading whose lemma
 starts with a different letter from the word is labelled ``irregular_table``,
 every other one ``dictionary``. ``analyze`` sorts the readings. The
 preferred reading is the least of them under a preference order, which is
 total, so it is taken without sorting; one step, ``Analyzer._preferred``,
 picks it and labels its provenance, as a plain tuple. ``preferred_analysis``
 wraps that tuple in an ``Analysis``, and the CLI's ``analyze`` renders it as
-it is. When no reading exists, a single fallback analysis comes from an
-ordered table of word-ending defaults.
+it is. When no reading is left (the walk tests the pos hint), the single
+fallback analysis takes the default features of the last node walked to.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ DefaultRow = namedtuple("DefaultRow", "ending features")
 
 _DEFAULT_COLUMNS = ("ending", "pos", "gender", "number", "person", "mood", "tense", "animate")
 
-#: The fallback features of a one-letter or non-alphabetic word, and of a word
-#: that no default row matches.
+#: The fallback features of a one-letter or non-alphabetic word (its fallbacks
+#: for any hint), and of a word that no default row matches.
 _OTHER = FeatureSet(pos=Pos.OTHER)
+_OTHERS = {None: _OTHER}
 _UNSET = FeatureSet()
 
 _NOMINAL_ENDINGS = ("o", "a", "os", "as")
@@ -78,20 +80,6 @@ def load_default_table(source: Iterable[bytes | str]) -> list[DefaultRow]:
     rows = read_table(source, _DEFAULT_COLUMNS, ("ending",), _parse_default)
     rows.sort(key=lambda r: -len(r.ending) if r.ending != "*" else 1)
     return rows
-
-
-def _default_pass(rows: Iterable[DefaultRow]) -> tuple:
-    """The fallback over ``rows``: (distinct ending lengths, longest first;
-    ending -> features of its first row; features of the first ``*`` row or None).
-    """
-    by_ending: dict[str, FeatureSet] = {}
-    catch_all = None
-    for row in rows:
-        if row.ending != "*":
-            by_ending.setdefault(row.ending, row.features)
-        elif catch_all is None:
-            catch_all = row.features
-    return sorted({len(ending) for ending in by_ending}, reverse=True), by_ending, catch_all
 
 
 def _rank(reading: tuple[str, MorphRule]):
@@ -113,15 +101,10 @@ def _rank_nominal(reading: tuple[str, MorphRule]):
     return shape, rule.rule_id, root
 
 
-def _analysis(surface: str, root: str, rule: MorphRule) -> Analysis:
-    return Analysis(surface, root, rule.rule_id, rule.features,
-                    _DICTIONARY if root[0] == surface[0] else _IRREGULAR)
+def _heads(rules: Iterable[MorphRule], heads: dict[tuple, list[str]]) -> tuple:
+    """The heads of the trie node of one morph ending produced by ``rules``.
 
-
-def _node(rules: Iterable[MorphRule], heads: dict[tuple, list[str]]) -> tuple:
-    """The trie node of one morph ending produced by ``rules``, with no children yet.
-
-    Its heads are ``((head, ((flag, ((rule, check), ...)), ...)), ...)``: each
+    They are ``((head, ((flag, ((rule, check), ...)), ...)), ...)``: each
     literal root tail that some of ``rules`` replace, with those rules by
     flag, in file order. ``check`` is a rule's context tests, which the end
     of the stem must pass: a head matches its rules' replaced parts, so only
@@ -134,18 +117,34 @@ def _node(rules: Iterable[MorphRule], heads: dict[tuple, list[str]]) -> tuple:
         for head in heads[rule.replaced]:
             by_head.setdefault(head, {}).setdefault(rule.flag, []).append((rule, check))
     return tuple([(head, tuple([(flag, tuple(pairs)) for flag, pairs in by_flag.items()]))
-                  for head, by_flag in by_head.items()]), {}
+                  for head, by_flag in by_head.items()])
+
+
+def _fallbacks(shorter: dict, rows: Iterable[DefaultRow]) -> dict:
+    """The fallbacks of the trie node of ``rows``' ending (or ``*``), given those of
+    the node one letter shorter: a pos maps to its first row with the longest
+    ending the node's has, else to its first ``*`` row, else is left out and
+    takes ``None``'s, the same over every row, else ``_UNSET``.
+    """
+    out = dict(shorter)
+    done = set()
+    for row in rows:
+        for key in {None, row.features.pos} - done:
+            out[key] = row.features
+            done.add(key)
+    return out
 
 
 class Analyzer:
     """Feature extraction over a lexicon and rule table.
 
-    Construction builds a trie of the rules' morph endings, reversed, whose
-    nodes hold the literal root tails the rules replace, and indexes the
-    default table by ending; it does not expand the lexicon. A lookup walks
-    the trie from the end of the word and changes no state but the parts a
-    lexicon loaded from the cache builds as they are first probed, which is
-    safe across threads, so an analyzer may be shared between threads.
+    Construction builds a trie of the rules' morph endings and the default
+    endings, reversed, whose nodes hold the literal root tails the rules
+    replace and the default features of a word whose walk ends there; it does
+    not expand the lexicon. A lookup walks the trie from the end of the word
+    and changes no state but the parts a lexicon loaded from the cache builds
+    as they are first probed, which is safe across threads, so an analyzer
+    may be shared between threads.
     """
 
     def __init__(self, lexicon: Lexicon, rules: RuleTable, defaults: list[DefaultRow]):
@@ -166,26 +165,26 @@ class Analyzer:
         by_ending: dict[str, list[MorphRule]] = {}
         for rule in rules.rules:
             by_ending.setdefault(rule.morph_ending, []).append(rule)
-        # The morph endings, reversed, as a trie. A node is (heads, children):
-        # children maps the letter before a node's ending in a word to the
-        # node of that longer ending, so a word is walked from its end; the
-        # root is the empty ending. A suffix of an ending that is no ending
-        # itself has no heads, and a word's walk stops at the first suffix
-        # with no node. Endings are added shortest first, so the node of each
-        # is new when it is made.
-        self._trie = _node(by_ending.pop("", ()), heads)
-        for ending in sorted(by_ending, key=len):
+        by_default: dict[str, list[DefaultRow]] = {}
+        for row in defaults:
+            by_default.setdefault(row.ending, []).append(row)
+        # The morph and default endings, reversed, as a trie. A node is
+        # (heads, children, fallbacks): children maps the letter before a
+        # node's ending in a word to the node of that longer ending, so a word
+        # is walked from its end; the root is the empty ending and "*". The
+        # last node a walk reaches has every default ending the word has. A
+        # node that is no default ending shares the fallbacks one letter
+        # shorter. Endings are added shortest first, so each node is new when
+        # it is made and the one a letter shorter is complete.
+        self._trie = (_heads(by_ending.pop("", ()), heads), {},
+                      _fallbacks({None: _UNSET}, by_default.pop("*", ())))
+        for ending in sorted(by_ending.keys() | by_default.keys(), key=len):
             node = self._trie
             for letter in reversed(ending[1:]):
-                node = node[1].setdefault(letter, ((), {}))
-            node[1][ending[0]] = _node(by_ending[ending], heads)
-        # pos hint -> the fallback passes it takes: the rows of that pos, then
-        # every row; no hint, or a hint with no rows, takes only the second.
-        every_row = _default_pass(defaults)
-        self._fallback = {None: (every_row,)}
-        for pos in {r.features.pos for r in defaults} - {None}:
-            self._fallback[pos] = (_default_pass(r for r in defaults if r.features.pos == pos),
-                                   every_row)
+                node = node[1].setdefault(letter, ((), {}, node[2]))
+            rows = by_default.get(ending)
+            node[1][ending[0]] = (_heads(by_ending.get(ending, ()), heads), {},
+                                  node[2] if rows is None else _fallbacks(node[2], rows))
         self._warn_unknown_flags()
 
     def _warn_unknown_flags(self) -> None:
@@ -201,11 +200,16 @@ class Analyzer:
 
     # -- affix stripping ------------------------------------------------------
 
-    def _readings(self, surface: str) -> list[tuple[str, MorphRule]]:
-        """Every (root, rule) pair of the lexicon whose forward application gives ``surface``."""
+    def _walk(self, surface: str, pos_hint: Pos | None) -> tuple[list, dict]:
+        """The (root, rule) readings ``analyze`` reports for ``surface``, in no set
+        order, that is those of the lexicon whose forward application gives it
+        and whose pos is ``pos_hint``, if any; and its fallbacks (see _fallbacks).
+        """
+        if not surface:
+            raise ValueError("empty word")
         out = []
         probe = self.lexicon.get
-        heads, children = self._trie
+        heads, children, fallbacks = self._trie
         cut = len(surface)
         while True:
             if heads:
@@ -218,50 +222,42 @@ class Analyzer:
                     for flag, pairs in by_flag:
                         if flag in flags:
                             for rule, check in pairs:
-                                if not check or ends_with(stem, check):
+                                if ((pos_hint is None or rule.features.pos == pos_hint)
+                                        and (not check or ends_with(stem, check))):
                                     out.append((root, rule))
             if not cut:
-                return out
+                break
             cut -= 1
             node = children.get(surface[cut])
             if node is None:
-                return out
-            heads, children = node
+                break
+            heads, children, fallbacks = node
+        if not surface.isalpha():
+            first = surface[0]
+            return [r for r in out if r[0][0] != first], _OTHERS
+        return out, (fallbacks if len(surface) > 1 else _OTHERS)
 
     def _kept(self, surface: str, pos_hint: Pos | None) -> list[tuple[str, MorphRule]]:
         """The (root, rule) readings ``analyze`` reports for ``surface``, in no set order."""
-        if not surface:
-            raise ValueError("empty word")
-        readings = self._readings(surface)
-        if not surface.isalpha():
-            first = surface[0]
-            readings = [r for r in readings if r[0][0] != first]
-        if pos_hint is not None:
-            readings = [r for r in readings if r[1].features.pos == pos_hint]
-        return readings
-
-    # -- fallback -------------------------------------------------------------
+        return self._walk(surface, pos_hint)[0]
 
     def default_features(self, word: str, pos_hint: Pos | None = None) -> FeatureSet:
         """Features from the ordered ending-default table (longest ending first).
 
-        With a hint, the rows of that pos are tried before every row.
+        With a hint, the rows of that pos are tried before every row. The trie
+        is walked by its letters only, so no dictionary root is probed.
         """
-        return self._default_features(normalize(word), pos_hint)
-
-    def _default_features(self, surface: str, pos_hint: Pos | None) -> FeatureSet:
-        size = len(surface)
-        if size <= 1 or not surface.isalpha():
+        surface = normalize(word)
+        if len(surface) <= 1 or not surface.isalpha():
             return _OTHER
-        for lengths, by_ending, catch_all in self._fallback.get(pos_hint) or self._fallback[None]:
-            for length in lengths:
-                if length <= size:
-                    features = by_ending.get(surface[size - length:])
-                    if features is not None:
-                        return features
-            if catch_all is not None:
-                return catch_all
-        return _UNSET
+        node = self._trie
+        for letter in reversed(surface):
+            child = node[1].get(letter)
+            if child is None:
+                break
+            node = child
+        fallbacks = node[2]
+        return fallbacks.get(pos_hint) or fallbacks[None]
 
     # -- public API -----------------------------------------------------------
 
@@ -273,15 +269,17 @@ class Analyzer:
         the word is alphabetic.
         """
         surface = normalize(word)
-        readings = self._kept(surface, pos_hint)
+        readings, fallbacks = self._walk(surface, pos_hint)
         if not readings:
-            return [Analysis(surface, surface, None, self._default_features(surface, pos_hint),
-                             _FALLBACK)]
+            return [Analysis(surface, surface, None,
+                             fallbacks.get(pos_hint) or fallbacks[None], _FALLBACK)]
+        first = surface[0]
         if len(readings) > 1:
-            first = surface[0]
             readings.sort(key=lambda r: (1, r[0], r[1].rule_id) if r[0][0] == first
                           else (0, r[1].rule_id, r[0]))
-        return [_analysis(surface, root, rule) for root, rule in readings]
+        return [Analysis(surface, root, rule.rule_id, rule.features,
+                         _DICTIONARY if root[0] == first else _IRREGULAR)
+                for root, rule in readings]
 
     def preferred_analysis(self, word: str, pos_hint: Pos | None = None) -> Analysis:
         """The first of ``analyze(word, pos_hint)`` under the preference order.
@@ -303,9 +301,9 @@ class Analyzer:
         least of them is the answer. The CLI's ``analyze`` renders this tuple
         as it is, with no ``Analysis`` built.
         """
-        readings = self._kept(surface, pos_hint)
+        readings, fallbacks = self._walk(surface, pos_hint)
         if not readings:
-            return surface, None, self._default_features(surface, pos_hint), _FALLBACK
+            return surface, None, fallbacks.get(pos_hint) or fallbacks[None], _FALLBACK
         if len(readings) == 1:
             root, rule = readings[0]
         else:

@@ -174,25 +174,27 @@ def _stream(stdin: BufferedIOBase, stdout: TextIOBase, render) -> int:
 def cmd_analyze(args, stdin: BufferedIOBase, stdout: TextIOBase) -> int:
     # The preferred reading as a plain tuple: no Analysis is built for a line.
     preferred = build_analyzer(args)._preferred
+    feature_cells = {}  # FeatureSet -> its six fields (every one but animate), rendered
     if args.format == "jsonl":
         encode = _json_encoder()
-
-        def render(token, pos_hint):
-            surface = normalize(token)
-            lemma, _rule_id, features, provenance = preferred(surface, pos_hint)
-            record = {"surface": surface, "lemma": lemma, **features.as_dict(),
-                      "provenance": provenance.value}
-            del record["animate"]
-            return encode(record) + "\n"
-    else:
-        feature_cells = {}  # FeatureSet -> its six TSV cells, joined
+        from json.encoder import encode_basestring as quote  # what encode writes a str with
 
         def render(token, pos_hint):
             surface = normalize(token)
             lemma, _rule_id, features, provenance = preferred(surface, pos_hint)
             cells = feature_cells.get(features)
+            if cells is None:  # '"pos": ..., "tense": ...', as encode writes them in a record
+                cells = feature_cells[features] = encode(dict(zip(features._fields[:6],
+                                                                  features)))[1:-1]
+            return "".join(['{"surface": ', quote(surface), ', "lemma": ', quote(lemma), ", ",
+                            cells, ', "provenance": "', provenance, '"}\n'])
+    else:
+        def render(token, pos_hint):
+            surface = normalize(token)
+            lemma, _rule_id, features, provenance = preferred(surface, pos_hint)
+            cells = feature_cells.get(features)
             if cells is None:
-                # Every field but animate; a value is its own text.
+                # A value is its own text.
                 cells = feature_cells[features] = "\t".join([value or "-"
                                                              for value in features[:6]])
             return "\t".join([surface, lemma, cells, provenance]) + "\n"

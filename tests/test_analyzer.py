@@ -304,6 +304,25 @@ def test_class_rule_heads_are_the_root_tails_it_matches(default_table, brute_for
     assert [a.lemma for a in analyzer.analyze("fui") if a.rule_id] == fui_lemmas
 
 
+def test_a_lookup_walks_the_trie_once(analyzer, monkeypatch):
+    """``analyze`` and ``preferred_analysis`` take the readings and the fallback
+    of a word from one walk, hinted or not, with readings or without."""
+    walks = []
+    walk = Analyzer._walk
+    monkeypatch.setattr(Analyzer, "_walk",
+                        lambda self, *args: walks.append(args) or walk(self, *args))
+    provenances = set()
+    for word in ("amo", "mercado", "fue", "vacas", "zzcantar", "xyzal", "nación", "amo.", "x",
+                 ","):
+        for pos_hint in (None, Pos.VERB, Pos.NOUN, Pos.PRONOUN, "verb"):
+            for lookup in (analyzer.analyze, analyzer.preferred_analysis):
+                walks.clear()
+                lookup(word, pos_hint)
+                assert len(walks) == 1, (lookup, word, pos_hint)
+            provenances.add(analyzer.preferred_analysis(word, pos_hint).provenance)
+    assert provenances == set(Provenance)
+
+
 def test_unknown_flags_warned_once_at_construction(capsys, rule_table, default_table):
     lexicon = load_dictionary(io.StringIO("ama/VQ\nvaca/SQW\ncasa/S\n"))
     analyzer = Analyzer(lexicon, rule_table, default_table)
@@ -372,26 +391,49 @@ def test_plain_string_hint_is_a_pos_hint(analyzer):
 
 
 # A default row: its ending (or "*") and two feature cells. Only these three
-# pos values occur, so a pronoun or other hint has no rows of its own.
-_DEFAULT_ROWS = st.tuples(st.just("*") | st.text(alphabet="abó", min_size=1, max_size=3),
+# pos values occur, so a pronoun or other hint has no rows of its own. "ción"
+# is no morph ending of the seed rules, so it has a trie node only as a default.
+_DEFAULT_ROWS = st.tuples(st.sampled_from(["*", "ción"])
+                          | st.text(alphabet="abó", min_size=1, max_size=3),
                           st.sampled_from(["verb", "noun", "adjective"]),
                           st.sampled_from(["", "singular", "plural"]))
+
+# A few seed roots, so that some words have readings for the hint to filter.
+_FALLBACK_ROOTS = ["amar/V", "canción/F", "casa/S", "ir/G", "mercado/S", "mercar/V", "ser/B",
+                   "vaca/S"]
 
 
 @settings(max_examples=80, deadline=None)
 @given(rows=st.lists(_DEFAULT_ROWS, max_size=8),
-       words=st.lists(st.text(alphabet="abóx-", max_size=5), max_size=12))
-@example(rows=[("abb", "verb", ""), ("ab", "noun", ""), ("b", "noun", "plural")], words=["ab"])
-def test_default_fallback_matches_linear_scan(rule_table, brute_force, rows, words):
+       words=st.lists(st.text(alphabet="abóx-", max_size=5), max_size=12),
+       forms=st.lists(st.sampled_from(["amo", "amaba", "canción", "canciones", "casas", "fue",
+                                       "fui", "iba", "mercado", "vacas", "ación"]), max_size=4),
+       prefixes=st.lists(st.text(alphabet="abóx", min_size=4, max_size=6), min_size=1,
+                         max_size=3))
+@example(rows=[("abb", "verb", ""), ("ab", "noun", ""), ("b", "noun", "plural")], words=["ab"],
+         forms=[], prefixes=["xxxx"])
+def test_default_fallback_matches_linear_scan(rule_table, brute_force, rows, words, forms,
+                                              prefixes):
     table = load_default_table(["ending\tpos\tnumber"] + ["\t".join(row) for row in rows])
-    analyzer = Analyzer(Lexicon({}), rule_table, table)
+    analyzer = Analyzer(load_dictionary(_FALLBACK_ROOTS), rule_table, table)
     oracle = brute_force(analyzer)
+    # Words longer than every ending: a prefix alone, and a prefix before each ending.
+    words = words + forms + prefixes + [prefix + ending for prefix in prefixes
+                                        for ending, _pos, _number in rows if ending != "*"]
     for word in words:
         for pos_hint in (None, *Pos):
             assert (analyzer.default_features(word, pos_hint)
                     == oracle.default_features(normalize(word), pos_hint)), (word, pos_hint)
             if word:
-                assert analyzer.analyze(word, pos_hint) == oracle.analyze(word, pos_hint)
+                expected = oracle.analyze(word, pos_hint)
+                assert analyzer.analyze(word, pos_hint) == expected, (word, pos_hint)
+                assert (analyzer.preferred_analysis(word, pos_hint)
+                        == min(expected, key=_preference(normalize(word)))), (word, pos_hint)
+        if word:
+            assert (sorted((root, rule.rule_id)
+                           for root, rule in analyzer._kept(normalize(word), Pos.VERB))
+                    == sorted((a.lemma, a.rule_id) for a in oracle.analyze(word, Pos.VERB)
+                              if a.rule_id is not None)), word
 
 
 def test_unknown_flag_warning_counts_every_root_of_a_shared_tuple(capsys, rule_table,

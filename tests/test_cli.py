@@ -1091,6 +1091,30 @@ def test_analyze_renders_preferred_analysis_of_random_strings(analyzer, items):
     _analyze_matches_preferred_analysis(analyzer, items)
 
 
+def test_jsonl_analyze_escapes_surfaces_as_the_json_encoder(analyzer):
+    """Each ``--format jsonl`` line is the JSON encoder's text of its whole record,
+    for surfaces holding a quote, a backslash, control characters and characters
+    outside the Basic Multilingual Plane, computed and from the line cache."""
+    tokens = ['di"jo', "a\\b", "x\x01y", "ca\x7fsa", "\U0001d51eamo", "\U0001f600",
+              'vacas"', "\\", '"', "am\x1bo"]
+    items = [(token, hint) for token in tokens for hint in (None, "verb", "noun")]
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    expected = ""
+    for token, hint in items:
+        a = analyzer.preferred_analysis(token, hint)
+        record = {"surface": a.surface, "lemma": a.lemma, **a.features.as_dict(),
+                  "provenance": a.provenance.value}
+        del record["animate"]
+        expected += encode(record) + "\n"
+    assert '\\"' in expected and "\\\\" in expected and "\\u0001" in expected
+    assert "\U0001f600" in expected
+    text = "".join(token + ("\t" + hint if hint else "") + "\n" for token, hint in items)
+    for cache_size in (1, cli.CACHE_SIZE):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "CACHE_SIZE", cache_size)
+            assert invoke(["analyze", "--format", "jsonl"], text * 2) == (0, expected * 2)
+
+
 def test_process_jsonl_records_agree_with_tsv_lines(analyzer, generation_set):
     """A ``--format jsonl`` child on real pipes writes, for each seed form, the
     record whose fields are the cells of that form's TSV line."""

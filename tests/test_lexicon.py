@@ -17,6 +17,7 @@ from morfo.analyzer import Analyzer, load_default_table
 from morfo.clitics import CliticSplitter, load_pronoun_table
 from morfo.derivers import Lemmatizer, Nominalizer, load_nominal_flags
 from morfo.errors import LoadError
+from morfo.features import Pos
 from morfo.lexicon import LexEntry, Lexicon, load_cached_dictionary, load_dictionary, normalize
 from morfo.rules import expand_entry, load_rules
 
@@ -319,6 +320,21 @@ def test_building_the_stack_over_a_lexicon_in_parts_builds_no_part(tmp_path, mon
     lexicon = _load_file(path)
     loads = _part_loads(monkeypatch)
     _stack(lexicon, load_rules(_packaged_lines("rules.tsv")))
+    assert loads == []
+
+
+def test_default_features_over_a_lexicon_in_parts_builds_no_part(tmp_path, monkeypatch):
+    """``default_features`` walks the trie by letters only and probes no root."""
+    path = _seed_file(tmp_path)
+    parsed = _load_file(path)  # and stored
+    lexicon = _load_file(path)
+    defaults = load_default_table(_packaged_lines("defaults.tsv"))
+    analyzer = Analyzer(lexicon, load_rules(_packaged_lines("rules.tsv")), defaults)
+    loads = _part_loads(monkeypatch)
+    words = list(parsed.flags)[::7] + ["zz" + row.ending for row in defaults] + ["x", "a-b"]
+    features = {analyzer.default_features(word, hint)
+                for word in words for hint in (None, *Pos)}
+    assert {row.features for row in defaults} < features
     assert loads == []
 
 

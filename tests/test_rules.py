@@ -190,7 +190,7 @@ def test_position_tests_match_as_the_old_regex(context, marker, replaced, morph_
     surfaces = {root[:len(root) - len(replaced)] + morph_ending for root in roots
                 if tail.search(root)}
     for surface in surfaces - {""}:
-        assert sorted(analyzer._readings(surface)) == sorted(
+        assert sorted(analyzer._kept(surface, None)) == sorted(
             (root, rule) for root in roots if apply_rule(root, rule) == surface), surface
 
 
