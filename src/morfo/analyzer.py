@@ -57,8 +57,6 @@ Analysis = namedtuple("Analysis", "surface lemma rule_id features provenance")
 DefaultRow = namedtuple("DefaultRow", "ending features")
 
 
-_DEFAULT_COLUMNS = ("ending", "pos", "gender", "number", "person", "mood", "tense", "animate")
-
 #: The fallback features of a one-letter or non-alphabetic word (its fallbacks
 #: for any hint), and of a word that no default row matches.
 _OTHER = FeatureSet(pos=Pos.OTHER)
@@ -77,7 +75,7 @@ def _parse_default(row: dict[str, str], _line_no: int) -> DefaultRow:
 
 def load_default_table(source: Iterable[bytes | str]) -> list[DefaultRow]:
     """Load the ending-default TSV; rows are kept longest-ending-first."""
-    rows = read_table(source, _DEFAULT_COLUMNS, ("ending",), _parse_default)
+    rows = read_table(source, ("ending", *FeatureSet._fields), ("ending",), _parse_default)
     rows.sort(key=lambda r: -len(r.ending) if r.ending != "*" else 1)
     return rows
 

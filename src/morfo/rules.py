@@ -27,9 +27,7 @@ from morfo.features import FeatureSet
 from morfo.lexicon import LexEntry
 from morfo.resources import read_table
 
-COLUMNS = ("flag", "stem_ending", "morph_ending", "pos", "gender", "number",
-           "person", "mood", "tense", "animate")
-_FEATURE_COLUMNS = COLUMNS[3:]
+COLUMNS = ("flag", "stem_ending", "morph_ending", *FeatureSet._fields)
 
 _CONTEXT_MARK = "(?<="
 
@@ -150,7 +148,7 @@ def load_rules(source: Iterable[bytes | str]) -> RuleTable:
     feature_sets: dict[tuple, FeatureSet] = {}  # feature cells -> their FeatureSet
 
     def features_of(row: dict[str, str]) -> FeatureSet:
-        cells = tuple(map(row.__getitem__, _FEATURE_COLUMNS))
+        cells = tuple(map(row.__getitem__, FeatureSet._fields))
         found = feature_sets.get(cells)
         if found is None:
             found = feature_sets[cells] = FeatureSet.from_cells(row)
@@ -203,9 +201,8 @@ def dump_rules(rules: Iterable[MorphRule]) -> str:
     """The rule table ``load_rules`` reads, header included; unset cells are left empty."""
     out = ["\t".join(COLUMNS)]
     for rule in rules:
-        feats = rule.features.as_dict()
         out.append("\t".join([rule.flag, rule.stem_ending, rule.morph_ending]
-                             + [feats[name] or "" for name in COLUMNS[3:]]))
+                             + [value or "" for value in rule.features]))
     return "\n".join(out) + "\n"
 
 

@@ -1091,28 +1091,63 @@ def test_analyze_renders_preferred_analysis_of_random_strings(analyzer, items):
     _analyze_matches_preferred_analysis(analyzer, items)
 
 
-def test_jsonl_analyze_escapes_surfaces_as_the_json_encoder(analyzer):
-    """Each ``--format jsonl`` line is the JSON encoder's text of its whole record,
-    for surfaces holding a quote, a backslash, control characters and characters
-    outside the Basic Multilingual Plane, computed and from the line cache."""
+def test_jsonl_escapes_surfaces_as_the_json_encoder(analyzer, lemmatizer, nominalizer,
+                                                    splitter):
+    """Each stream command's ``--format jsonl`` line is the JSON encoder's text of the
+    library's record, for surfaces holding a quote, a backslash, control characters and
+    characters outside the Basic Multilingual Plane, computed and from the line cache;
+    ``nominalize`` writes ``null`` and a nominal, ``split-clitics`` empty and two-item lists."""
     tokens = ['di"jo', "a\\b", "x\x01y", "ca\x7fsa", "\U0001d51eamo", "\U0001f600",
-              'vacas"', "\\", '"', "am\x1bo"]
+              'vacas"', "\\", '"', "am\x1bo", "crear", "dámelo", "dá\u2028melo", 'dámelo"']
     items = [(token, hint) for token in tokens for hint in (None, "verb", "noun")]
-    encode = json.JSONEncoder(ensure_ascii=False).encode
-    expected = ""
-    for token, hint in items:
+
+    def analysis(token, hint):
         a = analyzer.preferred_analysis(token, hint)
         record = {"surface": a.surface, "lemma": a.lemma, **a.features.as_dict(),
                   "provenance": a.provenance.value}
         del record["animate"]
-        expected += encode(record) + "\n"
-    assert '\\"' in expected and "\\\\" in expected and "\\u0001" in expected
-    assert "\U0001f600" in expected
+        return record
+
+    def split(token, _hint):
+        verb_part, clitics, _pronouns = splitter.split_clitics(token)
+        return {"verb_part": verb_part, "clitics": list(clitics)}
+
+    records = {
+        "analyze": analysis,
+        "lemmatize": lambda token, hint: {"surface": token,
+                                          "lemma": lemmatizer.lemmatize(token, hint)},
+        "nominalize": lambda token, _hint: {"surface": token,
+                                            "nominal": nominalizer.nominalize(token)},
+        "split-clitics": split,
+    }
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     text = "".join(token + ("\t" + hint if hint else "") + "\n" for token, hint in items)
-    for cache_size in (1, cli.CACHE_SIZE):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "CACHE_SIZE", cache_size)
-            assert invoke(["analyze", "--format", "jsonl"], text * 2) == (0, expected * 2)
+    for command, record in records.items():
+        expected = "".join(encode(record(token, hint)) + "\n" for token, hint in items)
+        assert '\\"' in expected and "\\\\" in expected and "\\u0001" in expected
+        assert "\U0001f600" in expected and "\u2028" in expected
+        for cache_size in (1, cli.CACHE_SIZE):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "CACHE_SIZE", cache_size)
+                assert invoke([command, "--format", "jsonl"], text * 2) == (0, expected * 2)
+        if command == "nominalize":
+            assert '"nominal": null' in expected and '"nominal": "creación"' in expected
+        if command == "split-clitics":
+            assert '"clitics": []' in expected and '"clitics": ["me", "lo"]' in expected
+
+
+_JSON_TEXT = st.one_of(st.text(st.characters(exclude_categories=("Cs",))),
+                       st.sampled_from(list(Pos)))
+_JSON_SCALARS = st.one_of(st.none(), _JSON_TEXT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.one_of(_JSON_SCALARS, st.lists(_JSON_TEXT),
+                       st.dictionaries(_JSON_TEXT, st.one_of(_JSON_SCALARS, st.lists(_JSON_TEXT)))))
+@example(value='di"jo\\')
+@example(value={"verb_part": "a\x00\x1f\x7f\u2028\U0001f600", "clitics": ["me", ""]})
+def test_the_json_writer_writes_what_json_dumps_writes(value):
+    assert cli._json(value) == json.dumps(value, ensure_ascii=False)
 
 
 def test_process_jsonl_records_agree_with_tsv_lines(analyzer, generation_set):
@@ -1216,26 +1251,27 @@ def test_import_and_a_quiet_run_load_no_dataclasses_inspect_or_logging(tmp_path)
 
 
 def test_a_plain_command_line_loads_no_argparse():
-    """A plain run of each stream command and of ``evaluate`` loads none of argparse, gettext,
-    locale and pathlib, nor enum, typing and re; ``--help`` still prints through argparse.
+    """A plain run of each stream command and of ``evaluate``, in either format, loads none of
+    argparse, gettext, locale and pathlib, nor json, enum, typing and re; ``--help`` still
+    prints through argparse.
 
-    ``--format jsonl`` loads ``json``, whose decoder loads ``re``, and ``re`` loads ``enum``.
     ``-S`` keeps out ``site``, whose ``.pth`` hooks may import them themselves.
     """
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     script = ("import sys, morfo.cli\n"
               "code = morfo.cli.run(sys.argv[1:])\n"
-              "loaded = {'argparse', 'gettext', 'locale', 'pathlib', 'enum', 'typing', 're'}\n"
+              "loaded = {'argparse', 'gettext', 'locale', 'pathlib', 'json', 'enum', 'typing',"
+              " 're'}\n"
               "print(sorted(loaded & set(sys.modules)), file=sys.stderr)\n"
               "sys.exit(code)\n")
     conll = str(FIXTURES / "sample.conll")
-    for argv in (["analyze"], ["lemmatize"], ["lemmatize", "--format", "jsonl"], ["nominalize"],
-                 ["split-clitics", "--verbs-only"], ["evaluate", "--conll", conll]):
+    plain = (["analyze"], ["lemmatize"], ["nominalize"], ["split-clitics", "--verbs-only"],
+             ["evaluate", "--conll", conll])
+    for argv in (*plain, *([*line, "--format", "jsonl"] for line in plain)):
         proc = subprocess.run([sys.executable, "-S", "-c", script, *argv], input=b"amo\n",
                               capture_output=True, env=env)
         assert proc.returncode == 0, argv
-        loaded = "['enum', 're']" if "jsonl" in argv else "[]"
-        assert proc.stderr.decode().splitlines()[-1] == loaded, argv
+        assert proc.stderr.decode().splitlines()[-1] == "[]", argv
         stdin = "" if argv[0] == "evaluate" else "amo\n"
         assert proc.stdout.decode() == invoke(argv, stdin)[1]
 
