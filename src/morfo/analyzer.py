@@ -17,10 +17,12 @@ starts with a different letter from the word is labelled ``irregular_table``,
 every other one ``dictionary``. ``analyze`` sorts the readings. The
 preferred reading is the least of them under a preference order, which is
 total, so it is taken without sorting; one step, ``Analyzer._preferred``,
-picks it and labels its provenance, as a plain tuple. ``preferred_analysis``
-wraps that tuple in an ``Analysis``, and the CLI's ``analyze`` renders it as
-it is. When no reading is left (the walk tests the pos hint), the single
-fallback analysis takes the default features of the last node walked to.
+picks it and labels its provenance, as a plain tuple. The CLI's ``analyze``,
+``Lemmatizer`` (and so ``Nominalizer``) and ``evaluate_features`` read that
+tuple, and the clitic host check reads the readings of ``_walk``; only
+``analyze`` and ``preferred_analysis`` build an ``Analysis``. When no reading
+is left (the walk tests the pos hint), the single fallback analysis takes the
+default features of the last node walked to.
 """
 
 from __future__ import annotations
@@ -235,10 +237,6 @@ class Analyzer:
             return [r for r in out if r[0][0] != first], _OTHERS
         return out, (fallbacks if len(surface) > 1 else _OTHERS)
 
-    def _kept(self, surface: str, pos_hint: Pos | None) -> list[tuple[str, MorphRule]]:
-        """The (root, rule) readings ``analyze`` reports for ``surface``, in no set order."""
-        return self._walk(surface, pos_hint)[0]
-
     def default_features(self, word: str, pos_hint: Pos | None = None) -> FeatureSet:
         """Features from the ordered ending-default table (longest ending first).
 
@@ -296,8 +294,8 @@ class Analyzer:
         ``surface``, a word already normalized; ``rule_id`` is None for a fallback.
 
         The readings are not sorted: the preference order is total, so the
-        least of them is the answer. The CLI's ``analyze`` renders this tuple
-        as it is, with no ``Analysis`` built.
+        least of them is the answer. The CLI's ``analyze``, ``Lemmatizer`` and
+        ``evaluate_features`` read this tuple, with no ``Analysis`` built.
         """
         readings, fallbacks = self._walk(surface, pos_hint)
         if not readings:

@@ -4,10 +4,10 @@ clitic splitting, rule-file import, and CoNLL evaluation over stdin/stdout.
 The stream commands read stdin in blocks of whole lines (``resources.blocks``,
 the reader the data-file loaders use too), split them as bytes, and write
 each block's output at once. Each command picks its output format once and
-hands ``_stream`` one function that gives a token's finished line. For
-``analyze`` that function renders the plain tuple of
-``Analyzer._preferred``, the step that also gives ``preferred_analysis`` its
-reading and provenance, so no ``Analysis`` is built for a line. For one run
+hands ``_stream`` one function that gives a token's finished line. That
+function reads plain tuples: ``analyze``, ``lemmatize`` and ``nominalize``
+that of ``Analyzer._preferred`` and ``split-clitics`` the readings of
+``Analyzer._walk``, so no ``Analysis`` is built for a line. For one run
 the commands keep the output of recently seen input lines, up to 8,192
 (twice ``CACHE_SIZE``), and write it again when a line repeats; this changes
 speed only. The analyzer keeps no results.

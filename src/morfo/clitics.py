@@ -65,10 +65,8 @@ class CliticSplitter:
         self._ordered = sorted(self.pronouns, key=len, reverse=True)
 
     def _validates_as_host(self, verb_part: str) -> bool:
-        if not verb_part:
-            return False
         # De-accenting can leave a vowel before a combining mark, which is not NFC.
-        readings = self.analyzer._kept(normalize(verb_part), Pos.VERB)
+        readings = self.analyzer._walk(normalize(verb_part), Pos.VERB)[0]
         return any(rule.features.mood in HOST_MOODS for _, rule in readings)
 
     def _candidates(self, token: str):

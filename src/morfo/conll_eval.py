@@ -159,7 +159,7 @@ def evaluate_features(records: Iterable[TokenRecord], analyzer: Analyzer) -> dic
     for record in records:
         if record.gold_pos not in EVAL_POS:
             continue
-        predicted = analyzer.preferred_analysis(record.form, pos_hint=record.gold_pos).features
+        predicted = analyzer._preferred(normalize(record.form), record.gold_pos)[2]
         for name, count in counts.items():
             gold = getattr(record.gold_features, name)
             pred = getattr(predicted, name)

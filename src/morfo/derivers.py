@@ -7,6 +7,7 @@ from collections.abc import Iterable
 from morfo.analyzer import Analyzer
 from morfo.errors import LoadError
 from morfo.features import Pos
+from morfo.lexicon import normalize
 from morfo.resources import data_lines
 from morfo.rules import apply_rule
 
@@ -30,7 +31,7 @@ class Lemmatizer:
 
     def lemmatize(self, word: str, pos_hint: Pos | None = None) -> str:
         """The preferred analysis's lemma; the word itself when only the fallback applies."""
-        return self.analyzer.preferred_analysis(word, pos_hint).lemma
+        return self.analyzer._preferred(normalize(word), pos_hint)[0]
 
 
 class Nominalizer:

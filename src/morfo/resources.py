@@ -144,7 +144,8 @@ def read_table(
     in any order. A name outside ``columns``, a repeated name, or a missing
     ``required`` one is an error at the header line. ``parse_row`` receives
     every column, stripped, with ``""`` for cells the row or the header lacks;
-    a ``ValueError`` it raises becomes a ``LoadError`` naming the row's line.
+    a ``ValueError`` it raises becomes a ``LoadError`` naming the row's line,
+    as does a cell past the last header column that is not blank.
     """
     header: list[str] | None = None
     out = []
@@ -162,6 +163,8 @@ def read_table(
             if missing:
                 raise LoadError(f"missing column(s): {', '.join(missing)}", line_no)
             continue
+        if len(cells) > len(header) and "".join(cells[len(header):]).strip():
+            raise LoadError(f"{len(cells)} cells for {len(header)} columns", line_no)
         row = dict.fromkeys(columns, "")
         row.update((name, cell.strip()) for name, cell in zip(header, cells))
         try:

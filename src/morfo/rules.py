@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterable
-from functools import partial
 from io import BufferedIOBase
 from itertools import count
 
@@ -156,7 +155,7 @@ def load_rules(source: Iterable[bytes | str]) -> RuleTable:
 
     def parse(row: dict[str, str], line_no: int) -> MorphRule:
         return MorphRule.build(row["flag"], _dash(row["stem_ending"]), _dash(row["morph_ending"]),
-                               partial(features_of, row), next(rule_ids), line_no=line_no)
+                               lambda: features_of(row), next(rule_ids), line_no=line_no)
 
     return RuleTable(read_table(source, COLUMNS, COLUMNS, parse))
 

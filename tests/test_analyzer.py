@@ -1,11 +1,14 @@
 import contextlib
 import io
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import morfo.analyzer
 from morfo.analyzer import Analyzer, Provenance, load_default_table
+from morfo.conll_eval import evaluate_features, evaluate_lemmas, load_mapping, parse_conll
 from morfo.errors import LoadError
 from morfo.features import FeatureSet, Gender, Mood, Number, Person, Pos, Tense
 from morfo.lexicon import LexEntry, Lexicon, load_dictionary, normalize
@@ -125,6 +128,8 @@ def test_default_table_load_error():
         load_default_table(io.StringIO("ending\tpos\n\tnoun\n"))
     with pytest.raises(LoadError, match="line 1: missing column"):
         load_default_table(io.StringIO("pos\tgender\n"))
+    with pytest.raises(LoadError, match="^line 3: 3 cells for 2 columns$"):
+        load_default_table(io.StringIO("ending\tpos\nos\tnoun\t\na\tnoun\tverb\n"))
 
 
 def test_completeness_against_generation_oracle(analyzer, generation_set):
@@ -323,6 +328,37 @@ def test_a_lookup_walks_the_trie_once(analyzer, monkeypatch):
     assert provenances == set(Provenance)
 
 
+def test_the_consumers_build_no_analysis(analyzer, lemmatizer, nominalizer, splitter,
+                                         generation_set, monkeypatch):
+    """``Lemmatizer`` (and so ``Nominalizer``), the clitic splitter and the CoNLL
+    evaluation read the analyzer's plain tuples: with ``Analysis`` made to raise,
+    each gives what it gave before."""
+    with open(data_path("conll_mapping.tsv"), encoding="utf-8") as stream:
+        mapping = load_mapping(stream)
+    with open(Path(__file__).parent / "fixtures" / "sample.conll", encoding="utf-8") as stream:
+        records = parse_conll(stream, mapping)
+    words = [form for _root, form, _rule_id, _features in generation_set]
+    words += ["xyzzy", "amo.", "x", "dámelo", "comerlo", "mírame"]
+
+    def results():
+        return ([lemmatizer.lemmatize(word) for word in words],
+                [lemmatizer.lemmatize(word, Pos.VERB) for word in words],
+                [nominalizer.nominalize(word) for word in words],
+                [splitter.split_clitics(word) for word in words],
+                evaluate_features(records, analyzer),
+                evaluate_lemmas(records, lemmatizer), evaluate_lemmas(records, lemmatizer, True))
+
+    expected = results()
+    assert any(expected[2]) and any(split.is_split for split in expected[3])
+    assert expected[4]["total"].pred_count and expected[5][0].total
+
+    def no_analysis(*_args, **_kwargs):
+        raise AssertionError("an Analysis was built")
+
+    monkeypatch.setattr(morfo.analyzer, "Analysis", no_analysis)
+    assert results() == expected
+
+
 def test_unknown_flags_warned_once_at_construction(capsys, rule_table, default_table):
     lexicon = load_dictionary(io.StringIO("ama/VQ\nvaca/SQW\ncasa/S\n"))
     analyzer = Analyzer(lexicon, rule_table, default_table)
@@ -431,7 +467,7 @@ def test_default_fallback_matches_linear_scan(rule_table, brute_force, rows, wor
                         == min(expected, key=_preference(normalize(word)))), (word, pos_hint)
         if word:
             assert (sorted((root, rule.rule_id)
-                           for root, rule in analyzer._kept(normalize(word), Pos.VERB))
+                           for root, rule in analyzer._walk(normalize(word), Pos.VERB)[0])
                     == sorted((a.lemma, a.rule_id) for a in oracle.analyze(word, Pos.VERB)
                               if a.rule_id is not None)), word
 

@@ -1252,8 +1252,8 @@ def test_import_and_a_quiet_run_load_no_dataclasses_inspect_or_logging(tmp_path)
 
 def test_a_plain_command_line_loads_no_argparse():
     """A plain run of each stream command and of ``evaluate``, in either format, loads none of
-    argparse, gettext, locale and pathlib, nor json, enum, typing and re; ``--help`` still
-    prints through argparse.
+    argparse, gettext, locale and pathlib, nor json, enum, typing, re and functools; ``--help``
+    still prints through argparse.
 
     ``-S`` keeps out ``site``, whose ``.pth`` hooks may import them themselves.
     """
@@ -1261,7 +1261,7 @@ def test_a_plain_command_line_loads_no_argparse():
     script = ("import sys, morfo.cli\n"
               "code = morfo.cli.run(sys.argv[1:])\n"
               "loaded = {'argparse', 'gettext', 'locale', 'pathlib', 'json', 'enum', 'typing',"
-              " 're'}\n"
+              " 're', 'functools'}\n"
               "print(sorted(loaded & set(sys.modules)), file=sys.stderr)\n"
               "sys.exit(code)\n")
     conll = str(FIXTURES / "sample.conll")

@@ -69,6 +69,9 @@ def test_load_errors_name_the_row():
         _table("V\tar\to\tverb\t\t\t\t\tyesterday\t")
     with pytest.raises(LoadError, match="line 2"):
         _table("V\tar\to\tnoun\t\t\t\tindicative\t\t")
+    with pytest.raises(LoadError, match=r"^line 2: 11 cells for 10 columns$"):
+        _table("V\tar\to\tverb\t\t\t\t\t\t\tplural")
+    assert len(_table("V\tar\to\tverb\t\t\t\t\t\t\t \t")) == 1  # trailing empty cells
 
 
 def test_apply_rule_fig1_pairs():
@@ -190,7 +193,7 @@ def test_position_tests_match_as_the_old_regex(context, marker, replaced, morph_
     surfaces = {root[:len(root) - len(replaced)] + morph_ending for root in roots
                 if tail.search(root)}
     for surface in surfaces - {""}:
-        assert sorted(analyzer._kept(surface, None)) == sorted(
+        assert sorted(analyzer._walk(surface, None)[0]) == sorted(
             (root, rule) for root in roots if apply_rule(root, rule) == surface), surface
 
 
