@@ -22,7 +22,9 @@ picks it and labels its provenance, as a plain tuple. The CLI's ``analyze``,
 tuple, and the clitic host check reads the readings of ``_walk``; only
 ``analyze`` and ``preferred_analysis`` build an ``Analysis``. When no reading
 is left (the walk tests the pos hint), the single fallback analysis takes the
-default features of the last node walked to.
+default features of the last node walked to, or ``pos=other`` for a one-letter
+or non-alphabetic word: the walk gives the fallbacks with the readings, so it
+is the one descent of the trie.
 """
 
 from __future__ import annotations
@@ -59,10 +61,9 @@ Analysis = namedtuple("Analysis", "surface lemma rule_id features provenance")
 DefaultRow = namedtuple("DefaultRow", "ending features")
 
 
-#: The fallback features of a one-letter or non-alphabetic word (its fallbacks
-#: for any hint), and of a word that no default row matches.
-_OTHER = FeatureSet(pos=Pos.OTHER)
-_OTHERS = {None: _OTHER}
+#: The fallbacks of a one-letter or non-alphabetic word: ``pos=other`` for any hint.
+_OTHERS = {None: FeatureSet(pos=Pos.OTHER)}
+#: The fallback features of a word that no default row matches.
 _UNSET = FeatureSet()
 
 _NOMINAL_ENDINGS = ("o", "a", "os", "as")
@@ -203,7 +204,9 @@ class Analyzer:
     def _walk(self, surface: str, pos_hint: Pos | None) -> tuple[list, dict]:
         """The (root, rule) readings ``analyze`` reports for ``surface``, in no set
         order, that is those of the lexicon whose forward application gives it
-        and whose pos is ``pos_hint``, if any; and its fallbacks (see _fallbacks).
+        and whose pos is ``pos_hint``, if any; and its fallbacks: those of the
+        last node walked to (see _fallbacks), or ``pos=other`` for any hint when
+        ``surface`` is one letter or not alphabetic.
         """
         if not surface:
             raise ValueError("empty word")
@@ -236,24 +239,6 @@ class Analyzer:
             first = surface[0]
             return [r for r in out if r[0][0] != first], _OTHERS
         return out, (fallbacks if len(surface) > 1 else _OTHERS)
-
-    def default_features(self, word: str, pos_hint: Pos | None = None) -> FeatureSet:
-        """Features from the ordered ending-default table (longest ending first).
-
-        With a hint, the rows of that pos are tried before every row. The trie
-        is walked by its letters only, so no dictionary root is probed.
-        """
-        surface = normalize(word)
-        if len(surface) <= 1 or not surface.isalpha():
-            return _OTHER
-        node = self._trie
-        for letter in reversed(surface):
-            child = node[1].get(letter)
-            if child is None:
-                break
-            node = child
-        fallbacks = node[2]
-        return fallbacks.get(pos_hint) or fallbacks[None]
 
     # -- public API -----------------------------------------------------------
 

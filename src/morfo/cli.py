@@ -240,18 +240,18 @@ def cmd_split_clitics(args, stdin: BufferedIOBase, stdout: TextIOBase) -> int:
     analyzer = build_analyzer(args)
     pronouns = _load(resources.PRONOUNS, args.pronouns, load_pronoun_table)
     split_clitics = CliticSplitter(analyzer, pronouns).split_clitics
-    jsonl = args.format == "jsonl"
+    # ``split`` is (verb_part, clitics) or a CliticSplit, which starts with them.
+    if args.format == "jsonl":
+        def line(split):
+            return _json({"verb_part": split[0], "clitics": list(split[1])}) + "\n"
+    else:
+        def line(split):
+            return "\t".join([split[0], *split[1]]) + "\n"
 
-    def render(token, pos_hint):
-        if args.verbs_only and pos_hint not in (None, Pos.VERB):
-            verb_part, clitics = normalize(token), ()
-        else:
-            verb_part, clitics, _pronouns = split_clitics(token)
-        if not jsonl:
-            return "\t".join([verb_part, *clitics]) + "\n"
-        return _json({"verb_part": verb_part, "clitics": list(clitics)}) + "\n"
-
-    return _stream(stdin, stdout, render)
+    if args.verbs_only:  # a token hinted with another pos is left whole
+        return _stream(stdin, stdout, lambda token, pos_hint: line(
+            split_clitics(token) if pos_hint in (None, Pos.VERB) else (normalize(token), ())))
+    return _stream(stdin, stdout, lambda token, _pos: line(split_clitics(token)))
 
 
 def cmd_import_coes(args, stdin: BufferedIOBase, stdout: TextIOBase) -> int:

@@ -7,18 +7,18 @@ from collections.abc import Iterable
 from morfo.analyzer import Analyzer
 from morfo.errors import LoadError
 from morfo.features import Pos
-from morfo.lexicon import normalize
+from morfo.lexicon import is_flag, normalize
 from morfo.resources import data_lines
 from morfo.rules import apply_rule
 
 
 def load_nominal_flags(source: Iterable[bytes | str]) -> set[str]:
-    """Read the nominal-derivation flag manifest: one flag character per line."""
+    """Read the nominal-derivation flag manifest: one flag, an ASCII letter, per line."""
     flags: set[str] = set()
     for line_no, line in data_lines(source):
         flag = line.strip()
-        if len(flag) != 1:
-            raise LoadError(f"expected a single flag character, got {flag!r}", line_no)
+        if not is_flag(flag):
+            raise LoadError(f"flag must be one ASCII letter, got {flag!r}", line_no)
         flags.add(flag)
     return flags
 

@@ -1,9 +1,10 @@
 """Dictionary of root words with rule flags.
 
 The on-disk format is one entry per line, ``word`` or ``word/FLAGS``, where
-FLAGS is a run of single-letter rule codes. ``#`` lines are comments and blank
-lines are ignored. Entries are NFC-normalized and lowercased; a parsed
-dictionary keeps them in the order of their first line, and nothing is sorted.
+FLAGS is a run of rule codes, each one ASCII letter (``is_flag``). ``#`` lines
+are comments and blank lines are ignored. Entries are NFC-normalized and
+lowercased; a parsed dictionary keeps them in the order of their first line,
+and nothing is sorted.
 
 ``load_cached_dictionary`` is the CLI's loader: it keeps each file's parsed
 roots in the on-disk cache (``morfo.cache``) and reuses them while the file
@@ -126,6 +127,11 @@ class Lexicon:
                 self.get = self._flags.get
 
 
+def is_flag(flag: str) -> bool:
+    """Whether ``flag`` is one ASCII letter, as every flag of every data file must be."""
+    return len(flag) == 1 and flag.isascii() and flag.isalpha()
+
+
 def _check_line(line: str, line_no: int) -> None:
     """Raise the ``LoadError`` for a malformed stripped line; return if it is well formed."""
     word, sep, flag_part = line.partition("/")
@@ -134,7 +140,7 @@ def _check_line(line: str, line_no: int) -> None:
     if sep and not flag_part:
         raise LoadError(f"trailing '/' with no flags in {line!r}", line_no)
     for ch in flag_part:
-        if not (ch.isascii() and ch.isalpha()):
+        if not is_flag(ch):
             raise LoadError(f"invalid flag character {ch!r} in {line!r}", line_no)
     if any(ch.isspace() for ch in word):
         raise LoadError(f"whitespace in root {word!r}", line_no)

@@ -141,11 +141,12 @@ def read_table(
     """Parse a tab-separated table with a header row, one ``parse_row(row, line_no)`` per row.
 
     Header names are matched case-insensitively, with spaces read as ``_``,
-    in any order. A name outside ``columns``, a repeated name, or a missing
-    ``required`` one is an error at the header line. ``parse_row`` receives
-    every column, stripped, with ``""`` for cells the row or the header lacks;
-    a ``ValueError`` it raises becomes a ``LoadError`` naming the row's line,
-    as does a cell past the last header column that is not blank.
+    in any order. A blank name, a name outside ``columns``, a repeated name,
+    or a missing ``required`` one is an error at the header line.
+    ``parse_row`` receives every column, stripped, with ``""`` for cells the
+    row or the header lacks; a ``ValueError`` it raises becomes a
+    ``LoadError`` naming the row's line, as does a cell past the last header
+    column that is not blank.
     """
     header: list[str] | None = None
     out = []
@@ -153,6 +154,8 @@ def read_table(
         cells = line.split("\t")
         if header is None:
             header = [c.strip().lower().replace(" ", "_") for c in cells]
+            if "" in header:
+                raise LoadError(f"empty column name in column {header.index('') + 1}", line_no)
             unknown = [c for c in header if c not in columns]
             if unknown:
                 raise LoadError(f"unknown column name(s): {', '.join(unknown)}", line_no)

@@ -20,10 +20,10 @@ from collections.abc import Callable, Iterable
 from io import BufferedIOBase
 from itertools import count
 
-from morfo import cache, features, resources
+from morfo import cache, features, lexicon, resources
 from morfo.errors import warn
 from morfo.features import FeatureSet
-from morfo.lexicon import LexEntry
+from morfo.lexicon import LexEntry, is_flag
 from morfo.resources import read_table
 
 COLUMNS = ("flag", "stem_ending", "morph_ending", *FeatureSet._fields)
@@ -116,8 +116,8 @@ class MorphRule(namedtuple("MorphRule", "rule_id flag stem_ending morph_ending f
 
         A bad flag, pattern or feature set raises ValueError, checked in that order.
         """
-        if len(flag) != 1:
-            raise ValueError(f"flag must be a single character, got {flag!r}")
+        if not is_flag(flag):
+            raise ValueError(f"flag must be one ASCII letter, got {flag!r}")
         replaced, tests = parse_stem_pattern(stem_ending)
         return cls(rule_id, flag, stem_ending.strip(), morph_ending, features(), replaced, tests,
                    line_no, example)
@@ -190,10 +190,11 @@ def load_cached_rules(stream: BufferedIOBase) -> RuleTable:
     """``load_rules(stream)``, from the CLI's cache (``cache.load``) while it is current.
 
     The entry holds one row per rule (``_rows``); its stamp covers this
-    module, ``resources`` and ``features``.
+    module, ``resources``, ``features`` and ``lexicon``, whose ``is_flag``
+    checks each rule's flag.
     """
-    return cache.load(stream, "rules", (__file__, resources.__file__, features.__file__),
-                      load_rules, _rows, _table)
+    return cache.load(stream, "rules", (__file__, resources.__file__, features.__file__,
+                                        lexicon.__file__), load_rules, _rows, _table)
 
 
 def dump_rules(rules: Iterable[MorphRule]) -> str:

@@ -115,11 +115,12 @@ def test_punctuation_and_single_chars(analyzer):
 
 
 def test_default_features_rows(analyzer):
-    verb = analyzer.default_features("zzcantar")
+    verb, fem, plural = (analyzer.analyze(word) for word in ("zzcantar", "zzlibertad",
+                                                             "zzpapeles"))
+    assert [a.provenance for a in verb + fem + plural] == [Provenance.DEFAULT_FALLBACK] * 3
+    verb, fem, plural = verb[0].features, fem[0].features, plural[0].features
     assert (verb.pos, verb.mood) == (Pos.VERB, Mood.INFINITIVE)
-    fem = analyzer.default_features("zzlibertad")
     assert (fem.pos, fem.gender, fem.number) == (Pos.NOUN, Gender.FEMALE, Number.SINGULAR)
-    plural = analyzer.default_features("zzpapeles")
     assert (plural.gender, plural.number) == (None, Number.PLURAL)
 
 
@@ -419,11 +420,10 @@ def test_preferred_analysis_breaks_rule_ties_as_analyze_orders(class_rules, defa
 def test_plain_string_hint_is_a_pos_hint(analyzer):
     for pos in Pos:
         for word in ("mercado", "amo", "fue", "vacas", "zzcantar", "xyzal", ","):
-            for lookup in (analyzer.analyze, analyzer.preferred_analysis,
-                           analyzer.default_features):
+            for lookup in (analyzer.analyze, analyzer.preferred_analysis):
                 assert lookup(word, pos.value) == lookup(word, pos), (lookup, word, pos)
     assert analyzer.preferred_analysis("mercado", "verb").lemma == "mercar"
-    assert analyzer.default_features("zzcantar", "noun").pos is Pos.NOUN
+    assert analyzer.preferred_analysis("zzcantar", "noun").features.pos is Pos.NOUN
 
 
 # A default row: its ending (or "*") and two feature cells. Only these three
@@ -457,19 +457,17 @@ def test_default_fallback_matches_linear_scan(rule_table, brute_force, rows, wor
     words = words + forms + prefixes + [prefix + ending for prefix in prefixes
                                         for ending, _pos, _number in rows if ending != "*"]
     for word in words:
+        if not word:
+            continue
         for pos_hint in (None, *Pos):
-            assert (analyzer.default_features(word, pos_hint)
-                    == oracle.default_features(normalize(word), pos_hint)), (word, pos_hint)
-            if word:
-                expected = oracle.analyze(word, pos_hint)
-                assert analyzer.analyze(word, pos_hint) == expected, (word, pos_hint)
-                assert (analyzer.preferred_analysis(word, pos_hint)
-                        == min(expected, key=_preference(normalize(word)))), (word, pos_hint)
-        if word:
-            assert (sorted((root, rule.rule_id)
-                           for root, rule in analyzer._walk(normalize(word), Pos.VERB)[0])
-                    == sorted((a.lemma, a.rule_id) for a in oracle.analyze(word, Pos.VERB)
-                              if a.rule_id is not None)), word
+            expected = oracle.analyze(word, pos_hint)
+            assert analyzer.analyze(word, pos_hint) == expected, (word, pos_hint)
+            assert (analyzer.preferred_analysis(word, pos_hint)
+                    == min(expected, key=_preference(normalize(word)))), (word, pos_hint)
+        assert (sorted((root, rule.rule_id)
+                       for root, rule in analyzer._walk(normalize(word), Pos.VERB)[0])
+                == sorted((a.lemma, a.rule_id) for a in oracle.analyze(word, Pos.VERB)
+                          if a.rule_id is not None)), word
 
 
 def test_unknown_flag_warning_counts_every_root_of_a_shared_tuple(capsys, rule_table,

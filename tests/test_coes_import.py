@@ -101,12 +101,14 @@ def test_unparseable_rule_warns_and_continues(capsys):
 
 
 def test_a_flag_of_several_characters_warns_at_each_of_its_rules(capsys):
-    source = "suffixes\nflag *A:\nR > -R, O\nflag *BC:\nR > -R, S\nR > -R, N\n"
+    # A flag that is not an ASCII letter is skipped the same way.
+    source = ("suffixes\nflag *A:\nR > -R, O\nflag *BC:\nR > -R, S\nR > -R, N\n"
+              "flag *1: R > -R, A\n")
     rows = import_rules(io.StringIO(source))
     assert [(r.flag, r.morph_ending) for r in rows] == [("A", "o")]
     assert capsys.readouterr().err.splitlines() == [
-        f"morfo: line {n}: flag must be a single character, got 'BC'; row skipped"
-        for n in (5, 6)]
+        f"morfo: line {n}: flag must be one ASCII letter, got {flag!r}; row skipped"
+        for n, flag in ((5, "BC"), (6, "BC"), (7, "1"))]
 
 
 def test_a_space_after_the_star_still_starts_a_flag_block(capsys):

@@ -49,11 +49,19 @@ def _load(loader, text):
 @example(text="feat\tpostype=x\tpos=noun\nfeat\tmood=indicative\tmood=indicative\n",
          conll="1\tamo\tamar\t_\tv\t_\tpostype=x|mood=indicative" + "\t_" * 7,
          data=b"\xef\xbb\xbf\n\xff\n")
+# a flag that only a dictionary rejects, in a nominal-flag file and an affix file
+@example(text="1", conll="", data=b"flag *1: R > -R, O\n")
 def test_every_loader_loads_or_raises_load_error(text, conll, data):
     for source in (text, data):
         for loader in (load_dictionary, load_rules, load_default_table, load_pronoun_table,
                        load_nominal_flags, import_rules):
-            _load(loader, source)
+            value = _load(loader, source)
+            # Every flag that a rule or flag file loads is one a dictionary entry may carry.
+            if value is not None and loader in (load_rules, load_nominal_flags, import_rules):
+                flags = value if loader is load_nominal_flags else [
+                    rule.flag for rule in getattr(value, "rules", value)]
+                for flag in flags:
+                    assert load_dictionary([f"amar/{flag}"]).flags == {"amar": (flag,)}, flag
     for m in filter(None, (PACKAGED_MAPPING, _load(load_mapping, text), _load(load_mapping, data))):
         for source in (conll, data):
             _load(lambda stream: parse_conll(stream, m), source)
@@ -112,7 +120,11 @@ _INVALID = [
     (load_rules, _RULES_HEADER + "\nV\tar\to\tverb\t\t\t\t\t\t\n# " + _LONG
      + "\nV\tar\to\tbogus\t\t\t\t\t\t\n", "invalid pos value 'bogus'", 4),
     (load_rules, _RULES_HEADER + "\nV\tar\to\tverb\t\t\t\t\t\t\n\ufeffV\tar\to\tverb\t\t\t\t\t\t\n",
-     "flag must be a single character, got '\\ufeffV'", 3),
+     "flag must be one ASCII letter, got '\\ufeffV'", 3),
+    (load_rules, _RULES_HEADER + "\nV\tar\to\tverb\t\t\t\t\t\t\n# " + _LONG
+     + "\n1\tar\to\tverb\t\t\t\t\t\t\n", "flag must be one ASCII letter, got '1'", 4),
+    (load_nominal_flags, "N\n# " + _LONG + "\n\nV\nñ\n", "flag must be one ASCII letter, got 'ñ'",
+     5),
     (load_default_table, _DEFAULTS_HEADER + "\n*\tnoun\n" + _LONG + "\tnoun\nñ\udce9\tnoun\n",
      "invalid UTF-8", 4),
     (load_default_table, _DEFAULTS_HEADER + "\n*\tnoun\n" + _LONG + "\tnoun\n\tnoun\n",
@@ -124,6 +136,8 @@ _INVALID = [
      "invalid UTF-8", 5),
     (load_pronoun_table, _PRONOUNS_HEADER + "\nme\tfirst\tsingular\t\n\n\n\tfirst\tplural\t\n",
      "empty pronoun cell", 5),
+    (load_pronoun_table, "# " + _LONG + "\n\n" + _PRONOUNS_HEADER + "\t\nme\tfirst\tsingular\t\n",
+     "empty column name in column 5", 3),
 ]
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morfo import cache, features, resources, rules as rules_module
+from morfo import cache, features, lexicon as lexicon_module, resources, rules as rules_module
 from morfo.analyzer import Analyzer
 from morfo.coes_import import import_rules
 from morfo.errors import LoadError
@@ -241,8 +241,8 @@ def test_cached_rules_equal_a_fresh_parse(source, tmp_path, monkeypatch):
     assert dump_rules(cached.rules) == dump_rules(fresh.rules)
 
 
-@pytest.mark.parametrize("change", ["rules.py", "resources.py", "features.py", "cache.py",
-                                    "format"])
+@pytest.mark.parametrize("change", ["rules.py", "resources.py", "features.py", "lexicon.py",
+                                    "cache.py", "format"])
 def test_new_rule_parsing_code_parses_the_table_again(change, tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     path = _settled_copy(tmp_path, (HEADER + "\nV\t(?<=[^cg])er\to\tverb\t\t\t\t\t\t\n").encode())
@@ -251,7 +251,7 @@ def test_new_rule_parsing_code_parses_the_table_again(change, tmp_path, monkeypa
         monkeypatch.setattr(cache, "CACHE_FORMAT", cache.CACHE_FORMAT + 1)
     else:  # the same module, at another size and time
         module = {"rules.py": rules_module, "resources.py": resources, "features.py": features,
-                  "cache.py": cache}[change]
+                  "lexicon.py": lexicon_module, "cache.py": cache}[change]
         edited = tmp_path / change
         edited.write_text(Path(module.__file__).read_text(encoding="utf-8") + "\n",
                           encoding="utf-8")
