@@ -69,11 +69,12 @@ _UNSET = FeatureSet()
 _NOMINAL_ENDINGS = ("o", "a", "os", "as")
 
 
-def _parse_default(row: dict[str, str], _line_no: int) -> DefaultRow:
-    ending = normalize(row["ending"])
+def _parse_default(row: list[str], _line_no: int) -> DefaultRow:
+    ending, *cells = row
+    ending = normalize(ending)
     if not ending:
         raise ValueError("empty ending cell (use '*' for the catch-all row)")
-    return DefaultRow(ending=ending, features=FeatureSet.from_cells(row))
+    return DefaultRow(ending, FeatureSet.from_cells(dict(zip(FeatureSet._fields, cells))))
 
 
 def load_default_table(source: Iterable[bytes | str]) -> list[DefaultRow]:

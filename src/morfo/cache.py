@@ -2,9 +2,11 @@
 
 ``load`` keeps what a loader parsed from a regular file in ``cache_dir()``,
 as plain data that ``marshal`` can store, and gives it back while the file
-and the code that parses it are unchanged. Each kind of file (``dictionary``,
-``rules``) has its own entries, one per path. The library loaders never read
-or write the cache.
+and the code that parses it are unchanged. Entries are named after the kind
+of file and its path; the dictionary (``lexicon.load_cached_dictionary``) is
+the one kind cached. No entry of another kind, such as the ``rules`` entries
+of earlier versions, is read, and a store removes one once its file is gone.
+The library loaders never read or write the cache.
 """
 
 from __future__ import annotations

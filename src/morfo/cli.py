@@ -38,7 +38,7 @@ from morfo.analyzer import Analyzer, load_default_table
 from morfo.errors import LoadError
 from morfo.features import Pos
 from morfo.lexicon import load_cached_dictionary, normalize
-from morfo.rules import dump_rules, load_cached_rules
+from morfo.rules import dump_rules, load_rules
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,7 +93,7 @@ def _load(name: str, override: str | None, loader):
 
 def build_analyzer(args) -> Analyzer:
     lexicon = _load(resources.DICTIONARY, args.dict, load_cached_dictionary)
-    rules = _load(resources.RULES, args.rules, load_cached_rules)
+    rules = _load(resources.RULES, args.rules, load_rules)
     defaults = _load(resources.DEFAULTS, args.defaults, load_default_table)
     return Analyzer(lexicon, rules, defaults)
 

@@ -31,11 +31,12 @@ def strip_stress_accents(text: str) -> str:
 _PRONOUN_COLUMNS = ("pronoun", "person", "number", "gender")
 
 
-def _parse_pronoun(row: dict[str, str], _line_no: int) -> tuple[str, FeatureSet]:
-    pronoun = normalize(row["pronoun"])
+def _parse_pronoun(row: list[str], _line_no: int) -> tuple[str, FeatureSet]:
+    pronoun, *cells = row
+    pronoun = normalize(pronoun)
     if not pronoun:
         raise ValueError("empty pronoun cell")
-    return pronoun, FeatureSet.from_cells({**row, "pos": "pronoun"})
+    return pronoun, FeatureSet.from_cells(dict(zip(_PRONOUN_COLUMNS[1:], cells), pos="pronoun"))
 
 
 def load_pronoun_table(source: Iterable[bytes | str]) -> dict[str, FeatureSet]:

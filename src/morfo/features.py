@@ -130,12 +130,6 @@ class FeatureSet(namedtuple("FeatureSet", _FIELD_KINDS, defaults=(None,) * len(_
         return {name: (value.value if value else None) for name, value in zip(self._fields, self)}
 
     @classmethod
-    def from_values(cls, values) -> FeatureSet:
-        """Build from every field's value, in field order, as ``as_dict`` gives them."""
-        return cls._make([None if value is None else kind(value)
-                          for kind, value in zip(_FIELD_KINDS.values(), values, strict=True)])
-
-    @classmethod
     def from_cells(cls, cells: dict) -> FeatureSet:
         """Build from a mapping of column name to cell text.
 

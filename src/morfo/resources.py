@@ -136,44 +136,55 @@ def read_table(
     source: Iterable[bytes | str],
     columns: Sequence[str],
     required: Sequence[str],
-    parse_row: Callable[[dict[str, str], int], object],
+    parse_row: Callable[[list[str], int], object],
 ) -> list:
-    """Parse a tab-separated table with a header row, one ``parse_row(row, line_no)`` per row.
+    """Parse a tab-separated table with a header row, one ``parse_row(cells, line_no)`` per row.
 
     Header names are matched case-insensitively, with spaces read as ``_``,
     in any order. A blank name, a name outside ``columns``, a repeated name,
-    or a missing ``required`` one is an error at the header line.
-    ``parse_row`` receives every column, stripped, with ``""`` for cells the
-    row or the header lacks; a ``ValueError`` it raises becomes a
-    ``LoadError`` naming the row's line, as does a cell past the last header
-    column that is not blank.
+    or a missing ``required`` one is an error at the header line. Blank and
+    ``#`` lines are skipped, as ``data_lines`` skips them. ``parse_row``
+    receives the row's cells, stripped, as a list in ``columns`` order, with
+    ``""`` for cells the row or the header lacks; a ``ValueError`` it raises
+    becomes a ``LoadError`` naming the row's line, as does a cell past the
+    last header column that is not blank.
     """
-    header: list[str] | None = None
+    positions: list[int] | None = None
     out = []
-    for line_no, line in data_lines(source):
-        cells = line.split("\t")
-        if header is None:
-            header = [c.strip().lower().replace(" ", "_") for c in cells]
-            if "" in header:
-                raise LoadError(f"empty column name in column {header.index('') + 1}", line_no)
-            unknown = [c for c in header if c not in columns]
-            if unknown:
-                raise LoadError(f"unknown column name(s): {', '.join(unknown)}", line_no)
-            repeated = list(dict.fromkeys(c for i, c in enumerate(header) if c in header[:i]))
-            if repeated:
-                raise LoadError(f"duplicate column name(s): {', '.join(repeated)}", line_no)
-            missing = [c for c in required if c not in header]
-            if missing:
-                raise LoadError(f"missing column(s): {', '.join(missing)}", line_no)
-            continue
-        if len(cells) > len(header) and "".join(cells[len(header):]).strip():
-            raise LoadError(f"{len(cells)} cells for {len(header)} columns", line_no)
-        row = dict.fromkeys(columns, "")
-        row.update((name, cell.strip()) for name, cell in zip(header, cells))
-        try:
-            out.append(parse_row(row, line_no))
-        except ValueError as exc:
-            raise LoadError(str(exc), line_no) from None
-    if header is None:
+    for first_line_no, block in line_blocks(source):
+        for line_no, line in enumerate(block, first_line_no):
+            stripped = line.lstrip()
+            if not stripped or stripped[0] == "#":
+                continue
+            cells = line.split("\t")
+            if positions is None:
+                header = [c.strip().lower().replace(" ", "_") for c in cells]
+                if "" in header:
+                    raise LoadError(f"empty column name in column {header.index('') + 1}",
+                                    line_no)
+                unknown = [c for c in header if c not in columns]
+                if unknown:
+                    raise LoadError(f"unknown column name(s): {', '.join(unknown)}", line_no)
+                repeated = list(dict.fromkeys(c for i, c in enumerate(header)
+                                              if c in header[:i]))
+                if repeated:
+                    raise LoadError(f"duplicate column name(s): {', '.join(repeated)}", line_no)
+                missing = [c for c in required if c not in header]
+                if missing:
+                    raise LoadError(f"missing column(s): {', '.join(missing)}", line_no)
+                width = len(header)
+                # A column the header lacks reads the blank cell that each row gets at ``width``.
+                positions = [header.index(c) if c in header else width for c in columns]
+                continue
+            short = width + 1 - len(cells)
+            if short > 0:
+                cells += [""] * short
+            elif "".join(cells[width:]).strip():
+                raise LoadError(f"{len(cells)} cells for {width} columns", line_no)
+            try:
+                out.append(parse_row([cells[i].strip() for i in positions], line_no))
+            except ValueError as exc:
+                raise LoadError(str(exc), line_no) from None
+    if positions is None:
         raise LoadError("table has no header row")
     return out

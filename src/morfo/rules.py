@@ -1,9 +1,8 @@
 """The morphological rule table: suffix substitutions with feature columns.
 
 ``load_rules`` reads the tab-separated table and ``dump_rules`` writes it.
-``load_cached_rules``, the CLI's loader, keeps each file's parsed table in
-the on-disk cache (``morfo.cache``) while the file and the parsing code are
-unchanged.
+The CLI parses the table on every run, as it does the other small tables;
+only the dictionary is kept in the on-disk cache (``morfo.cache``).
 
 A rule's stem-ending pattern describes the last letters of a root word with
 one position test per letter: a literal letter, a character class ``[...]``
@@ -17,10 +16,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Iterable
-from io import BufferedIOBase
 from itertools import count
 
-from morfo import cache, features, lexicon, resources
 from morfo.errors import warn
 from morfo.features import FeatureSet
 from morfo.lexicon import LexEntry, is_flag
@@ -116,11 +113,15 @@ class MorphRule(namedtuple("MorphRule", "rule_id flag stem_ending morph_ending f
 
         A bad flag, pattern or feature set raises ValueError, checked in that order.
         """
-        if not is_flag(flag):
-            raise ValueError(f"flag must be one ASCII letter, got {flag!r}")
+        _check_flag(flag)
         replaced, tests = parse_stem_pattern(stem_ending)
         return cls(rule_id, flag, stem_ending.strip(), morph_ending, features(), replaced, tests,
                    line_no, example)
+
+
+def _check_flag(flag: str) -> None:
+    if not is_flag(flag):
+        raise ValueError(f"flag must be one ASCII letter, got {flag!r}")
 
 
 class RuleTable:
@@ -142,59 +143,32 @@ def _dash(cell: str) -> str:
 
 
 def load_rules(source: Iterable[bytes | str]) -> RuleTable:
-    """Load the tab-separated rule table; raises LoadError naming the bad row."""
+    """Load the tab-separated rule table; raises LoadError naming the bad row.
+
+    A row's flag, stem-ending pattern and features are checked in that
+    order. Each distinct pattern is parsed once, and rules with equal
+    feature cells share one ``FeatureSet``.
+    """
     rule_ids = count(1)
+    patterns: dict[str, tuple[tuple, tuple]] = {}  # stem ending -> parse_stem_pattern of it
     feature_sets: dict[tuple, FeatureSet] = {}  # feature cells -> their FeatureSet
 
-    def features_of(row: dict[str, str]) -> FeatureSet:
-        cells = tuple(map(row.__getitem__, FeatureSet._fields))
-        found = feature_sets.get(cells)
-        if found is None:
-            found = feature_sets[cells] = FeatureSet.from_cells(row)
-        return found
-
-    def parse(row: dict[str, str], line_no: int) -> MorphRule:
-        return MorphRule.build(row["flag"], _dash(row["stem_ending"]), _dash(row["morph_ending"]),
-                               lambda: features_of(row), next(rule_ids), line_no=line_no)
+    def parse(row: list[str], line_no: int) -> MorphRule:
+        flag, stem_ending, morph_ending, *cells = row
+        _check_flag(flag)
+        stem_ending = _dash(stem_ending)
+        pattern = patterns.get(stem_ending)
+        if pattern is None:
+            pattern = patterns[stem_ending] = parse_stem_pattern(stem_ending)
+        cells = tuple(cells)
+        features = feature_sets.get(cells)
+        if features is None:
+            features = feature_sets[cells] = FeatureSet.from_cells(
+                dict(zip(FeatureSet._fields, cells)))
+        return MorphRule(next(rule_ids), flag, stem_ending, _dash(morph_ending), features,
+                         *pattern, line_no)
 
     return RuleTable(read_table(source, COLUMNS, COLUMNS, parse))
-
-
-def _rows(table: RuleTable) -> list:
-    """``table`` as plain data: one row per rule, its features as their values."""
-    values: dict[FeatureSet, tuple] = {}
-    rows = []
-    for rule in table.rules:
-        found = values.get(rule.features)
-        if found is None:
-            found = values[rule.features] = tuple(rule.features.as_dict().values())
-        rows.append((rule.rule_id, rule.flag, rule.stem_ending, rule.morph_ending, found,
-                     rule.replaced, rule.tests, rule.line_no))
-    return rows
-
-
-def _table(rows: list) -> RuleTable:
-    """The rule table whose ``_rows`` are ``rows``, with one ``FeatureSet`` per distinct values."""
-    feature_sets: dict[tuple, FeatureSet] = {}
-    rules = []
-    for rule_id, flag, stem_ending, morph_ending, values, replaced, tests, line_no in rows:
-        found = feature_sets.get(values)
-        if found is None:
-            found = feature_sets[values] = FeatureSet.from_values(values)
-        rules.append(MorphRule(rule_id, flag, stem_ending, morph_ending, found, replaced, tests,
-                               line_no))
-    return RuleTable(rules)
-
-
-def load_cached_rules(stream: BufferedIOBase) -> RuleTable:
-    """``load_rules(stream)``, from the CLI's cache (``cache.load``) while it is current.
-
-    The entry holds one row per rule (``_rows``); its stamp covers this
-    module, ``resources``, ``features`` and ``lexicon``, whose ``is_flag``
-    checks each rule's flag.
-    """
-    return cache.load(stream, "rules", (__file__, resources.__file__, features.__file__,
-                                        lexicon.__file__), load_rules, _rows, _table)
 
 
 def dump_rules(rules: Iterable[MorphRule]) -> str:

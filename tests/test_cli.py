@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from morfo import cache as data_cache, cli, lexicon, resources, rules as rules_module
+from morfo import cache as data_cache, cli, lexicon, resources
 from morfo.analyzer import Analyzer
 from morfo.cli import run
 from morfo.features import Pos
@@ -589,10 +589,11 @@ def test_second_run_is_served_from_the_cache(tmp_path, own_cache_home, monkeypat
     assert parsed[0][1].split("\n")[1].startswith("vacas\tvaca\tnoun\t-\tplural\t")
     monkeypatch.setenv("XDG_CACHE_HOME", str(own_cache_home))
     assert _cached_run(commands[0], capsys) == parsed[0]
-    assert [p.name.partition("-")[0] for p in _entries(own_cache_home)] == ["dictionary", "rules"]
+    # The rule table is parsed on every run; only the dictionary is stored.
+    assert [p.name.partition("-")[0] for p in _entries(own_cache_home)] == ["dictionary"]
     monkeypatch.setattr(lexicon, "load_dictionary", _fail)
-    monkeypatch.setattr(rules_module, "load_rules", _fail)
     assert [_cached_run(argv, capsys) for argv in commands] == parsed
+    assert _entries(own_cache_home, "rules") == []
 
 
 def test_an_edit_of_the_same_size_is_parsed_again(tmp_path, own_cache_home, capsys):
@@ -602,8 +603,8 @@ def test_an_edit_of_the_same_size_is_parsed_again(tmp_path, own_cache_home, caps
     assert _cached_run(argv, capsys)[:2] == (0, "amar\nvaca\ncomemos\ncasa\n")
     _rules(tmp_path, CACHE_RULES.replace("\tar\to\t", "\tar\tu\t"), mtime_s=1_000_000_001)
     assert _cached_run(argv, capsys)[:2] == (0, "amo\nvaca\ncomemos\ncasa\n")
-    # Each entry was replaced, not joined by another.
-    assert [len(_entries(own_cache_home, kind)) for kind in ("dictionary", "rules")] == [1, 1]
+    # The entry was replaced, not joined by another.
+    assert [len(_entries(own_cache_home, kind)) for kind in ("dictionary", "rules")] == [1, 0]
 
 
 def test_files_read_through_one_path_are_told_apart(tmp_path, own_cache_home, capsys):
@@ -635,21 +636,20 @@ def _other_format(data):
     lambda data: b"",
     lambda data: b"\x00garbage" * 50,
     lambda data: data.replace(b"vaca", b"vacb").replace(b"verb", b"verc"),  # changed data
-    lambda data: data.replace(b"/dictionary.txt", b"/dictionarz.txt").replace(
-        b"/rules.tsv", b"/rulez.tsv"),  # another path's stamp
+    lambda data: data.replace(b"/dictionary.txt", b"/dictionarz.txt"),  # another path's stamp
     _other_format,
 ])
 def test_a_damaged_entry_is_parsed_again_in_silence(damage, tmp_path, own_cache_home, capsys):
     argv = ["analyze", "--dict", str(_dictionary(tmp_path)), "--rules", str(_rules(tmp_path))]
     expected = _cached_run(argv, capsys)
     entries = _entries(own_cache_home)
-    assert len(entries) == 2
+    assert len(entries) == 1
     for entry in entries:
         data = entry.read_bytes()
         assert damage(data) != data
         entry.write_bytes(damage(data))
     assert _cached_run(argv, capsys) == expected
-    assert _cached_run(argv, capsys) == expected  # from the entries the second run rewrote
+    assert _cached_run(argv, capsys) == expected  # from the entry the second run rewrote
     assert _entries(own_cache_home) == entries
 
 
@@ -664,7 +664,7 @@ def test_an_unusable_cache_changes_nothing_but_speed(tmp_path, monkeypatch, caps
         assert _cached_run(["analyze"], capsys)[2] == ""
     entry_dir = tmp_path / "cache" / "morfo"
     entries = sorted(entry_dir.iterdir())
-    assert len(entries) == 2
+    assert len(entries) == 1
     for entry in entries:
         entry.unlink()
         entry.mkdir()  # an entry that cannot be read or replaced
@@ -731,22 +731,24 @@ def test_storing_an_entry_removes_those_of_files_that_are_gone(tmp_path, own_cac
     for name in ("gone", "kept", "new"):
         (tmp_path / name).mkdir()
     gone, kept, new = (_dictionary(tmp_path / name) for name in ("gone", "kept", "new"))
-    gone_rules = _rules(tmp_path / "gone")
     entries = []
-    for argv in (["--dict", str(gone), "--rules", str(gone_rules)], ["--dict", str(kept)]):
-        assert _cached_run(["lemmatize", *argv], capsys)[0] == 0
+    for dictionary in (gone, kept):
+        assert _cached_run(["lemmatize", "--dict", str(dictionary)], capsys)[0] == 0
         entries.append(set(_entries(own_cache_home)) - set().union(*entries))
-    gone_entries, (kept_entry, packaged_rules_entry) = entries
-    assert {entry.name.partition("-")[0] for entry in gone_entries} == {"dictionary", "rules"}
+    [gone_entry], [kept_entry] = entries
     gone.unlink()
-    gone_rules.unlink()
     directory = own_cache_home / "morfo"
     damaged = [directory / f"{kind}-0000000{n}.marshal"
                for n, kind in enumerate(["dictionary", "dictionary", "rules", "other"])]
     for path, data in zip(damaged, [b"\x00garbage", marshal.dumps(42),
                                     marshal.dumps((1, "tag")) + b"payload", b""]):
         path.write_bytes(data)
-    gone_entry = min(gone_entries)
+    # Rule-table entries as earlier versions stored them, which no run reads:
+    # the one whose file is gone goes with the next store.
+    old_rules = [directory / f"rules-0000000{n}.marshal" for n in (4, 5)]
+    for entry, rule_file in zip(old_rules, [tmp_path / "gone" / "rules.tsv", _rules(tmp_path)]):
+        stamp = (data_cache.CACHE_FORMAT, sys.implementation.cache_tag, str(rule_file))
+        entry.write_bytes(marshal.dumps(stamp, 2) + b"payload")
     temporary = directory / f"{gone_entry.name}.123.tmp"  # a concurrent writer's
     temporary.write_bytes(b"")
     orphan = directory / f"{kept_entry.name}.456.tmp"  # a writer's that died two days ago
@@ -758,48 +760,43 @@ def test_storing_an_entry_removes_those_of_files_that_are_gone(tmp_path, own_cac
     assert set(_entries(own_cache_home)) == before  # a run served from the cache removes nothing
     assert _cached_run(["lemmatize", "--dict", str(new)], capsys)[0] == 0
     [new_entry] = set(_entries(own_cache_home)) - before
-    assert set(_entries(own_cache_home)) == {kept_entry, packaged_rules_entry, temporary,
-                                             new_entry}
+    assert set(_entries(own_cache_home)) == {kept_entry, old_rules[1], temporary, new_entry}
 
 
 def test_a_writer_killed_before_its_rename_leaves_a_file_a_later_store_removes(
         tmp_path, monkeypatch, capsys):
-    """For each kind of entry: a child killed between writing a temporary file and
-    renaming it leaves that file, which a store beside it removes once it is an orphan."""
-    for kind, option, path in (("dictionary", "--dict", _dictionary(tmp_path)),
-                               ("rules", "--rules", _rules(tmp_path))):
-        module = lexicon if kind == "dictionary" else rules_module
-        loader = "load_cached_dictionary" if kind == "dictionary" else "load_cached_rules"
-        cache_home = tmp_path / f"cache-{kind}"
-        script = ("import os, sys\n"
-                  f"from {module.__name__} import {loader}\n"
-                  "os.replace = lambda *_args: os._exit(9)\n"
-                  "with open(sys.argv[1], 'rb') as stream:\n"
-                  f"    {loader}(stream)\n")
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
-               "XDG_CACHE_HOME": str(cache_home)}
-        child = subprocess.Popen([sys.executable, "-c", script, str(path)],
-                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        assert (child.communicate(timeout=60), child.returncode) == ((b"", b""), 9)
-        [temporary] = _entries(cache_home)
-        entry = temporary.with_name(temporary.name.removesuffix(f".{child.pid}.tmp"))
-        assert entry.name.startswith(f"{kind}-") and entry.name.endswith(".marshal")
-        # The file of the other kind is a packaged one.
-        argv = ["analyze", option, str(path)]
-        monkeypatch.setenv("XDG_CACHE_HOME", "/dev/null")
-        uncached = _cached_run(argv, capsys)
-        assert uncached[0] == 0
-        monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+    """A child killed between writing a temporary file and renaming it leaves that file,
+    which a store beside it removes once it is an orphan."""
+    path = _dictionary(tmp_path)
+    cache_home = tmp_path / "cache"
+    script = ("import os, sys\n"
+              "from morfo.lexicon import load_cached_dictionary\n"
+              "os.replace = lambda *_args: os._exit(9)\n"
+              "with open(sys.argv[1], 'rb') as stream:\n"
+              "    load_cached_dictionary(stream)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+           "XDG_CACHE_HOME": str(cache_home)}
+    child = subprocess.Popen([sys.executable, "-c", script, str(path)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert (child.communicate(timeout=60), child.returncode) == ((b"", b""), 9)
+    [temporary] = _entries(cache_home)
+    entry = temporary.with_name(temporary.name.removesuffix(f".{child.pid}.tmp"))
+    assert entry.name.startswith("dictionary-") and entry.name.endswith(".marshal")
+    argv = ["analyze", "--dict", str(path)]
+    monkeypatch.setenv("XDG_CACHE_HOME", "/dev/null")
+    uncached = _cached_run(argv, capsys)
+    assert uncached[0] == 0
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+    assert _cached_run(argv, capsys) == uncached
+    assert _entries(cache_home) == [entry, temporary]  # too young to be an orphan
+    with monkeypatch.context() as patch:
+        patch.setattr(lexicon, "load_dictionary", _fail)
         assert _cached_run(argv, capsys) == uncached
-        assert _entries(cache_home, kind) == [entry, temporary]  # too young to be an orphan
-        with monkeypatch.context() as patch:
-            patch.setattr(module, loader.replace("_cached", ""), _fail)
-            assert _cached_run(argv, capsys) == uncached
-        orphaned = time.time() - data_cache.ORPHAN_S - 60
-        os.utime(temporary, (orphaned, orphaned))
-        entry.unlink()  # so that the next run parses and stores again
-        assert _cached_run(argv, capsys) == uncached
-        assert _entries(cache_home, kind) == [entry]
+    orphaned = time.time() - data_cache.ORPHAN_S - 60
+    os.utime(temporary, (orphaned, orphaned))
+    entry.unlink()  # so that the next run parses and stores again
+    assert _cached_run(argv, capsys) == uncached
+    assert _entries(cache_home) == [entry]
 
 
 def test_every_command_closes_what_it_opens(tmp_path, own_cache_home):
@@ -807,8 +804,8 @@ def test_every_command_closes_what_it_opens(tmp_path, own_cache_home):
 
     A process that owns its stdio freezes its objects, so it would not report
     a file left open at exit; these runs are in-process. The first run with
-    ``--dict`` and ``--rules`` parses and stores both files, the later ones
-    load their entries, and the packaged files take both paths too.
+    ``--dict`` parses and stores the dictionary, the later ones load its
+    entry, and the packaged dictionary takes both paths too.
     """
     files = ["--dict", str(_dictionary(tmp_path)), "--rules", str(_rules(tmp_path))]
     runs = [[command, *files]
@@ -830,30 +827,30 @@ def test_every_command_closes_what_it_opens(tmp_path, own_cache_home):
         sys.unraisablehook = hook
     assert [str(u.exc_value) for u in unraisable] == []
     assert (tmp_path / "imported.tsv").stat().st_size > 0
-    assert len(_entries(own_cache_home)) == 4
+    assert len(_entries(own_cache_home)) == 2
 
 
 def test_process_runs_give_the_same_output_with_and_without_the_cache(tmp_path):
     argv = ["analyze", "--dict", str(_dictionary(tmp_path)), "--rules", str(_rules(tmp_path))]
     runs = [_run_module(argv, CACHE_INPUT.encode(), XDG_CACHE_HOME=cache_home)
             for cache_home in (str(tmp_path / "cache"), str(tmp_path / "cache"), "/dev/null")]
-    assert len(list((tmp_path / "cache" / "morfo").iterdir())) == 2
+    assert len(list((tmp_path / "cache" / "morfo").iterdir())) == 1
     assert len({(p.returncode, p.stdout, p.stderr) for p in runs}) == 1
     assert runs[0].returncode == 0 and runs[0].stdout.decode() == invoke(argv, CACHE_INPUT)[1]
 
 
 def test_concurrent_processes_fill_one_cold_cache(tmp_path):
     """Six children on one empty cache home, three per pair of dictionary and rule files,
-    each write what an uncached run writes, and leave one entry per file and no temporary
-    file."""
-    argvs, paths = [], []
+    each write what an uncached run writes, and leave one entry per dictionary and no
+    temporary file."""
+    argvs, dictionaries = [], []
     for name, text, rule_text in (
             ("one", CACHE_DICTIONARY, CACHE_RULES),
             ("two", "amar/V\nvaca/S\ncasa/S\n", CACHE_RULES.replace("\ter\temos\t", "\tar\tan\t"))):
         (tmp_path / name).mkdir()
         files = [_dictionary(tmp_path / name, text), _rules(tmp_path / name, rule_text)]
         argvs.append(["analyze", "--dict", str(files[0]), "--rules", str(files[1])])
-        paths.append(files)
+        dictionaries.append(str(files[0]))
     cache_home = tmp_path / "cache"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
            "XDG_CACHE_HOME": str(cache_home)}
@@ -869,9 +866,8 @@ def test_concurrent_processes_fill_one_cold_cache(tmp_path):
     assert runs == [((p.stdout, p.stderr), p.returncode) for p in uncached * 3]
     assert uncached[0].returncode == 0
     assert [entry for entry in _entries(cache_home) if entry.suffix == ".tmp"] == []
-    for kind, files in zip(("dictionary", "rules"), zip(*paths)):
-        assert sorted(marshal.loads(entry.read_bytes())[2]
-                      for entry in _entries(cache_home, kind)) == sorted(map(str, files))
+    assert sorted(marshal.loads(entry.read_bytes())[2]
+                  for entry in _entries(cache_home)) == sorted(dictionaries)
 
 
 def test_evaluate_ignores_byte_order_mark(tmp_path):

@@ -17,11 +17,10 @@ import morfo
 from morfo import (Analyzer, Animacy, CliticSplit, FeatureSet, Gender, LexEntry, Mood, MorphRule,
                    Number, Person, Pos, Provenance, Tense, load_default_table, load_dictionary,
                    load_pronoun_table)
-from morfo import rules as rules_module
 from morfo.cli import run
 from morfo.conll_eval import load_mapping
 from morfo.resources import data_path
-from morfo.rules import dump_rules, load_cached_rules, parse_stem_pattern
+from morfo.rules import dump_rules, load_rules, parse_stem_pattern
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -200,23 +199,11 @@ def _own_members(values) -> bool:
                for features in values for kind, value in zip(kinds, features, strict=True))
 
 
-def test_loaders_give_the_kinds_own_members(tmp_path, monkeypatch):
-    rules_tsv = tmp_path / "rules.tsv"
-    rules_tsv.write_bytes(data_path("rules.tsv").read_bytes())
-    os.utime(rules_tsv, (1_000_000_000, 1_000_000_000))  # long enough ago to be cached
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    with open(rules_tsv, "rb") as stream:
-        parsed = load_cached_rules(stream)
-
-    def not_parsed(_stream):
-        raise AssertionError("parsed, not loaded from the cache")
-
-    monkeypatch.setattr(rules_module, "load_rules", not_parsed)
-    with open(rules_tsv, "rb") as stream:
-        cached = load_cached_rules(stream)
-    assert cached.rules == parsed.rules and len(cached) > 100
-    for table in (parsed, cached):
-        assert _own_members(rule.features for rule in table.rules)
+def test_loaders_give_the_kinds_own_members():
+    with open(data_path("rules.tsv"), "rb") as stream:
+        rules = load_rules(stream)
+    assert len(rules) > 100
+    assert _own_members(rule.features for rule in rules.rules)
 
     with open(data_path("defaults.tsv"), "rb") as stream:
         defaults = load_default_table(stream)
@@ -229,7 +216,7 @@ def test_loaders_give_the_kinds_own_members(tmp_path, monkeypatch):
         mapping = load_mapping(stream)
     assert mapping.pos_map and all(Pos(pos.value) is pos for pos in mapping.pos_map.values())
     with open(data_path("dictionary.txt"), "rb") as stream:
-        analyzer = Analyzer(load_dictionary(stream), cached, defaults)
+        analyzer = Analyzer(load_dictionary(stream), rules, defaults)
     readings = [analyzer.preferred_analysis(word) for word in ("amo", "xyzzy", "fue")]
     assert all(a.provenance is p for a, p in zip(readings, Provenance, strict=True))
     assert _own_members(a.features for a in readings)

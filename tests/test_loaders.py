@@ -84,6 +84,49 @@ def test_bytes_are_decoded_and_crlf_endings_dropped():
     assert (record.form, record.gold_lemma) == ("llegó", "llegar")
 
 
+# Headers of the packaged tables in another order, named as a person might
+# type them (spaces for "_", mixed case, padding); the last leaves out the
+# defaults columns that no packaged row sets.
+_REORDERED = [
+    ("rules.tsv", load_rules, ["Morph Ending", " TENSE", "flag", "Pos", "stem ending",
+                               "Animate", "gender ", "NUMBER", "Mood", "person"]),
+    ("defaults.tsv", load_default_table, ["Animate", "MOOD", "ending", " Tense ", "Number",
+                                          "pos", "Gender", "person"]),
+    ("defaults.tsv", load_default_table, ["Mood", "Number", " ENDING", "Gender", "pos"]),
+]
+
+
+@pytest.mark.parametrize("name, loader, header", _REORDERED)
+def test_packaged_tables_load_alike_with_their_columns_reordered(name, loader, header):
+    lines = data_path(name).read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line and not line.startswith("#"))
+    columns = lines[start].split("\t")
+    order = [columns.index(column.strip().lower().replace("_", " ")) for column in header]
+    rows = []
+    for line in lines[start + 1:]:
+        cells = line.split("\t") + [""] * len(columns)
+        rows.append(line if not line or line.startswith("#") else
+                    "\t".join(cells[i] for i in order))
+    reordered = loader(lines[:start] + ["\t".join(header)] + rows)
+    original = loader(lines)
+    assert len(original) > 10
+    assert getattr(reordered, "rules", reordered) == getattr(original, "rules", original)
+
+
+# (header and rows, the cells each row hands ``parse_row`` for columns a_b, a, c)
+@pytest.mark.parametrize("text, expected", [
+    ("A B\ta\tc\n1\t2\t3", [["1", "2", "3"]]),
+    ("c\tA\ta_b\n 3 \t2\t1 ", [["1", "2", "3"]]),
+    ("a\n2\n\n# 9\t9\n\t", [["", "2", ""]]),  # blank and "#" lines are skipped
+    ("a\ta b\n2", [["", "2", ""]]),
+    ("c\ta\n3\t2\t \t", [["", "2", "3"]]),
+], ids=["in-order", "reordered-and-stripped", "absent-column", "short-row", "blank-tail"])
+def test_read_table_hands_each_row_its_cells_in_column_order(text, expected):
+    rows = resources.read_table(text.split("\n"), ["a_b", "a", "c"], ["a"],
+                                lambda cells, line_no: cells)
+    assert rows == expected
+
+
 # -- block boundaries ----------------------------------------------------------
 
 _RULES_HEADER = "flag\tstem ending\tmorph ending\tpos\tgender\tnumber\tperson\tmood\ttense\tanimate"

@@ -1,12 +1,10 @@
 import io
-import os
 import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morfo import cache, features, lexicon as lexicon_module, resources, rules as rules_module
 from morfo.analyzer import Analyzer
 from morfo.coes_import import import_rules
 from morfo.errors import LoadError
@@ -18,7 +16,6 @@ from morfo.rules import (
     apply_rule,
     dump_rules,
     expand_entry,
-    load_cached_rules,
     load_rules,
     parse_stem_pattern,
 )
@@ -72,6 +69,38 @@ def test_load_errors_name_the_row():
     with pytest.raises(LoadError, match=r"^line 2: 11 cells for 10 columns$"):
         _table("V\tar\to\tverb\t\t\t\t\t\t\tplural")
     assert len(_table("V\tar\to\tverb\t\t\t\t\t\t\t \t")) == 1  # trailing empty cells
+
+
+# Each bad row follows a good one. The last shares that row's pattern and
+# features, so its flag is checked where the rest of the row was parsed before.
+@pytest.mark.parametrize("row, message", [
+    ("7\ta+r\to\tnoun\t\t\t\tindicative\t\t", "flag must be one ASCII letter, got '7'"),
+    ("V\ta+r\to\tnoun\t\t\t\tindicative\t\t", "unsupported character '+' in pattern 'a+r'"),
+    ("V\tar\to\tnoun\t\t\t\tindicative\t\t", "mood set on non-verb feature set (pos=noun)"),
+    ("7\tar\to\tnoun\t\t\t\t\t\t", "flag must be one ASCII letter, got '7'"),
+], ids=["flag", "pattern", "features", "flag-of-a-seen-row"])
+def test_a_row_is_checked_for_flag_then_pattern_then_features(row, message):
+    with pytest.raises(LoadError, match=f"^line 3: {re.escape(message)}$"):
+        _table("V\tar\to\tnoun\t\t\t\t\t\t", row)
+
+
+@pytest.mark.parametrize("source", ["seed", "fig1.aff"])
+def test_load_rules_builds_each_rule_as_morph_rule_build_does(source):
+    if source == "seed":
+        data = data_path("rules.tsv").read_text(encoding="utf-8")
+    else:
+        with open(FIXTURES / source, "rb") as stream:
+            data = dump_rules(import_rules(stream))
+    table = load_rules(io.StringIO(data))
+    assert len(table) > 5
+    for rule in table.rules:
+        assert rule == MorphRule.build(rule.flag, rule.stem_ending, rule.morph_ending,
+                                       lambda: rule.features, rule.rule_id, rule.line_no)
+    # Equal features are one FeatureSet.
+    assert (len({id(rule.features) for rule in table.rules})
+            == len({rule.features for rule in table.rules}))
+    assert dump_rules(load_rules(io.StringIO(dump_rules(table.rules))).rules) == dump_rules(
+        table.rules)
 
 
 def test_apply_rule_fig1_pairs():
@@ -195,71 +224,3 @@ def test_position_tests_match_as_the_old_regex(context, marker, replaced, morph_
     for surface in surfaces - {""}:
         assert sorted(analyzer._walk(surface, None)[0]) == sorted(
             (root, rule) for root in roots if apply_rule(root, rule) == surface), surface
-
-
-# -- the rules cache ----------------------------------------------------------
-
-
-def _settled_copy(tmp_path, data: bytes):
-    """A rule file holding ``data``, dated back past the cache's settling time."""
-    path = tmp_path / "rules.tsv"
-    path.write_bytes(data)
-    old = os.stat(path).st_mtime_ns - 2 * cache.SETTLE_NS
-    os.utime(path, ns=(old, old))
-    return path
-
-
-def _load_cached(path):
-    with open(path, "rb") as stream:
-        return load_cached_rules(stream)
-
-
-def _fail(_source):
-    raise AssertionError("parsed, not loaded from the cache")
-
-
-@pytest.mark.parametrize("source", ["seed", "fig1.aff"])
-def test_cached_rules_equal_a_fresh_parse(source, tmp_path, monkeypatch):
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    if source == "seed":
-        data = data_path("rules.tsv").read_bytes()
-    else:
-        with open(FIXTURES / source, "rb") as stream:
-            data = dump_rules(import_rules(stream)).encode("utf-8")
-    fresh = load_rules(io.BytesIO(data))
-    path = _settled_copy(tmp_path, data)
-    first = _load_cached(path)
-    with monkeypatch.context() as patch:
-        patch.setattr(rules_module, "load_rules", _fail)
-        cached = _load_cached(path)
-    for loaded in (first, cached):
-        assert loaded.rules == fresh.rules
-        assert (loaded.by_flag, loaded.by_id) == (fresh.by_flag, fresh.by_id)
-        # Equal features are one FeatureSet, as load_rules makes them.
-        assert (len({id(rule.features) for rule in loaded.rules})
-                == len({rule.features for rule in fresh.rules}))
-    assert dump_rules(cached.rules) == dump_rules(fresh.rules)
-
-
-@pytest.mark.parametrize("change", ["rules.py", "resources.py", "features.py", "lexicon.py",
-                                    "cache.py", "format"])
-def test_new_rule_parsing_code_parses_the_table_again(change, tmp_path, monkeypatch):
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    path = _settled_copy(tmp_path, (HEADER + "\nV\t(?<=[^cg])er\to\tverb\t\t\t\t\t\t\n").encode())
-    expected = _load_cached(path).rules
-    if change == "format":
-        monkeypatch.setattr(cache, "CACHE_FORMAT", cache.CACHE_FORMAT + 1)
-    else:  # the same module, at another size and time
-        module = {"rules.py": rules_module, "resources.py": resources, "features.py": features,
-                  "lexicon.py": lexicon_module, "cache.py": cache}[change]
-        edited = tmp_path / change
-        edited.write_text(Path(module.__file__).read_text(encoding="utf-8") + "\n",
-                          encoding="utf-8")
-        monkeypatch.setattr(module, "__file__", str(edited))
-    parses = []
-    monkeypatch.setattr(rules_module, "load_rules",
-                        lambda source: parses.append(source) or load_rules(source))
-    assert _load_cached(path).rules == expected
-    assert len(parses) == 1
-    assert _load_cached(path).rules == expected  # from the entry that parse replaced
-    assert len(parses) == 1
